@@ -43,7 +43,13 @@ from .metrics import (
     summarize,
     to_csv,
 )
-from .model import ToyDecoder, make_boundary_oracle, make_teacher_oracle
+from .model import (
+    ContextOverflow,
+    ModelConfig,
+    ToyDecoder,
+    make_boundary_oracle,
+    make_teacher_oracle,
+)
 from .verify import run_battery
 
 _BUILDERS = {"ns": build_ns, "ss": build_ss, "cs": build_cs}
@@ -165,20 +171,36 @@ def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens,
         window = int(spec.split(":", 1)[1])
         suite = make_boundary_oracle(utts, window, sp=sp, vocab_size=vocab)
         return lambda u, paradigm, ck: suite.bind(u, paradigm)
-    model = ToyDecoder.load(spec)
+    if spec == "toy" or spec.startswith("toy:"):
+        seed = int(spec[4:]) if spec != "toy" else 0
+        model = ToyDecoder(ModelConfig(vocab_size=vocab, seed=seed))
+    else:
+        model = ToyDecoder.load(spec)
     return lambda u, paradigm, ck: model
 
 
 def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
                   factory, sp: SpecialTokens, fps: float, chunk_ms: float):
+    """Decode and score every utterance. One that overflows the model's
+    context gets an ``{"id", "error"}`` entry and no score; the rest of the
+    corpus still runs. Returns the summary row, the per-utterance entries
+    and the count of failed utterances."""
     paradigm = PARADIGM_OF[strategy.name]
     per_utt = []
     counts = []
     pooled_lat = LatencyReport()
     positions = 0
+    failed = 0
     for u in utts:
         sess = session_new(factory(u, paradigm, ck), ck, strategy, sp)
-        hyp = run_stream(sess, u.frames)
+        try:
+            hyp = run_stream(sess, u.frames)
+        except ContextOverflow as exc:
+            failed += 1
+            error = f"context overflow: {exc}"
+            per_utt.append({"id": u.id, "error": error})
+            print(f"warning: {u.id}: {error}", file=sys.stderr)
+            continue
         c = edit_distance(u.tokens, hyp)
         counts.append(c)
         lat = emission_latency(sess.records, u.alignments, chunk_ms, fps)
@@ -220,7 +242,7 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
         max_spike_ms=pooled_lat.max_spike_ms,
         forward_positions=positions,
     )
-    return row, per_utt
+    return row, per_utt, failed
 
 
 def _strategy_from_ns(ns: argparse.Namespace, name: str) -> StrategyConfig:
@@ -245,8 +267,8 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
                         int(ns.speech_text_ratio))
     factory = _make_model_factory(ns, utts, sp, vocab)
     strategy = _strategy_from_ns(ns, ns.strategy)
-    row, per_utt = _run_strategy(utts, strategy, ck, factory, sp, fps,
-                                 float(ns.chunk_ms))
+    row, per_utt, failed = _run_strategy(utts, strategy, ck, factory, sp,
+                                         fps, float(ns.chunk_ms))
     print(summarize([row]))
     if ns.out:
         # one JSON line per utterance; the run-level summary lives in the
@@ -264,6 +286,7 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
                 "finalize_latency_ms": row.finalize_ms,
                 "max_spike_ms": row.max_spike_ms,
                 "forward_positions": row.forward_positions,
+                "failed": failed,
             })
     return 0
 
@@ -285,8 +308,8 @@ def _cmd_ablate(ns: argparse.Namespace) -> int:
         factory = _make_model_factory(ns, utts, sp, vocab)
         for name in strategies:
             strategy = _strategy_from_ns(ns, name)
-            row, _ = _run_strategy(utts, strategy, ck, factory, sp, fps,
-                                   chunk_ms)
+            row, _, failed = _run_strategy(utts, strategy, ck, factory, sp,
+                                           fps, chunk_ms)
             rows.append(row)
             c = row.counts
             results.append({
@@ -302,17 +325,19 @@ def _cmd_ablate(ns: argparse.Namespace) -> int:
                 "finalize_latency_ms": row.finalize_ms,
                 "max_spike_ms": row.max_spike_ms,
                 "forward_positions": row.forward_positions,
+                "failed": failed,
             })
     print(summarize(rows))
+    summary = {"failed": sum(r["failed"] for r in results)}
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
             json.dump({"rows": results}, fh, indent=2)
             fh.write("\n")
-        _write_manifest(ns.out, "ablate", ns, [ns.corpus])
+        _write_manifest(ns.out, "ablate", ns, [ns.corpus], summary)
     if ns.csv:
         with open(ns.csv, "w", encoding="utf-8") as fh:
             fh.write(to_csv(rows))
-        _write_manifest(ns.csv, "ablate", ns, [ns.corpus])
+        _write_manifest(ns.csv, "ablate", ns, [ns.corpus], summary)
     return 0
 
 
@@ -336,7 +361,8 @@ def _add_fps_arg(p: argparse.ArgumentParser) -> None:
 
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="boundary:1",
-                   help="parameter file path, 'teacher', or 'boundary:<window>'")
+                   help="parameter file path, 'toy[:seed]', 'teacher', or "
+                        "'boundary:<window>'")
     p.add_argument("--vocab-size", default=32, type=int)
     _add_fps_arg(p)
     p.add_argument("--speech-text-ratio", default=2, type=int)

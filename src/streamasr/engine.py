@@ -463,17 +463,7 @@ def beam_turn_decode(
 
     greedy = _rollout_as_hyp(session, budget, is_last, paradigm, first_logits)
     pool.append(greedy)
-    pool.sort(key=lambda h: (-_hyp_score(h), tuple(h.tokens)))
-    seen: set[tuple[int, ...]] = set()
-    winner = None
-    for h in pool:
-        key = tuple(h.tokens)
-        if key in seen:
-            continue
-        seen.add(key)
-        if winner is None:
-            winner = h
-    assert winner is not None
+    winner = min(pool, key=lambda h: (-_hyp_score(h), tuple(h.tokens)))
     session.cache = winner.cache
     return _TurnResult(
         tokens=list(winner.tokens), first_values=list(winner.tokens),
@@ -607,7 +597,8 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
         last_rec = touched[-1]
         last_rec.provisional = True
         last_rec.finalize_chunk = None
-        session.pending_record = session.records.index(last_rec)
+        # the pending record is always the newest one
+        session.pending_record = len(session.records) - 1
     session.last_turn_decoded = list(res.tokens)
     session.last_turn_slots = budget
     session.last_logits = res.logits

@@ -19,7 +19,10 @@ last appended position.
 
 Caches are append-only below recorded chunk boundaries; rollback past the
 most recent boundary raises, and checksums let callers prove entries below
-a boundary never changed.
+a boundary never changed. A ``KVCache`` grows its per-layer arrays on
+demand rather than reserving ``max_context`` rows up front, and a branch
+copies only the live rows, so beam search pays for what each hypothesis
+holds.
 """
 
 from __future__ import annotations
@@ -274,6 +277,8 @@ def _param_blocks(p: ToyParams) -> list[np.ndarray]:
 # --------------------------------------------------------------------------
 # caches
 
+_KV_INITIAL_ROWS = 16  # rows a new KVCache reserves per layer before growing
+
 
 class _MarkedCache:
     """Shared chunk-boundary bookkeeping for all cache kinds."""
@@ -313,14 +318,19 @@ class KVCache(_MarkedCache):
 
     Rows are written once when a position is first forwarded and never
     rewritten; ``checksum`` hashes the live prefix so tests can prove it.
+    Each layer's ``k`` and ``v`` array holds at least ``length`` rows (rows
+    past ``length`` hold no data): it starts small and doubles on demand up
+    to ``max_context``, so a cache costs memory in proportion to what it
+    holds. ``branch`` copies the live rows only.
     """
 
     def __init__(self, num_layers: int, embed_dim: int, max_context: int) -> None:
         super().__init__()
         self.max_context = max_context
         self.length = 0
-        self.k = [np.zeros((max_context, embed_dim)) for _ in range(num_layers)]
-        self.v = [np.zeros((max_context, embed_dim)) for _ in range(num_layers)]
+        rows = min(_KV_INITIAL_ROWS, max_context)
+        self.k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
+        self.v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
 
     def __len__(self) -> int:
         return self.length
@@ -330,8 +340,21 @@ class KVCache(_MarkedCache):
         end = self.length + n
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
+        if end > self.k[layer].shape[0]:
+            self.k[layer] = self._grown(self.k[layer], end)
+            self.v[layer] = self._grown(self.v[layer], end)
         self.k[layer][self.length : end] = k_rows
         self.v[layer][self.length : end] = v_rows
+
+    def _grown(self, rows: np.ndarray, need: int) -> np.ndarray:
+        """A copy of the live rows in an array of at least ``need`` rows:
+        the initial size doubled as often as needed, capped at max_context."""
+        cap = _KV_INITIAL_ROWS
+        while cap < need:
+            cap *= 2
+        out = np.empty((min(cap, self.max_context), rows.shape[1]))
+        out[: self.length] = rows[: self.length]
+        return out
 
     def advance(self, n: int) -> None:
         if self.length + n > self.max_context:
@@ -344,19 +367,18 @@ class KVCache(_MarkedCache):
         self.length = n
 
     def branch(self) -> "KVCache":
-        other = KVCache(len(self.k), self.k[0].shape[1] if self.k else 0,
-                        self.max_context)
-        if not self.k:
-            other.k, other.v = [], []
+        other = KVCache(0, 0, self.max_context)
         other.length = self.length
-        for i in range(len(self.k)):
-            other.k[i][: self.length] = self.k[i][: self.length]
-            other.v[i][: self.length] = self.v[i][: self.length]
+        # room for the one position a beam child forwards next
+        other.k = [self._grown(a, self.length + 1) for a in self.k]
+        other.v = [self._grown(a, self.length + 1) for a in self.v]
         self._copy_marks_to(other)
         return other
 
     def checksum(self, upto: int | None = None) -> int:
         n = self.length if upto is None else upto
+        if n > self.length:
+            raise ValueError(f"checksum upto {n} beyond length {self.length}")
         c = 0
         for i in range(len(self.k)):
             c = zlib.crc32(self.k[i][:n].tobytes(), c)

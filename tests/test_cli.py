@@ -129,6 +129,56 @@ def test_decode_with_toy_checkpoint(tmp_path, corpus):
     assert len(out.read_text().splitlines()) == 6
 
 
+def test_decode_toy_spec_runs_end_to_end(tmp_path, corpus):
+    out = tmp_path / "dec.jsonl"
+    rc = main(["decode", "--corpus", str(corpus), "--strategy",
+               "cs_fallback_greedy", "--chunk-ms", "1000", "--model", "toy:0",
+               "--max-decode-per-turn", "8", "--out", str(out)])
+    assert rc == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 6 and all("hyp" in r for r in rows)
+    assert _manifest(out)["summary"]["failed"] == 0
+
+
+def _small_context_toy(tmp_path):
+    from streamasr.model import ModelConfig, make_toy_model
+
+    # at 1000 ms chunks and 8 decodes per turn utt00005 needs 111
+    # positions and every other utterance of the corpus at most 102
+    ckpt = tmp_path / "toy104.npz"
+    make_toy_model(ModelConfig(seed=3, max_context=104)).save(str(ckpt))
+    return ckpt
+
+
+def test_decode_isolates_context_overflow(tmp_path, corpus, capsys):
+    out = tmp_path / "dec.jsonl"
+    rc = main(["decode", "--corpus", str(corpus), "--strategy", "ss_greedy",
+               "--chunk-ms", "1000", "--max-decode-per-turn", "8", "--model",
+               str(_small_context_toy(tmp_path)), "--out", str(out)])
+    assert rc == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["id"] for r in rows] == [f"utt0000{i}" for i in range(6)]
+    failed = [r for r in rows if "error" in r]
+    assert [r["id"] for r in failed] == ["utt00005"]
+    assert set(failed[0]) == {"id", "error"}
+    assert "max_context 104" in failed[0]["error"]
+    assert all("hyp" in r for r in rows if "error" not in r)
+    assert _manifest(out)["summary"]["failed"] == 1
+    assert "utt00005" in capsys.readouterr().err
+
+
+def test_ablate_counts_failed_utterances(tmp_path, corpus):
+    out = tmp_path / "ablate.json"
+    rc = main(["ablate", "--corpus", str(corpus), "--strategies",
+               "ss_greedy,cs_fallback_greedy", "--chunk-ms", "1000",
+               "--max-decode-per-turn", "8", "--model",
+               str(_small_context_toy(tmp_path)), "--out", str(out)])
+    assert rc == 0
+    results = json.loads(out.read_text())["rows"]
+    assert [r["failed"] for r in results] == [1, 1]
+    assert _manifest(out)["summary"]["failed"] == 2
+
+
 def test_decode_teacher_model_is_exact(tmp_path, corpus):
     out = tmp_path / "dec.jsonl"
     rc = main(["decode", "--corpus", str(corpus), "--strategy", "ss_greedy",

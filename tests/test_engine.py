@@ -22,7 +22,9 @@ from streamasr.layout import (
     chunk_bounds,
 )
 from streamasr.model import (
+    ModelConfig,
     SymbolicCache,
+    ToyDecoder,
     default_confusable_map,
     make_boundary_oracle,
     make_teacher_oracle,
@@ -322,6 +324,53 @@ def test_beam_runs_wider(edge_example, chunk4, sp):
     run_stream(greedy, edge_example.frames)
     assert (collect_stats(s).forward_positions
             > collect_stats(greedy).forward_positions)
+
+
+# Width-3 beam on the benchmark's toy decoder (d=64, 4 layers, 8-frame
+# chunks, 24 decodes per turn) over the first three seed-0 utterances:
+# hypotheses and forward positions as the max_context-reserving KV cache
+# produced them, so a change to cache memory cannot change the search.
+TOY_BEAM_PINS = {
+    "ss_beam": [
+        ([9, 20, 29, 5, 29, 16, 20, 29, 29, 16, 5, 16, 7, 17, 5, 29, 29, 16,
+          5, 16, 20, 29, 16, 9, 9, 5, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16,
+          16, 20, 29, 16, 16, 5, 16, 16, 5, 16, 20], 279),
+        ([9, 29, 16, 5, 29, 16, 20, 29, 29, 16, 5, 16, 7, 17, 5, 29, 29, 16,
+          5, 16, 20, 29, 16, 9, 29, 16, 5, 16, 29, 16, 5, 16, 9, 16, 9, 29, 16,
+          5, 16, 29, 16, 16, 5, 16, 20, 29, 5, 29, 16, 9, 16, 5, 16, 5, 16,
+          5], 374),
+        ([9, 20, 29, 5, 29, 16, 20, 29, 29, 16, 5, 16, 16, 20, 29, 29, 29, 16,
+          5, 16, 20, 29, 16, 9, 29, 29, 16, 16, 16, 5, 16, 20, 5, 16, 16, 20,
+          29, 16, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9], 291),
+    ],
+    "cs_fallback_beam": [
+        ([9, 20, 29, 29, 16, 20, 29, 16, 5, 7, 17, 5, 29, 16, 5, 20, 29, 16,
+          29, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16, 16, 20, 29, 16, 16, 5,
+          16, 16, 5, 16, 20, 29], 241),
+        ([9, 29, 16, 29, 16, 20, 29, 16, 5, 7, 17, 5, 29, 16, 5, 20, 29, 16,
+          29, 16, 5, 29, 16, 5, 9, 20, 29, 16, 5, 16, 29, 16, 16, 5, 16, 20,
+          29, 5, 29, 16, 9, 16, 5, 16, 5, 16, 5, 16], 318),
+        ([9, 20, 29, 29, 16, 20, 29, 16, 5, 16, 20, 29, 29, 16, 5, 20, 29, 16,
+          29, 29, 16, 16, 5, 16, 20, 5, 16, 16, 20, 29, 16, 16, 5, 16, 16, 5,
+          16, 20, 29, 16, 9, 16], 247),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_BEAM_PINS))
+def test_toy_beam_width_three_is_pinned(name, sp):
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=3, vocab_size=32, frames_per_second=25.0,
+        min_tokens=5, max_tokens=20, seed=0))
+    model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
+                                   num_heads=4, ffn_dim=128, max_context=2048,
+                                   seed=0))
+    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
+    for u, (hyp, positions) in zip(utts, TOY_BEAM_PINS[name]):
+        s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
+                        strategy, sp)
+        assert run_stream(s, u.frames) == hyp
+        assert s.stats.forward_positions == positions
 
 
 # -----------------------------

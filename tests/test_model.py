@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr.layout import ChunkingConfig, SpecialTokens, build_ns, build_ss, speech, text
 from streamasr.model import (
@@ -224,6 +226,126 @@ def test_branch_is_independent_and_checksum_stable():
     assert cache.checksum() == before
     # prefix rows agree after divergence
     assert fork.checksum(3) == before
+    # rows past the live length hold no data, so they cannot be hashed
+    with pytest.raises(ValueError):
+        cache.checksum(4)
+
+
+def test_parent_grows_past_capacity_after_branch():
+    m = make_toy_model(CFG)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 6, [5, 6, 7]))
+    cache.mark_chunk()
+    m.forward(cache, _items(m, 0, [8, 9, 10]))
+    fork = cache.branch()
+    rows = [a[:12].copy() for a in fork.k + fork.v]
+    before = fork.checksum()
+    sealed = cache.checksum(9)
+    capacity = cache.k[0].shape[0]
+    # the parent rewrites rows 9..11 and grows past its capacity
+    cache.rollback(9)
+    m.forward(cache, _items(m, 40, [11]))
+    assert cache.k[0].shape[0] > capacity
+    assert fork.checksum() == before
+    assert all(np.array_equal(a[:12], r) for a, r in zip(fork.k + fork.v, rows))
+    assert cache.checksum(9) == sealed
+
+
+def test_branch_allocates_live_rows_not_max_context():
+    cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=2, num_heads=2,
+                      ffn_dim=16, frame_dim=4, adapter_hidden=8,
+                      max_context=2048, seed=0)
+    m = make_toy_model(cfg)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 2, [5]))
+    fork = cache.branch()
+    # a 3-row prefix costs tens of rows per array, not max_context rows
+    row_bytes = cfg.embed_dim * 8
+    arrays = 2 * cfg.num_layers
+    assert sum(a.nbytes for a in fork.k + fork.v) <= arrays * 32 * row_bytes
+    assert sum(a.nbytes for a in cache.k + cache.v) <= arrays * 32 * row_bytes
+
+
+# max_context 40 is not a power of two, so growth also hits the cap
+GROW_CFG = ModelConfig(vocab_size=16, embed_dim=8, num_layers=2, num_heads=2,
+                       ffn_dim=16, frame_dim=4, adapter_hidden=8,
+                       max_context=40, seed=1)
+
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("forward"), st.integers(1, 12), st.integers(0, 2**16)),
+    st.tuples(st.just("mark")),
+    st.tuples(st.just("rollback")),
+    st.tuples(st.just("branch"), st.booleans()),
+)
+
+
+def _random_span(model, n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        if rng.random() < 0.5:
+            out.append(StreamItem(speech(i),
+                                  rng.standard_normal(model.cfg.frame_dim)))
+        else:
+            out.append(StreamItem(text(int(rng.integers(0, model.cfg.vocab_size)))))
+    return out
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(_CACHE_OPS, max_size=25))
+def test_growing_cache_matches_one_shot_and_replay(ops):
+    """Forward spans, marks, rollbacks to the mark and branches, in any
+    order: logits match a one-shot forward, rows match a fresh replay of
+    the live spans, capacity stays within max_context, and overflow fires
+    exactly past max_context without growing anything."""
+    m = ToyDecoder(GROW_CFG)
+    limit = GROW_CFG.max_context
+    cache = m.new_cache()
+    spans = []    # live forward spans, oldest first
+    marks = []    # live span count at each chunk mark
+    left = []     # (cache, checksum) of branch ends no longer written
+    for op in ops:
+        if op[0] == "forward":
+            items = _random_span(m, op[1], op[2])
+            if len(cache) + len(items) > limit:
+                with pytest.raises(ContextOverflow):
+                    m.forward(cache, items)
+            else:
+                logits = m.forward(cache, items)
+                spans.append(items)
+                one_shot = m.forward_sequence([it for s in spans for it in s])
+                assert np.allclose(logits, one_shot[-1], rtol=1e-9, atol=1e-12)
+        elif op[0] == "mark":
+            cache.mark_chunk()
+            marks.append(len(spans))
+        elif op[0] == "rollback":
+            if marks:
+                cache.rollback(cache.chunk_marks[-1])
+                del spans[marks[-1]:]
+        else:
+            fork = cache.branch()
+            assert fork.chunk_marks == cache.chunk_marks
+            assert not any(np.shares_memory(a, b) for a in fork.k + fork.v
+                           for b in cache.k + cache.v)
+            if op[1]:
+                left.append((cache, cache.checksum()))
+                cache = fork
+            else:
+                left.append((fork, fork.checksum()))
+
+        assert len(cache) == sum(len(s) for s in spans)
+        shapes = [a.shape for a in cache.k + cache.v]
+        assert all(len(cache) <= rows <= limit for rows, _ in shapes)
+        fresh = m.new_cache()
+        for s in spans:
+            m.forward(fresh, s)
+        assert cache.checksum() == fresh.checksum()
+        over = np.zeros((limit - len(cache) + 1, GROW_CFG.embed_dim))
+        with pytest.raises(ContextOverflow):
+            cache.append(0, over, over)
+        assert [a.shape for a in cache.k + cache.v] == shapes
+    for other, checksum in left:
+        assert other.checksum() == checksum
 
 
 # -----------------------------
