@@ -30,7 +30,6 @@ from .engine import (
     StrategyConfig,
     StreamingSession,
     beam_turn_decode,
-    collect_stats,
     fallback_rewind,
     final_hypothesis,
     push_chunk,
@@ -55,12 +54,11 @@ from .model import (
     KVCache,
     ModelConfig,
     StreamItem,
+    TeacherOracle,
     ToyDecoder,
     adapter_forward,
     build_attention_mask,
     make_boundary_oracle,
-    make_teacher_oracle,
-    make_toy_model,
     masked_ce_loss,
     param_count,
 )
@@ -92,12 +90,11 @@ __all__ = [
     "KVCache",
     "ModelConfig",
     "StreamItem",
+    "TeacherOracle",
     "ToyDecoder",
     "adapter_forward",
     "build_attention_mask",
     "make_boundary_oracle",
-    "make_teacher_oracle",
-    "make_toy_model",
     "masked_ce_loss",
     "param_count",
     "STRATEGIES",
@@ -106,7 +103,6 @@ __all__ = [
     "StrategyConfig",
     "StreamingSession",
     "beam_turn_decode",
-    "collect_stats",
     "fallback_rewind",
     "final_hypothesis",
     "push_chunk",

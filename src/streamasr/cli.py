@@ -12,7 +12,8 @@ Writing commands drop ``<out>.manifest.json`` beside their output: the
 resolved configuration, package version, and a sha256 per input file, so a
 run is reproducible from the manifest alone. A ``--config`` file of
 ``key=value`` lines (long option names, underscores) seeds any command's
-defaults; explicit flags win.
+defaults; explicit flags win. On/off flags take ``true``/``false``,
+``yes``/``no`` or ``1``/``0``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ from .metrics import (
 from .model import (
     ContextOverflow,
     ModelConfig,
+    TeacherOracle,
     ToyDecoder,
     make_boundary_oracle,
-    make_teacher_oracle,
 )
 from .verify import run_battery
 
@@ -88,8 +89,13 @@ def _write_manifest(out: str, command: str, ns: argparse.Namespace,
         fh.write("\n")
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
 def _read_config_overrides(argv: list[str]) -> dict[str, str]:
-    """key=value defaults; values stay strings, commands coerce on use."""
+    """key=value defaults; values stay strings, commands coerce on use
+    (``main`` coerces on/off flags itself)."""
     if "--config" not in argv:
         return {}
     path = argv[argv.index("--config") + 1]
@@ -164,8 +170,8 @@ def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens,
     if spec == "teacher":
         def factory(u, paradigm, ck):
             if paradigm == "ns":
-                return make_teacher_oracle(build_ns(u, sp), sp, vocab)
-            return make_teacher_oracle(_BUILDERS[paradigm](u, ck, sp), sp, vocab)
+                return TeacherOracle(build_ns(u, sp), sp, vocab)
+            return TeacherOracle(_BUILDERS[paradigm](u, ck, sp), sp, vocab)
         return factory
     if spec.startswith("boundary:"):
         window = int(spec.split(":", 1)[1])
@@ -440,6 +446,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
     overrides = _read_config_overrides(argv)
+    flags = {a.dest for sp in subcommands for a in sp._actions
+             if isinstance(a, argparse._StoreTrueAction)}
+    for key in flags & overrides.keys():
+        value = _BOOLEANS.get(overrides[key].lower())
+        if value is None:
+            parser.error(f"--config: {key} = {overrides[key]!r} is not "
+                         "true/false, yes/no or 1/0")
+        overrides[key] = value
     if overrides:
         # subparsers parse into their own namespace, so defaults go on them
         for sp in subcommands:

@@ -107,9 +107,6 @@ class CorpusConfig:
             raise ValueError("frames_per_token_mean must be >= 2")
 
 
-_WS_RE = None  # whitespace handled via str.split, no regex needed
-
-
 def normalize_text(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace. Idempotent."""
     lowered = text.lower()

@@ -26,10 +26,22 @@ Cache discipline, which the accounting tests pin down exactly:
   next turn's revision), and end-of-sequence is never appended;
 * rollbacks never cross the most recent chunk mark, and a checksum taken
   at the mark is re-verified before every rewind.
+
+Every greedy decode runs through one argmax loop, ``_greedy``: it stops on
+pad or eos, or once it has emitted its token limit, and never forwards the
+token that reached the limit. A streaming turn's slot phase limits it to
+the chunk's slot budget or ``max_decode_per_turn``, whichever is smaller;
+the standard layout then forwards that last token into its slot and the
+context-aware one withholds it. Beam search has its own frontier loop
+with the same limit and always pools the greedy rollout. On the final
+chunk a turn that ran into its limit flushes on, still capped at
+``max_decode_per_turn`` tokens for the whole turn; the same cap bounds an
+audio-less final turn's drain and every non-streaming re-decode.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -55,7 +67,6 @@ __all__ = [
     "beam_turn_decode",
     "run_stream",
     "final_hypothesis",
-    "collect_stats",
 ]
 
 STRATEGIES = (
@@ -155,14 +166,31 @@ def _lps(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _TurnResult:
+class _Hyp:
+    """A slot-phase decode: one beam hypothesis, or a whole turn's result.
+
+    ``stopped_via`` is the pad or eos the decode stopped on; it is None when
+    the decode ran into its token limit (``budget_full``) or never started.
+    ``first_values`` is None unless the final flush re-decoded the
+    context-aware masked slot; then it holds the tokens as first decoded.
+    """
+
     tokens: list[int]
-    first_values: list[int]
     lp: float
-    emissions: int
-    budget_full: bool
-    stopped_via: int | None
     logits: np.ndarray | None
+    cache: object = None
+    budget_full: bool = False
+    stopped_via: int | None = None
+    first_values: list[int] | None = None
+
+
+def _hyp_score(h: _Hyp) -> float:
+    """Length-normalized log probability; a stop counts as an emission."""
+    return h.lp / max(1, len(h.tokens) + (h.stopped_via is not None))
+
+
+def _rank(h: _Hyp) -> tuple:
+    return (-_hyp_score(h), tuple(h.tokens))
 
 
 class StreamingSession:
@@ -218,6 +246,19 @@ class StreamingSession:
             for i in range(len(frames))
         ]
 
+    def fork(self, strategy: StrategyConfig | None = None) -> "StreamingSession":
+        """Copy every piece of decoding state, sharing the model, so the
+        copy can continue the stream independently; ``strategy`` swaps in
+        another configuration of the same paradigm."""
+        strategy = strategy or self.strategy
+        _check_strategy(strategy, self.chunking)
+        if PARADIGM_OF[strategy.name] != self.paradigm:
+            raise ConfigMismatch(
+                f"cannot fork a {self.paradigm} session as {strategy.name}")
+        dup = copy.deepcopy(self, {id(self.model): self.model})
+        dup.strategy = strategy
+        return dup
+
     # -- record helpers
 
     def _new_record(self, token: int, first: int, chunk: int,
@@ -231,13 +272,7 @@ class StreamingSession:
         return rec
 
 
-def session_new(
-    model,
-    chunking: ChunkingConfig,
-    strategy: StrategyConfig,
-    sp: SpecialTokens | None = None,
-) -> StreamingSession:
-    sp = sp or SpecialTokens()
+def _check_strategy(strategy: StrategyConfig, chunking: ChunkingConfig) -> None:
     if strategy.name not in STRATEGIES:
         raise ConfigMismatch(f"unknown strategy {strategy.name!r}")
     if strategy.beam_width < 1:
@@ -255,6 +290,16 @@ def session_new(
         raise ConfigMismatch(
             f"strategy pinned to {strategy.chunk_frames}-frame chunks but "
             f"the session uses {chunking.chunk_frames}")
+
+
+def session_new(
+    model,
+    chunking: ChunkingConfig,
+    strategy: StrategyConfig,
+    sp: SpecialTokens | None = None,
+) -> StreamingSession:
+    sp = sp or SpecialTokens()
+    _check_strategy(strategy, chunking)
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
         raise ConfigMismatch("model must provide new_cache() and forward()")
     vocab = getattr(model, "vocab_size", None)
@@ -292,128 +337,54 @@ def fallback_rewind(session: StreamingSession) -> int:
 
 
 # --------------------------------------------------------------------------
-# turn decoding: greedy rollout, beam, flush continuation
-
-# Slot-phase decode. The budget token is appended for the standard
-# streaming layout (it legitimately fills the last slot) but withheld for
-# the context-aware one, whose last slot is pad in every training picture.
+# turn decoding: one greedy loop, beam search, the shared slot phase
 
 
-def _turn_rollout(
-    session: StreamingSession,
-    cache,
-    logits: np.ndarray,
-    budget: int,
-    is_last: bool,
-    paradigm: str,
-) -> _TurnResult:
-    sp = session.sp
-    tokens: list[int] = []
-    lp_total = 0.0
-    cap = session.strategy.max_decode_per_turn
-    while True:
-        lps = _lps(logits)
-        t = int(np.argmax(lps))
-        if t == sp.pad or t == sp.eos:
-            lp_total += float(lps[t])
-            return _TurnResult(tokens, list(tokens), lp_total,
-                               len(tokens) + 1, False, t, logits)
-        tokens.append(t)
-        lp_total += float(lps[t])
-        if len(tokens) >= budget or len(tokens) >= cap:
-            if paradigm == "ss":
-                logits = session._fwd(cache, [_text_item(t)], "decode")
-            else:
-                logits = None
-            return _TurnResult(tokens, list(tokens), lp_total,
-                               len(tokens), True, None, logits)
-        logits = session._fwd(cache, [_text_item(t)], "decode")
+def _greedy(session: StreamingSession, cache, logits: np.ndarray,
+            limit: int) -> tuple[list[int], float, int | None, np.ndarray]:
+    """Argmax decode from ``logits`` until pad or eos, or until ``limit``
+    tokens are out.
 
-
-def _greedy_drain(session: StreamingSession, cache, logits) -> _TurnResult:
-    """Text-only continuation for a final chunk that carries no audio: keep
-    decoding from wherever the last turn's logits left off until a stop."""
-    sp = session.sp
-    cap = session.strategy.max_decode_per_turn
-    tokens: list[int] = []
-    lp = 0.0
-    while True:
-        lps = _lps(logits)
-        t = int(np.argmax(lps))
-        if t == sp.pad or t == sp.eos:
-            lp += float(lps[t])
-            return _TurnResult(tokens, list(tokens), lp,
-                               len(tokens) + 1, False, t, logits)
-        tokens.append(t)
-        lp += float(lps[t])
-        if len(tokens) >= cap:
-            return _TurnResult(tokens, list(tokens), lp,
-                               len(tokens), False, None, logits)
-        logits = session._fwd(cache, [_text_item(t)], "decode")
-
-
-def _flush_continue(
-    session: StreamingSession,
-    cache,
-    res: _TurnResult,
-    paradigm: str,
-) -> None:
-    """Final-turn continuation past a full slot budget.
-
-    Standard streaming keeps decoding from the budget token's logits. The
-    context-aware layout first materializes the masked last slot as pad,
-    re-decodes the provisional token from it (same audio, so at worst a
-    confirmation), appends it for real, and then continues.
+    Returns ``(tokens, lp, stop, logits)``: ``lp`` includes the stop
+    symbol's log probability, ``stop`` is None at the limit, and the token
+    that reached the limit is not forwarded, so ``logits`` are then the ones
+    that produced it.
     """
     sp = session.sp
-    cap = session.strategy.max_decode_per_turn
-    logits = res.logits
-    if paradigm == "cs":
-        logits = session._fwd(cache, [_text_item(sp.pad)], "decode")
-        t2 = int(np.argmax(logits))
-        if t2 == sp.pad or t2 == sp.eos:
-            res.stopped_via = t2
-            res.logits = logits
-            return
-        if t2 != res.tokens[-1]:
-            res.tokens[-1] = t2
-        logits = session._fwd(cache, [_text_item(t2)], "decode")
-    while logits is not None:
-        t = int(np.argmax(logits))
+    tokens: list[int] = []
+    lp = 0.0
+    while len(tokens) < limit:
+        lps = _lps(logits)
+        t = int(np.argmax(lps))
+        lp += float(lps[t])
         if t == sp.pad or t == sp.eos:
-            res.stopped_via = t
-            break
-        res.tokens.append(t)
-        res.first_values.append(t)
-        if len(res.tokens) >= cap:
-            break
-        logits = session._fwd(cache, [_text_item(t)], "decode")
-    res.logits = logits
+            return tokens, lp, t, logits
+        tokens.append(t)
+        if len(tokens) < limit:
+            logits = session._fwd(cache, [_text_item(t)], "decode")
+    return tokens, lp, None, logits
 
 
-@dataclass
-class _BeamHyp:
-    cache: object
-    tokens: list[int]
-    lp: float
-    logits: np.ndarray | None
-    emissions: int = 0
-    budget_full: bool = False
-    stopped_via: int | None = None
-
-
-def _hyp_score(h: _BeamHyp) -> float:
-    n = h.emissions if (h.stopped_via is not None or h.budget_full) else max(
-        1, len(h.tokens))
-    return h.lp / max(1, n)
+def _turn_rollout(session: StreamingSession, cache, logits: np.ndarray,
+                  budget: int) -> _Hyp:
+    """Greedy slot-phase decode. The budget token is appended for the
+    standard streaming layout (it legitimately fills the last slot) but
+    withheld for the context-aware one, whose last slot is pad in every
+    training picture."""
+    limit = min(budget, session.strategy.max_decode_per_turn)
+    tokens, lp, stop, logits = _greedy(session, cache, logits, limit)
+    if stop is None:
+        logits = (session._fwd(cache, [_text_item(tokens[-1])], "decode")
+                  if session.paradigm == "ss" else None)
+    return _Hyp(tokens, lp, logits, cache, budget_full=stop is None,
+                stopped_via=stop)
 
 
 def beam_turn_decode(
     session: StreamingSession,
     first_logits: np.ndarray,
     budget: int,
-    is_last: bool,
-) -> _TurnResult:
+) -> _Hyp:
     """Per-turn beam search over the slot phase.
 
     Candidates score by length-normalized log probability, counting a stop
@@ -424,63 +395,100 @@ def beam_turn_decode(
     sp = session.sp
     paradigm = session.paradigm
     width = session.strategy.beam_width
-    cap = session.strategy.max_decode_per_turn
-    root = _BeamHyp(cache=session.cache, tokens=[], lp=0.0, logits=first_logits)
-    frontier = [root]
-    pool: list[_BeamHyp] = []
+    limit = min(budget, session.strategy.max_decode_per_turn)
+    frontier = [_Hyp([], 0.0, first_logits, session.cache)]
+    pool: list[_Hyp] = []
     while frontier:
-        children: list[_BeamHyp] = []
+        children: list[_Hyp] = []
         for hyp in frontier:
             lps = _lps(hyp.logits)
             order = np.argsort(-lps, kind="stable")[:width]
             for t in (int(x) for x in order):
                 logp = float(lps[t])
                 if t == sp.pad or t == sp.eos:
-                    pool.append(_BeamHyp(
-                        cache=hyp.cache, tokens=list(hyp.tokens),
-                        lp=hyp.lp + logp, logits=hyp.logits,
-                        emissions=len(hyp.tokens) + 1, stopped_via=t))
+                    pool.append(_Hyp(list(hyp.tokens), hyp.lp + logp,
+                                     hyp.logits, hyp.cache, stopped_via=t))
                     continue
-                ntok = len(hyp.tokens) + 1
-                if ntok >= budget or ntok >= cap:
+                if len(hyp.tokens) + 1 >= limit:
                     if paradigm == "ss":
                         branch = hyp.cache.branch()
                         logits = session._fwd(branch, [_text_item(t)], "decode")
                     else:
                         branch, logits = hyp.cache, None
-                    pool.append(_BeamHyp(
-                        cache=branch, tokens=hyp.tokens + [t],
-                        lp=hyp.lp + logp, logits=logits,
-                        emissions=ntok, budget_full=True))
+                    pool.append(_Hyp(hyp.tokens + [t], hyp.lp + logp, logits,
+                                     branch, budget_full=True))
                     continue
                 branch = hyp.cache.branch()
                 logits = session._fwd(branch, [_text_item(t)], "decode")
-                children.append(_BeamHyp(
-                    cache=branch, tokens=hyp.tokens + [t],
-                    lp=hyp.lp + logp, logits=logits))
-        children.sort(key=lambda h: (-_hyp_score(h), tuple(h.tokens)))
+                children.append(_Hyp(hyp.tokens + [t], hyp.lp + logp, logits,
+                                     branch))
+        children.sort(key=_rank)
         frontier = children[:width]
 
-    greedy = _rollout_as_hyp(session, budget, is_last, paradigm, first_logits)
-    pool.append(greedy)
-    winner = min(pool, key=lambda h: (-_hyp_score(h), tuple(h.tokens)))
+    pool.append(_turn_rollout(session, session.cache.branch(), first_logits,
+                              budget))
+    winner = min(pool, key=_rank)
     session.cache = winner.cache
-    return _TurnResult(
-        tokens=list(winner.tokens), first_values=list(winner.tokens),
-        lp=winner.lp, emissions=winner.emissions or len(winner.tokens),
-        budget_full=winner.budget_full, stopped_via=winner.stopped_via,
-        logits=winner.logits,
-    )
+    return winner
 
 
-def _rollout_as_hyp(session, budget, is_last, paradigm, first_logits) -> _BeamHyp:
-    branch = session.cache.branch()
-    res = _turn_rollout(session, branch, first_logits, budget, is_last, paradigm)
-    return _BeamHyp(
-        cache=branch, tokens=list(res.tokens), lp=res.lp, logits=res.logits,
-        emissions=res.emissions, budget_full=res.budget_full,
-        stopped_via=res.stopped_via,
-    )
+def _flush_continue(session: StreamingSession, res: _Hyp) -> None:
+    """Final-turn continuation past the slot limit, up to the turn's cap.
+
+    Standard streaming keeps decoding from the limit token's logits. The
+    context-aware layout first materializes the masked last slot as pad,
+    re-decodes the provisional token from it (same audio, so at worst a
+    confirmation), and appends it for real before it continues.
+    """
+    sp = session.sp
+    cache = session.cache
+    logits = res.logits
+    if session.paradigm == "cs":
+        logits = session._fwd(cache, [_text_item(sp.pad)], "decode")
+        t2 = int(np.argmax(logits))
+        if t2 == sp.pad or t2 == sp.eos:
+            res.stopped_via, res.logits = t2, logits
+            return
+        res.first_values = list(res.tokens)
+        res.tokens[-1] = t2
+        logits = session._fwd(cache, [_text_item(t2)], "decode")
+    more, _, res.stopped_via, res.logits = _greedy(
+        session, cache, logits,
+        session.strategy.max_decode_per_turn - len(res.tokens))
+    res.tokens += more
+    if res.first_values is not None:
+        res.first_values += more
+
+
+def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
+                budget: int, is_last: bool) -> _Hyp:
+    """Decode one streaming turn's text after its prefill.
+
+    A turn with audio runs beam search or the greedy rollout over the
+    chunk's ``budget`` slots. An audio-less turn (no slots) decodes only if
+    it is the final one: it drains from the logits the last prefill left
+    (for the context-aware layout, the blanked slot's, which regenerate the
+    pending token). Scores the turn, counts an early eos, flushes a final
+    turn that ran into its limit, and keeps the logits for a later
+    audio-less turn.
+    """
+    if budget == 0:
+        res = _Hyp([], 0.0, logits, session.cache)
+        if is_last and logits is not None:
+            res.tokens, res.lp, res.stopped_via, res.logits = _greedy(
+                session, session.cache, logits,
+                session.strategy.max_decode_per_turn)
+    elif session.strategy.name.endswith("_beam"):
+        res = beam_turn_decode(session, logits, budget)
+    else:
+        res = _turn_rollout(session, session.cache, logits, budget)
+    session._turn_score = _hyp_score(res)
+    if res.stopped_via == session.sp.eos and not is_last:
+        session.stats.early_eos += 1
+    if is_last and res.budget_full:
+        _flush_continue(session, res)
+    session.last_logits = res.logits
+    return res
 
 
 # --------------------------------------------------------------------------
@@ -495,35 +503,16 @@ def _push_ss(session: StreamingSession, frames: np.ndarray,
     if k > 0:
         session.stats.cache_reused_positions += len(session.cache)
     budget = session.chunking.slots(n)
+    logits = session.last_logits
     if n:
         logits = session._fwd(session.cache, session._speech_items(frames),
                               "prefill")
-    else:
-        logits = session.last_logits
-    if n == 0:
-        if is_last and logits is not None:
-            res = _greedy_drain(session, session.cache, logits)
-        else:
-            res = _TurnResult([], [], 0.0, 0, False, None, logits)
-    elif session.strategy.name == "ss_beam":
-        res = beam_turn_decode(session, logits, budget, is_last)
-    else:
-        res = _turn_rollout(session, session.cache, logits, budget,
-                            is_last, "ss")
-    session._turn_score = res.lp / max(1, res.emissions)
-    if res.stopped_via == sp.eos and not is_last:
-        session.stats.early_eos += 1
-    if is_last and res.budget_full:
-        _flush_continue(session, session.cache, res, "ss")
-    touched = [
-        session._new_record(t, f, k, k)
-        for t, f in zip(res.tokens, res.first_values)
-    ]
+    res = _slot_phase(session, logits, budget, is_last)
+    touched = [session._new_record(t, t, k, k) for t in res.tokens]
     # pad out the remaining slot positions so chunk strides stay exact
     fill = max(0, budget - len(res.tokens))
     if fill:
         session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
-    session.last_logits = res.logits
     return touched
 
 
@@ -547,26 +536,11 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
         logits = session._fwd(cache, session._speech_items(frames), "prefill")
     cache.mark_chunk()
     session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
-    if n == 0:
-        # audio-less turn: the revised span ends on the blanked slot, whose
-        # logits regenerate the pending token, so a final chunk can flush
-        if is_last and logits is not None:
-            res = _greedy_drain(session, cache, logits)
-        else:
-            res = _TurnResult([], [], 0.0, 0, False, None, logits)
-    elif session.strategy.name == "cs_fallback_beam":
-        res = beam_turn_decode(session, logits, budget, is_last)
-        cache = session.cache  # beam promoted the winner's branch
-    else:
-        res = _turn_rollout(session, cache, logits, budget, is_last, "cs")
-    session._turn_score = res.lp / max(1, res.emissions)
-    if res.stopped_via == sp.eos and not is_last:
-        session.stats.early_eos += 1
-    if is_last and res.budget_full:
-        _flush_continue(session, cache, res, "cs")
+    res = _slot_phase(session, logits, budget, is_last)
 
     touched: list[EmissionRecord] = []
-    tokens, firsts = res.tokens, res.first_values
+    tokens = res.tokens
+    firsts = res.tokens if res.first_values is None else res.first_values
     resolve_pending = bool(tokens) or is_last
     if session.pending_record is not None and resolve_pending:
         rec = session.records[session.pending_record]
@@ -589,9 +563,9 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
         touched.append(rec)
 
     if is_last:
-        fill = 0 if res.budget_full else budget - min(len(res.tokens), budget)
+        fill = 0 if res.budget_full else max(0, budget - len(res.tokens))
         if fill:
-            session._fwd(cache, [_text_item(sp.pad)] * fill, "prefill")
+            session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
     elif res.tokens:
         # the turn's final emission stays provisional until the next rewind
         last_rec = touched[-1]
@@ -601,7 +575,6 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
         session.pending_record = len(session.records) - 1
     session.last_turn_decoded = list(res.tokens)
     session.last_turn_slots = budget
-    session.last_logits = res.logits
     return touched
 
 
@@ -620,15 +593,7 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
             gidx += 1
     items.append(_text_item(sp.sos))
     logits = session._fwd(cache, items, "prefill")
-    hyp: list[int] = []
-    while True:
-        t = int(np.argmax(logits))
-        if t == sp.eos or t == sp.pad:
-            break
-        hyp.append(t)
-        if len(hyp) >= st.max_decode_per_turn:
-            break
-        logits = session._fwd(cache, [_text_item(t)], "decode")
+    hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]
 
     if is_last:
         target = len(hyp)
@@ -700,7 +665,3 @@ def run_stream(session: StreamingSession, frames: np.ndarray) -> list[int]:
 
 def final_hypothesis(session: StreamingSession) -> list[int]:
     return [r.token for r in session.records if not r.retracted]
-
-
-def collect_stats(session: StreamingSession) -> SessionStats:
-    return session.stats

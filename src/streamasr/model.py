@@ -52,9 +52,7 @@ __all__ = [
     "KVCache",
     "SymbolicCache",
     "ToyDecoder",
-    "make_toy_model",
     "TeacherOracle",
-    "make_teacher_oracle",
     "BoundaryOracle",
     "BoundaryOracleSuite",
     "make_boundary_oracle",
@@ -591,10 +589,6 @@ class ToyDecoder:
         return model
 
 
-def make_toy_model(cfg: ModelConfig) -> ToyDecoder:
-    return ToyDecoder(cfg)
-
-
 # --------------------------------------------------------------------------
 # replay oracles
 
@@ -617,9 +611,10 @@ class TeacherOracle:
     that slot. Stepping past the layout raises.
     """
 
-    def __init__(self, seq: MixedSequence, sp: SpecialTokens, vocab_size: int):
+    def __init__(self, seq: MixedSequence, sp: SpecialTokens | None = None,
+                 vocab_size: int = 32):
         self.seq = seq
-        self.sp = sp
+        self.sp = sp or SpecialTokens()
         self.vocab_size = vocab_size
 
     def new_cache(self) -> SymbolicCache:
@@ -632,12 +627,6 @@ class TeacherOracle:
             raise StepBeyondSequence(f"position {idx} past layout end")
         t = self.seq.targets[idx]
         return _one_hot_logits(self.vocab_size, t if t is not None else self.sp.pad)
-
-
-def make_teacher_oracle(
-    seq: MixedSequence, sp: SpecialTokens | None = None, vocab_size: int = 32
-) -> TeacherOracle:
-    return TeacherOracle(seq, sp or SpecialTokens(), vocab_size)
 
 
 def default_confusable_map(sp: SpecialTokens, vocab_size: int) -> Callable[[int], int]:

@@ -9,7 +9,7 @@ suite runs the same functions at full scale.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,10 +33,10 @@ from .model import (
     ModelConfig,
     RollbackPastChunkBoundary,
     StreamItem,
+    TeacherOracle,
     ToyDecoder,
     build_attention_mask,
     make_boundary_oracle,
-    make_teacher_oracle,
     masked_ce_loss,
 )
 
@@ -139,7 +139,7 @@ def check_round_trip(num_utterances: int = 200, seed: int = 0) -> CheckResult:
         for builder, strat in ((build_ss, "ss_greedy"),
                                (build_cs, "cs_fallback_greedy")):
             seq = builder(u, ck, sp)
-            model = make_teacher_oracle(seq, sp, cfg.vocab_size)
+            model = TeacherOracle(seq, sp, cfg.vocab_size)
             sess = session_new(model, ck, StrategyConfig(strat), sp)
             hyp = run_stream(sess, u.frames)
             got = list(zip(sess.cache.kinds, sess.cache.values))
@@ -192,7 +192,7 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     u = gen_synthetic_corpus(CorpusConfig(num_utterances=1, seed=seed))[0]
     ck = ChunkingConfig(16)
     seq = build_cs(u, ck, sp)
-    teacher = make_teacher_oracle(seq, sp, 32)
+    teacher = TeacherOracle(seq, sp, 32)
     sess = session_new(teacher, ck, StrategyConfig("cs_fallback_greedy"), sp)
     bounds = chunk_bounds(u.num_frames, ck.chunk_frames)
     push_chunk(sess, u.frames[bounds[0][0]:bounds[0][1]],
@@ -306,26 +306,6 @@ def check_zero_added_latency(
     )
 
 
-def _fork_session(src, strategy: StrategyConfig):
-    """Copy a session's decoding state so one turn can be replayed under a
-    different width. The model is shared (stateless); everything the push
-    handlers read or mutate is duplicated."""
-    from .engine import SessionStats, StreamingSession
-
-    dup = StreamingSession(src.model, src.chunking, strategy, src.sp)
-    dup.cache = src.cache.branch()
-    dup.records = [replace(r) for r in src.records]
-    dup.stats = SessionStats()
-    dup.turn_index = src.turn_index
-    dup.frames_seen = src.frames_seen
-    dup.finished = src.finished
-    dup.last_turn_decoded = list(src.last_turn_decoded)
-    dup.last_turn_slots = src.last_turn_slots
-    dup.stored_checksum = src.stored_checksum
-    dup.pending_record = src.pending_record
-    return dup
-
-
 def check_beam_coherence(num_sessions: int = 30, seed: int = 0) -> CheckResult:
     """Width-1 beam equals greedy token for token; width-3 never scores
     below width-1 searching the same turn from the same state."""
@@ -372,7 +352,7 @@ def check_beam_coherence(num_sessions: int = 30, seed: int = 0) -> CheckResult:
             for t, (lo, hi) in enumerate(
                     chunk_bounds(u.num_frames, ck.chunk_frames)):
                 is_last = hi == u.num_frames
-                fork = _fork_session(s_w3, w1_cfg)
+                fork = s_w3.fork(w1_cfg)
                 push_chunk(fork, u.frames[lo:hi], is_last=is_last)
                 push_chunk(s_w3, u.frames[lo:hi], is_last=is_last)
                 turns_compared += 1
@@ -404,7 +384,7 @@ def check_compute_accounting(
         slots_total = sum(ck.slots(hi - lo) for lo, hi in bounds)
 
         seq_ss = build_ss(u, ck, sp)
-        s_ss = session_new(make_teacher_oracle(seq_ss, sp, 32), ck,
+        s_ss = session_new(TeacherOracle(seq_ss, sp, 32), ck,
                            StrategyConfig("ss_greedy"), sp)
         run_stream(s_ss, u.frames)
         if s_ss.stats.forward_positions != len(seq_ss.positions):
@@ -413,7 +393,7 @@ def check_compute_accounting(
                 f"layout {len(seq_ss.positions)}")
 
         seq_cs = build_cs(u, ck, sp)
-        s_cs = session_new(make_teacher_oracle(seq_cs, sp, 32), ck,
+        s_cs = session_new(TeacherOracle(seq_cs, sp, 32), ck,
                            StrategyConfig("cs_fallback_greedy"), sp)
         run_stream(s_cs, u.frames)
         bound = s_ss.stats.forward_positions + slots_total

@@ -117,11 +117,36 @@ def test_decode_reads_config_file(tmp_path, corpus):
     assert _manifest(out)["summary"]["chunk_frames"] == 25
 
 
+@pytest.mark.parametrize("value, inline", [
+    ("false", False), ("no", False), ("0", False), ("True", True),
+    ("yes", True), ("1", True),
+])
+def test_config_inline_frames_is_a_boolean(tmp_path, value, inline):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"inline_frames = {value}\nnum_utterances = 2\n")
+    out = tmp_path / "c.jsonl"
+    assert main(["gen-corpus", "--config", str(cfg), "--out", str(out)]) == 0
+    rec = json.loads(out.read_text().splitlines()[0])
+    assert ("frames" in rec) is inline
+    assert ("frames_seed" in rec) is not inline
+
+
+def test_config_rejects_a_non_boolean_flag(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("inline_frames = maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-corpus", "--config", str(cfg),
+              "--out", str(tmp_path / "c.jsonl")])
+    assert exc.value.code == 2
+    assert "inline_frames" in capsys.readouterr().err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_decode_with_toy_checkpoint(tmp_path, corpus):
-    from streamasr.model import ModelConfig, make_toy_model
+    from streamasr.model import ModelConfig, ToyDecoder
 
     ckpt = tmp_path / "toy.npz"
-    make_toy_model(ModelConfig(seed=3)).save(str(ckpt))
+    ToyDecoder(ModelConfig(seed=3)).save(str(ckpt))
     out = tmp_path / "dec.jsonl"
     rc = main(["decode", "--corpus", str(corpus), "--strategy", "ss_greedy",
                "--chunk-ms", "1000", "--model", str(ckpt), "--out", str(out)])
@@ -141,12 +166,12 @@ def test_decode_toy_spec_runs_end_to_end(tmp_path, corpus):
 
 
 def _small_context_toy(tmp_path):
-    from streamasr.model import ModelConfig, make_toy_model
+    from streamasr.model import ModelConfig, ToyDecoder
 
     # at 1000 ms chunks and 8 decodes per turn utt00005 needs 111
     # positions and every other utterance of the corpus at most 102
     ckpt = tmp_path / "toy104.npz"
-    make_toy_model(ModelConfig(seed=3, max_context=104)).save(str(ckpt))
+    ToyDecoder(ModelConfig(seed=3, max_context=104)).save(str(ckpt))
     return ckpt
 
 
@@ -233,3 +258,15 @@ def test_verify_subcommand_passes(capsys):
     assert rc == 0
     assert "9/9 checks passed" in out
     assert out.count("[PASS]") == 9
+
+
+@pytest.mark.parametrize("value, full", [("false", False), ("true", True)])
+def test_config_full_is_a_boolean(tmp_path, monkeypatch, value, full):
+    import streamasr.cli as cli
+    seen = []
+    monkeypatch.setattr(cli, "run_battery",
+                        lambda full, seed: seen.append(full) or [])
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(f"full = {value}\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert seen == [full]

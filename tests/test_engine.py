@@ -2,13 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamasr.corpus import CorpusConfig, gen_synthetic_corpus
+from streamasr.corpus import (
+    CorpusConfig,
+    TokenAlignment,
+    Utterance,
+    gen_synthetic_corpus,
+)
 from streamasr.engine import (
+    PARADIGM_OF,
+    STRATEGIES,
     ConfigMismatch,
     PushAfterFinish,
     StrategyConfig,
-    collect_stats,
     final_hypothesis,
     push_chunk,
     run_stream,
@@ -24,10 +32,10 @@ from streamasr.layout import (
 from streamasr.model import (
     ModelConfig,
     SymbolicCache,
+    TeacherOracle,
     ToyDecoder,
     default_confusable_map,
     make_boundary_oracle,
-    make_teacher_oracle,
 )
 
 SP = SpecialTokens()
@@ -95,7 +103,7 @@ def test_chunk_frames_pin(chunk4):
 
 def test_new_session_stats_zero(chunk4):
     s = session_new(Scripted({}), chunk4, StrategyConfig("ss_greedy"), SP)
-    st = collect_stats(s)
+    st = s.stats
     assert (st.turns, st.forward_positions, st.rollback_count,
             st.revised, st.retracted, st.early_eos) == (0, 0, 0, 0, 0, 0)
     assert st.per_turn == []
@@ -114,13 +122,93 @@ def test_frames_must_be_matrix(chunk4):
         push_chunk(s, np.zeros(4), is_last=True)
 
 
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_final_turn_stops_at_the_cap(name, cap):
+    # a model that never stops, one 8-frame chunk (4 slots): the cap binds
+    # before, at or after the slot budget, and the final flush honours it
+    width = 3 if name.endswith("_beam") else 1
+    s = session_new(Scripted({}, default=10), ChunkingConfig(8),
+                    StrategyConfig(name, beam_width=width,
+                                   max_decode_per_turn=cap), SP)
+    records = push_chunk(s, _frames(8), is_last=True)
+    assert [r.token for r in records] == [10] * cap
+
+
+def test_fork_validates_the_new_strategy(chunk4):
+    s = session_new(Scripted({}), chunk4, StrategyConfig("ss_greedy"), SP)
+    assert s.fork(StrategyConfig("ss_beam", beam_width=2)).strategy.beam_width == 2
+    with pytest.raises(ConfigMismatch):
+        s.fork(StrategyConfig("cs_fallback_greedy"))
+    with pytest.raises(ConfigMismatch):
+        s.fork(StrategyConfig("ss_beam", beam_width=0))
+
+
+@pytest.mark.parametrize("kind", ["boundary", "toy"])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_fork_replays_the_rest_of_the_stream(name, kind, sp):
+    u = gen_synthetic_corpus(CorpusConfig(num_utterances=1, seed=3))[0]
+    if kind == "toy":
+        model = ToyDecoder(ModelConfig(embed_dim=16, num_layers=1, num_heads=2,
+                                       ffn_dim=16, max_context=512, seed=1))
+    else:
+        suite = make_boundary_oracle([u], confusion_window=1, vocab_size=32)
+        model = suite.bind(u, PARADIGM_OF[name])
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    ck = ChunkingConfig(8)
+    bounds = chunk_bounds(u.num_frames, ck.chunk_frames)
+    for cut in range(len(bounds) + 1):
+        a = session_new(model, ck, strategy, sp)
+        for lo, hi in bounds[:cut]:
+            push_chunk(a, u.frames[lo:hi])
+        b = a.fork()
+        assert b.model is a.model
+        # the rest of the stream, closed by an audio-less final chunk
+        for s in (a, b):
+            for lo, hi in bounds[cut:]:
+                push_chunk(s, u.frames[lo:hi])
+            push_chunk(s, np.zeros((0, u.frames.shape[1])), is_last=True)
+        assert b.records == a.records
+        assert final_hypothesis(b) == final_hypothesis(a)
+        assert b.stats.forward_positions == a.stats.forward_positions
+
+
+@st.composite
+def _aligned_utterances(draw):
+    tokens, alignments = [], []
+    frame = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 10))):
+        tok = draw(st.integers(SP.first_text_id, 31))
+        length = draw(st.integers(1, 5))
+        tokens.append(tok)
+        alignments.append(TokenAlignment(tok, frame, frame + length - 1))
+        frame += length + draw(st.integers(0, 3))
+    total = alignments[-1].end_frame + 1 + draw(st.integers(0, 6))
+    return Utterance("u", tokens, alignments, np.zeros((total, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_aligned_utterances(), chunk_frames=st.integers(1, 12),
+       ratio=st.integers(1, 4))
+def test_teacher_decoding_regenerates_the_layout(u, chunk_frames, ratio):
+    ck = ChunkingConfig(chunk_frames, ratio)
+    for build, name in ((build_ss, "ss_greedy"),
+                        (build_cs, "cs_fallback_greedy")):
+        seq = build(u, ck, SP)
+        s = session_new(TeacherOracle(seq, SP), ck, StrategyConfig(name), SP)
+        assert run_stream(s, u.frames) == u.tokens
+        assert (list(zip(s.cache.kinds, s.cache.values))
+                == [(p.kind, p.value) for p in seq.positions])
+
+
 # -----------------------------
 # teacher traces on the running example
 # -----------------------------
 
 def test_ss_teacher_trace(running_example, chunk4, sp):
     seq = build_ss(running_example, chunk4)
-    model = make_teacher_oracle(seq, sp)
+    model = TeacherOracle(seq, sp)
     s = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     r0 = push_chunk(s, running_example.frames[:4])
     r1 = push_chunk(s, running_example.frames[4:], is_last=True)
@@ -132,12 +220,12 @@ def test_ss_teacher_trace(running_example, chunk4, sp):
     assert all(not r.provisional and r.finalize_chunk == r.emit_chunk
                for r in s.records)
     # the session walks exactly the training layout, position for position
-    assert collect_stats(s).forward_positions == len(seq)
+    assert s.stats.forward_positions == len(seq)
 
 
 def test_cs_teacher_trace(running_example, chunk4, sp):
     seq = build_cs(running_example, chunk4)
-    model = make_teacher_oracle(seq, sp)
+    model = TeacherOracle(seq, sp)
     s = session_new(model, chunk4, StrategyConfig("cs_fallback_greedy"), sp)
     r0 = push_chunk(s, running_example.frames[:4])
     assert [r.token for r in r0] == [10]
@@ -147,7 +235,7 @@ def test_cs_teacher_trace(running_example, chunk4, sp):
     assert r1[0] is r0[0]
     assert r1[0].finalize_chunk == 1 and not r1[0].revised
     assert final_hypothesis(s) == [10, 11, 12]
-    st = collect_stats(s)
+    st = s.stats
     assert st.rollback_count == 1 and st.checksum_checks == 1
     assert st.revised == 0 and st.retracted == 0
     # total work = the training layout plus the re-decoded slot span
@@ -156,7 +244,7 @@ def test_cs_teacher_trace(running_example, chunk4, sp):
 
 def test_two_sessions_share_model(running_example, chunk4, sp):
     seq = build_ss(running_example, chunk4)
-    model = make_teacher_oracle(seq, sp)
+    model = TeacherOracle(seq, sp)
     a = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     b = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     push_chunk(a, running_example.frames[:4])
@@ -190,11 +278,11 @@ def test_cs_fallback_revises_the_confused_token(edge_example, chunk4, sp):
     assert rec.first_token == confuse(13)
     assert rec.revised and rec.retracted_value == confuse(13)
     assert rec.emit_chunk == 0 and rec.finalize_chunk == 1
-    assert collect_stats(s).revised == 1
+    assert s.stats.revised == 1
 
 
 def test_confirmed_token_has_no_retracted_value(running_example, chunk4, sp):
-    model = make_teacher_oracle(build_cs(running_example, chunk4), sp)
+    model = TeacherOracle(build_cs(running_example, chunk4), sp)
     s = session_new(model, chunk4, StrategyConfig("cs_fallback_greedy"), sp)
     run_stream(s, running_example.frames)
     assert all(r.retracted_value is None for r in s.records)
@@ -211,7 +299,7 @@ def test_retraction_when_redecode_drops_the_token(chunk4):
     rec = s.records[0]
     assert rec.retracted and not rec.revised
     assert final_hypothesis(s) == []
-    assert collect_stats(s).retracted == 1
+    assert s.stats.retracted == 1
 
 
 def test_early_eos_is_flagged(chunk4):
@@ -219,9 +307,9 @@ def test_early_eos_is_flagged(chunk4):
     model = Scripted({(0, 3): 10, (1, 3): SP.eos, (1, 7): 11, (2, 7): 12})
     s = session_new(model, chunk4, StrategyConfig("ss_greedy"), SP)
     push_chunk(s, _frames(4))
-    assert collect_stats(s).early_eos == 1
+    assert s.stats.early_eos == 1
     push_chunk(s, _frames(4), is_last=True)
-    assert collect_stats(s).early_eos == 1
+    assert s.stats.early_eos == 1
     assert final_hypothesis(s) == [10, 11, 12]
 
 
@@ -233,7 +321,7 @@ def test_zero_frame_stream_flush_only(chunk4):
     for name in ("ss_greedy", "cs_fallback_greedy", "ns_redecode_hold_n"):
         s = session_new(Scripted({}), chunk4, StrategyConfig(name), SP)
         assert run_stream(s, np.zeros((0, 8))) == []
-        assert s.finished and collect_stats(s).turns == 1
+        assert s.finished and s.stats.turns == 1
 
 
 def test_cs_empty_final_chunk_flushes_pending(edge_example, chunk4, sp):
@@ -263,7 +351,7 @@ def test_run_stream_equals_manual_pushes(edge_example, chunk4, sp):
     push_chunk(b, edge_example.frames[:4])
     push_chunk(b, edge_example.frames[4:], is_last=True)
     assert hyp == final_hypothesis(b)
-    assert collect_stats(a).forward_positions == collect_stats(b).forward_positions
+    assert a.stats.forward_positions == b.stats.forward_positions
 
 
 # -----------------------------
@@ -271,12 +359,12 @@ def test_run_stream_equals_manual_pushes(edge_example, chunk4, sp):
 # -----------------------------
 
 def test_cache_reuse_counts_prior_context(running_example, chunk4, sp):
-    model = make_teacher_oracle(build_ss(running_example, chunk4), sp)
+    model = TeacherOracle(build_ss(running_example, chunk4), sp)
     s = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     push_chunk(s, running_example.frames[:4])
     reused_at_entry = len(s.cache)
     push_chunk(s, running_example.frames[4:], is_last=True)
-    assert collect_stats(s).cache_reused_positions == reused_at_entry
+    assert s.stats.cache_reused_positions == reused_at_entry
 
 
 def test_per_turn_accounting_sums_to_totals(edge_example, chunk4, sp):
@@ -284,7 +372,7 @@ def test_per_turn_accounting_sums_to_totals(edge_example, chunk4, sp):
     s = session_new(suite.bind("edge", "cs"), chunk4,
                     StrategyConfig("cs_fallback_greedy"), sp)
     run_stream(s, edge_example.frames)
-    st = collect_stats(s)
+    st = s.stats
     assert len(st.per_turn) == st.turns
     assert sum(t["prefill"] for t in st.per_turn) == st.prefill_positions
     assert sum(t["decode"] for t in st.per_turn) == st.decode_positions
@@ -322,26 +410,50 @@ def test_beam_runs_wider(edge_example, chunk4, sp):
     greedy = session_new(suite.bind("edge", "ss"), chunk4,
                          StrategyConfig("ss_greedy"), sp)
     run_stream(greedy, edge_example.frames)
-    assert (collect_stats(s).forward_positions
-            > collect_stats(greedy).forward_positions)
+    assert (s.stats.forward_positions
+            > greedy.stats.forward_positions)
 
 
-# Width-3 beam on the benchmark's toy decoder (d=64, 4 layers, 8-frame
-# chunks, 24 decodes per turn) over the first three seed-0 utterances:
-# hypotheses and forward positions as the max_context-reserving KV cache
-# produced them, so a change to cache memory cannot change the search.
-TOY_BEAM_PINS = {
+# Every strategy on the benchmark's toy decoder (d=64, 4 layers, 8-frame
+# chunks, 24 decodes per turn, width-3 beams) over the first three seed-0
+# utterances: hypotheses and forward positions as the engine produced them
+# before its greedy loops were merged, so a restructured decode loop or
+# cache cannot change what any strategy decodes or what it computes.
+TOY_PINS = {
+    "ss_greedy": [
+        ([9, 29, 16, 5, 18, 16, 20, 29, 9, 16, 16, 16, 16, 20, 29, 29, 9, 16,
+          5, 16, 29, 16, 9, 29, 9, 5, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16,
+          16, 20, 29, 16, 16, 5, 16, 16, 5, 16, 20], 96),
+        ([29, 16, 9, 29, 18, 16, 20, 29, 9, 16, 16, 16, 16, 20, 29, 29, 9, 16,
+          5, 16, 29, 16, 9, 29, 29, 16, 5, 16, 20, 16, 5, 16, 9, 16, 9, 29,
+          16, 5, 16, 29, 16, 16, 5, 16, 20, 29, 5, 29, 16, 9, 16, 5, 16, 5,
+          16, 5], 122),
+        ([9, 29, 16, 5, 18, 16, 20, 29, 9, 16, 16, 16, 16, 20, 29, 29, 9, 16,
+          5, 16, 29, 16, 9, 29, 29, 29, 16, 16, 16, 5, 16, 20, 5, 16, 16, 20,
+          29, 16, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9], 99),
+    ],
     "ss_beam": [
         ([9, 20, 29, 5, 29, 16, 20, 29, 29, 16, 5, 16, 7, 17, 5, 29, 29, 16,
           5, 16, 20, 29, 16, 9, 9, 5, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16,
           16, 20, 29, 16, 16, 5, 16, 16, 5, 16, 20], 279),
         ([9, 29, 16, 5, 29, 16, 20, 29, 29, 16, 5, 16, 7, 17, 5, 29, 29, 16,
-          5, 16, 20, 29, 16, 9, 29, 16, 5, 16, 29, 16, 5, 16, 9, 16, 9, 29, 16,
-          5, 16, 29, 16, 16, 5, 16, 20, 29, 5, 29, 16, 9, 16, 5, 16, 5, 16,
-          5], 374),
+          5, 16, 20, 29, 16, 9, 29, 16, 5, 16, 29, 16, 5, 16, 9, 16, 9, 29,
+          16, 5, 16, 29, 16, 16, 5, 16, 20, 29, 5, 29, 16, 9, 16, 5, 16, 5,
+          16, 5], 374),
         ([9, 20, 29, 5, 29, 16, 20, 29, 29, 16, 5, 16, 16, 20, 29, 29, 29, 16,
           5, 16, 20, 29, 16, 9, 29, 29, 16, 16, 16, 5, 16, 20, 5, 16, 16, 20,
           29, 16, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9], 291),
+    ],
+    "cs_fallback_greedy": [
+        ([9, 29, 16, 18, 16, 20, 9, 16, 16, 16, 20, 29, 9, 16, 5, 29, 16, 9,
+          29, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16, 16, 20, 29, 16, 16, 5,
+          16, 16, 5, 16, 20, 29], 115),
+        ([29, 16, 9, 18, 16, 20, 9, 16, 16, 16, 20, 29, 9, 16, 5, 29, 16, 9,
+          29, 16, 5, 20, 16, 5, 9, 20, 29, 16, 5, 16, 29, 16, 16, 5, 16, 20,
+          29, 5, 29, 16, 9, 16, 5, 16, 5, 16, 5, 16], 147),
+        ([9, 29, 16, 18, 16, 20, 9, 16, 16, 16, 20, 29, 9, 16, 5, 29, 16, 9,
+          29, 29, 16, 16, 5, 16, 20, 5, 16, 16, 20, 29, 16, 16, 5, 16, 16, 5,
+          16, 20, 29, 16, 9, 16], 118),
     ],
     "cs_fallback_beam": [
         ([9, 20, 29, 29, 16, 20, 29, 16, 5, 7, 17, 5, 29, 16, 5, 20, 29, 16,
@@ -354,19 +466,44 @@ TOY_BEAM_PINS = {
           29, 29, 16, 16, 5, 16, 20, 5, 16, 16, 20, 29, 16, 16, 5, 16, 16, 5,
           16, 20, 29, 16, 9, 16], 247),
     ],
+    "ns_redecode_hold_n": [
+        ([29, 16, 5, 16, 9, 29, 5, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9, 29,
+          16, 16, 5, 16, 5, 29], 385),
+        ([29, 16, 5, 9, 9, 29, 5, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9, 29, 16,
+          16, 5, 16, 5, 5], 571),
+        ([29, 16, 5, 16, 9, 29, 5, 16, 5, 16, 16, 5, 16, 20, 29, 16, 9, 29,
+          16, 16, 5, 16, 5, 5], 388),
+    ],
+    "ns_redecode_local_agreement": [
+        ([29, 16, 5, 29, 5, 16, 9, 16, 5, 16, 5, 16, 5, 16, 16, 5, 16, 16, 16,
+          5, 16, 9, 20, 29], 385),
+        ([29, 16, 9, 29, 5, 16, 5, 16, 5, 29, 16, 16, 16, 5, 16, 20, 5, 16,
+          16, 20, 29, 16, 16, 5], 571),
+        ([29, 16, 16, 9, 16, 5, 16, 5, 16, 5, 16, 16, 5, 16, 16, 16, 5, 16, 9,
+          20, 29, 5, 16, 5], 388),
+    ],
+    "ns_redecode_wait_k": [
+        ([29, 16, 16, 5, 20, 29, 16, 16, 5, 7, 29, 16, 29, 5, 16, 9, 5, 16,
+          16, 16, 16, 9, 20, 29], 385),
+        ([29, 16, 16, 5, 20, 29, 16, 16, 5, 7, 29, 16, 29, 5, 16, 9, 5, 16,
+          16, 16, 29, 16, 16, 16], 571),
+        ([29, 16, 16, 5, 20, 29, 16, 16, 5, 7, 29, 16, 29, 5, 16, 9, 5, 16,
+          16, 16, 29, 5, 16, 5], 388),
+    ],
 }
 
 
-@pytest.mark.parametrize("name", sorted(TOY_BEAM_PINS))
-def test_toy_beam_width_three_is_pinned(name, sp):
+@pytest.mark.parametrize("name", sorted(TOY_PINS))
+def test_toy_strategies_are_pinned(name, sp):
     utts = gen_synthetic_corpus(CorpusConfig(
         num_utterances=3, vocab_size=32, frames_per_second=25.0,
         min_tokens=5, max_tokens=20, seed=0))
     model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
                                    num_heads=4, ffn_dim=128, max_context=2048,
                                    seed=0))
-    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
-    for u, (hyp, positions) in zip(utts, TOY_BEAM_PINS[name]):
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    for u, (hyp, positions) in zip(utts, TOY_PINS[name]):
         s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
                         strategy, sp)
         assert run_stream(s, u.frames) == hyp
@@ -411,7 +548,7 @@ def test_ns_commits_are_monotone(chunk4, sp):
 def test_ns_redecodes_from_scratch_each_turn(edge_example, chunk4, sp):
     s = _ns_session(edge_example, "ns_redecode_hold_n", chunk4, sp, hold_n=1)
     run_stream(s, edge_example.frames)
-    st = collect_stats(s)
+    st = s.stats
     # quadratic prefill: chunk 1 re-reads nothing, chunk 2 re-reads chunk 1
     assert st.cache_reused_positions == 0
     assert st.prefill_positions >= 4 + 1 + 8 + 1

@@ -14,13 +14,12 @@ from streamasr.model import (
     RollbackPastChunkBoundary,
     StreamItem,
     SymbolicCache,
+    TeacherOracle,
     ToyDecoder,
     adapter_forward,
     build_attention_mask,
     default_confusable_map,
     make_boundary_oracle,
-    make_teacher_oracle,
-    make_toy_model,
     masked_ce_loss,
     param_count,
 )
@@ -118,13 +117,13 @@ def test_adapter_maps_frame_to_embed_dim():
 def test_param_count_matches_parameters():
     from streamasr.model import _param_blocks
 
-    model = make_toy_model(CFG)
+    model = ToyDecoder(CFG)
     assert param_count(CFG) == sum(b.size for b in _param_blocks(model.params))
     deeper = ModelConfig(vocab_size=20, embed_dim=12, num_layers=3, num_heads=3,
                          ffn_dim=24, frame_dim=5, adapter_hidden=7,
                          max_context=50, seed=2)
     assert param_count(deeper) == sum(
-        b.size for b in _param_blocks(make_toy_model(deeper).params))
+        b.size for b in _param_blocks(ToyDecoder(deeper).params))
 
 
 # -----------------------------
@@ -132,8 +131,8 @@ def test_param_count_matches_parameters():
 # -----------------------------
 
 def test_model_deterministic():
-    a = make_toy_model(CFG)
-    b = make_toy_model(CFG)
+    a = ToyDecoder(CFG)
+    b = ToyDecoder(CFG)
     items = _items(a, 3, [5, 6])
     la = a.forward_sequence(items)
     lb = b.forward_sequence(items)
@@ -145,7 +144,7 @@ def test_depth_zero_is_analytic():
     cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=0, num_heads=2,
                       ffn_dim=16, frame_dim=4, adapter_hidden=8,
                       max_context=64, seed=1)
-    m = make_toy_model(cfg)
+    m = ToyDecoder(cfg)
     items = _items(m, 0, [5, 6, 7])
     logits = m.forward_sequence(items)
     x = m.embed_items(items, start=0)
@@ -154,7 +153,7 @@ def test_depth_zero_is_analytic():
 
 
 def test_chunked_forward_matches_one_shot():
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     items = _items(m, 6, [4, 5, 6, 7])
     full = m.forward_sequence(items)
     cache = m.new_cache()
@@ -168,13 +167,13 @@ def test_chunked_forward_matches_one_shot():
 
 
 def test_forward_rejects_out_of_vocab():
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     with pytest.raises(ValueError):
         m.forward(m.new_cache(), [StreamItem(text(CFG.vocab_size))])
 
 
 def test_save_load_round_trip(tmp_path):
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     path = tmp_path / "m.npz"
     m.save(str(path))
     back = ToyDecoder.load(str(path))
@@ -191,7 +190,7 @@ def test_kv_cache_overflow():
     cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=1, num_heads=2,
                       ffn_dim=16, frame_dim=4, adapter_hidden=8,
                       max_context=4, seed=0)
-    m = make_toy_model(cfg)
+    m = ToyDecoder(cfg)
     cache = m.new_cache()
     m.forward(cache, _items(m, 0, [5, 6, 7]))
     with pytest.raises(ContextOverflow):
@@ -199,7 +198,7 @@ def test_kv_cache_overflow():
 
 
 def test_rollback_guard_blocks_committed_prefix():
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     cache = m.new_cache()
     m.forward(cache, _items(m, 0, [5, 6]))
     cache.mark_chunk()
@@ -213,7 +212,7 @@ def test_rollback_guard_blocks_committed_prefix():
 
 
 def test_branch_is_independent_and_checksum_stable():
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     cache = m.new_cache()
     m.forward(cache, _items(m, 0, [5, 6, 7]))
     cache.mark_chunk()
@@ -232,7 +231,7 @@ def test_branch_is_independent_and_checksum_stable():
 
 
 def test_parent_grows_past_capacity_after_branch():
-    m = make_toy_model(CFG)
+    m = ToyDecoder(CFG)
     cache = m.new_cache()
     m.forward(cache, _items(m, 6, [5, 6, 7]))
     cache.mark_chunk()
@@ -255,7 +254,7 @@ def test_branch_allocates_live_rows_not_max_context():
     cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=2, num_heads=2,
                       ffn_dim=16, frame_dim=4, adapter_hidden=8,
                       max_context=2048, seed=0)
-    m = make_toy_model(cfg)
+    m = ToyDecoder(cfg)
     cache = m.new_cache()
     m.forward(cache, _items(m, 2, [5]))
     fork = cache.branch()
@@ -386,7 +385,7 @@ def test_symbolic_checksum_tracks_content(sp):
 
 def test_teacher_oracle_replays_ns(running_example, sp):
     seq = build_ns(running_example)
-    oracle = make_teacher_oracle(seq, sp)
+    oracle = TeacherOracle(seq, sp)
     cache = oracle.new_cache()
     items = [StreamItem(speech(i), running_example.frames[i]) for i in range(8)]
     items.append(StreamItem(text(sp.sos)))
