@@ -43,9 +43,9 @@ from .layout import (
     SpecialTokens,
     build_cs,
     build_ns,
+    assign_slots,
     build_ss,
     chunk_bounds,
-    chunk_utterance,
     sample_paradigm,
     stage_plan,
 )
@@ -82,9 +82,9 @@ __all__ = [
     "SpecialTokens",
     "build_cs",
     "build_ns",
+    "assign_slots",
     "build_ss",
     "chunk_bounds",
-    "chunk_utterance",
     "sample_paradigm",
     "stage_plan",
     "KVCache",

@@ -12,8 +12,10 @@ Writing commands drop ``<out>.manifest.json`` beside their output: the
 resolved configuration, package version, and a sha256 per input file, so a
 run is reproducible from the manifest alone. A ``--config`` file of
 ``key=value`` lines (long option names, underscores) seeds any command's
-defaults; explicit flags win. On/off flags take ``true``/``false``,
-``yes``/``no`` or ``1``/``0``.
+defaults; explicit flags win, and a key the command has no option for is a
+usage error. On/off flags take ``true``/``false``, ``yes``/``no`` or
+``1``/``0``. Corpora are validated as they are read, so a malformed
+utterance stops a command with an ``error:`` line that names it.
 """
 
 from __future__ import annotations
@@ -368,7 +370,8 @@ def _add_fps_arg(p: argparse.ArgumentParser) -> None:
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="boundary:1",
                    help="parameter file path, 'toy[:seed]', 'teacher', or "
-                        "'boundary:<window>'")
+                        "'boundary:<window>' (any window > 0 confuses the "
+                        "token ending on the context edge; 0 is exact)")
     p.add_argument("--vocab-size", default=32, type=int)
     _add_fps_arg(p)
     p.add_argument("--speech-text-ratio", default=2, type=int)
@@ -378,7 +381,8 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-decode-per-turn", default=256, type=int)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="streamasr",
         description="training-sequence construction and streaming decoding",
@@ -439,14 +443,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     v.add_argument("--full", action="store_true", help="full-scale checks")
     v.add_argument("--seed", default=0, type=int)
     v.set_defaults(func=_cmd_verify)
-    return parser, [g, b, d, a, v]
+    return parser, {"gen-corpus": g, "build-sequences": b, "decode": d,
+                    "ablate": a, "verify": v}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
     overrides = _read_config_overrides(argv)
-    flags = {a.dest for sp in subcommands for a in sp._actions
+    flags = {a.dest for sp in subcommands.values() for a in sp._actions
              if isinstance(a, argparse._StoreTrueAction)}
     for key in flags & overrides.keys():
         value = _BOOLEANS.get(overrides[key].lower())
@@ -456,13 +461,18 @@ def main(argv: list[str] | None = None) -> int:
         overrides[key] = value
     if overrides:
         # subparsers parse into their own namespace, so defaults go on them
-        for sp in subcommands:
+        for sp in subcommands.values():
             sp.set_defaults(**overrides)
             for action in sp._actions:
                 # a config-supplied value satisfies a required flag
                 if action.dest in overrides:
                     action.required = False
     ns = parser.parse_args(argv)
+    sub = subcommands[ns.command]
+    unknown = overrides.keys() - {a.dest for a in sub._actions}
+    if unknown:
+        sub.error(f"--config: no {ns.command} option for "
+                  f"{', '.join(sorted(unknown))}")
     try:
         return ns.func(ns)
     except (ValueError, OSError) as exc:

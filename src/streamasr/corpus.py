@@ -41,6 +41,7 @@ __all__ = [
     "write_corpus",
     "read_corpus",
     "load_char_alignments",
+    "validate_utterance",
 ]
 
 
@@ -290,6 +291,7 @@ def write_corpus(
 
 
 def read_corpus(path: str | Path) -> list[Utterance]:
+    """Read a JSON Lines corpus; every utterance is validated as it loads."""
     utts = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -320,14 +322,14 @@ def read_corpus(path: str | Path) -> list[Utterance]:
                 frames = _gen_frames(
                     cfg, fs["index"], alignments, rec["num_frames"], codebook
                 )
-            utts.append(
-                Utterance(
-                    id=rec["id"],
-                    tokens=list(rec["tokens"]),
-                    alignments=alignments,
-                    frames=frames,
-                )
+            u = Utterance(
+                id=rec["id"],
+                tokens=list(rec["tokens"]),
+                alignments=alignments,
+                frames=frames,
             )
+            validate_utterance(u)
+            utts.append(u)
     return utts
 
 
@@ -345,7 +347,9 @@ def load_char_alignments(path: str | Path) -> list[CharAlignment]:
 
 
 def validate_utterance(u: Utterance) -> None:
-    """Invariant check used by tests and the verify command."""
+    """Raise AlignmentError unless every token has one sorted,
+    non-overlapping span inside the stream and no token is a reserved id.
+    ``read_corpus`` runs it on every utterance it loads."""
     if len(u.tokens) != len(u.alignments):
         raise AlignmentError(f"{u.id}: tokens/alignments length mismatch")
     prev_end = -1

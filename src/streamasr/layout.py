@@ -11,7 +11,8 @@ A single utterance can be laid out three ways:
   re-queued for the successor segment, which is what lets inference revise
   a chunk-final token one chunk later at no added emission latency.
 
-The slot arithmetic is shared: a chunk of ``n`` frames owns
+Both streaming layouts come from one chunk assignment, ``assign_slots``,
+with masking off (ss) or on (cs): a chunk of ``n`` frames owns
 ``ceil(n / ratio)`` text slots; tokens become due in the first chunk whose
 end boundary lies past their final frame; overflow carries forward and any
 remainder after the last chunk forms a speech-less flush segment.
@@ -29,8 +30,8 @@ eos at the utterance's final stop position.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,10 +43,10 @@ __all__ = [
     "Position",
     "speech",
     "text",
-    "SegmentPlan",
+    "Segment",
     "MixedSequence",
     "chunk_bounds",
-    "chunk_utterance",
+    "assign_slots",
     "build_ns",
     "build_ss",
     "build_cs",
@@ -109,26 +110,6 @@ def text(token_id: int) -> Position:
 
 
 @dataclass
-class SegmentPlan:
-    """Chunk assignment: which token occurrences a segment emits.
-
-    ``token_indexes`` are occurrence indices into the utterance token list
-    (standard-streaming view: due order with overflow carried forward).
-    The flush segment, if present, has an empty frame range.
-    """
-
-    chunk_index: int
-    frame_start: int
-    frame_end: int  # half-open
-    token_indexes: list[int]
-    is_flush: bool = False
-
-    @property
-    def n_frames(self) -> int:
-        return self.frame_end - self.frame_start
-
-
-@dataclass
 class MixedSequence:
     positions: list[Position]
     targets: list[int | None]  # None = no loss at this position
@@ -150,151 +131,99 @@ def chunk_bounds(total_frames: int, chunk_frames: int) -> list[tuple[int, int]]:
     ]
 
 
-def _dues_by_chunk(
-    alignments: Sequence[TokenAlignment], bounds: Sequence[tuple[int, int]]
-) -> list[list[int]]:
-    """Token occurrence indices becoming due per chunk.
+@dataclass
+class Segment:
+    """One chunk's share of the text slots.
 
-    A token is due in the first chunk whose end boundary lies strictly past
-    the token's last frame, so a token ending exactly on a chunk's final
-    frame belongs to that chunk.
+    ``tokens`` are occurrence indices into the utterance token list, in
+    emission order; ``slots`` is the padded width. With ``masked`` the last
+    token shows as pad in the input. The flush segment has an empty frame
+    range and no padding.
     """
-    dues: list[list[int]] = [[] for _ in bounds]
-    k = 0
-    for i, al in enumerate(alignments):
-        while k < len(bounds) and al.end_frame >= bounds[k][1]:
-            k += 1
-        if k >= len(bounds):
-            raise ValueError(f"token {i} ends past the stream ({al.end_frame})")
-        dues[k].append(i)
-    return dues
+
+    frames: tuple[int, int]  # half-open
+    tokens: list[int]
+    slots: int
+    masked: bool = False
 
 
-def chunk_utterance(
+def assign_slots(
     alignments: Sequence[TokenAlignment],
     cfg: ChunkingConfig,
     total_frames: int,
-) -> list[SegmentPlan]:
-    """Standard-streaming chunk assignment with overflow and flush."""
+    masked: bool = False,
+) -> list[Segment]:
+    """Chunk assignment with overflow carry and a terminal flush.
+
+    A token is due in the first chunk whose end boundary lies strictly past
+    its last frame, so a token ending exactly on a chunk's final frame
+    belongs to that chunk. With ``masked`` (context-aware streaming) a
+    non-terminal segment's last token is masked and re-queued at the front,
+    re-appearing in the successor segment. The final chunk is terminal only
+    when its take leaves slots to spare; a budget-full final take cannot
+    prove the queue empty, so it masks and flushes like any other boundary.
+    """
     bounds = chunk_bounds(total_frames, cfg.chunk_frames)
-    dues = _dues_by_chunk(alignments, bounds)
-    plans: list[SegmentPlan] = []
+    segments: list[Segment] = []
     pending: list[int] = []
+    i = 0
     for k, (lo, hi) in enumerate(bounds):
-        pending.extend(dues[k])
+        while i < len(alignments) and alignments[i].end_frame < hi:
+            pending.append(i)
+            i += 1
         m = cfg.slots(hi - lo)
         take, pending = pending[:m], pending[m:]
-        plans.append(SegmentPlan(k, lo, hi, take))
+        mask = masked and bool(take) and (k < len(bounds) - 1 or len(take) == m)
+        if mask:
+            pending.insert(0, take[-1])
+        segments.append(Segment((lo, hi), take, m, mask))
+    if i < len(alignments):
+        raise ValueError(
+            f"token {i} ends past the stream ({alignments[i].end_frame})")
     if pending:
-        plans.append(
-            SegmentPlan(len(bounds), total_frames, total_frames, pending, is_flush=True)
-        )
-    return plans
-
-
-@dataclass
-class _Seg:
-    # Builder-internal final view of one segment's text slots.
-    plan_frames: tuple[int, int]
-    chunk_index: int
-    tokens: list[int]       # occurrence indices, in emission order
-    masked_last: bool       # context-aware: last token shows as pad in input
-    n_slots: int            # padded width; flush segments have no padding
-    is_flush: bool
+        segments.append(Segment((total_frames, total_frames), pending, len(pending)))
+    return segments
 
 
 def _emit(
-    utt: Utterance, segs: list[_Seg], sp: SpecialTokens, paradigm: str
+    utt: Utterance, segments: list[Segment], sp: SpecialTokens, paradigm: str
 ) -> MixedSequence:
-    """Lay out positions and teacher-forcing targets from final-view segments."""
+    """Lay out positions and teacher-forcing targets from the segments."""
     positions: list[Position] = []
     ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    # Per text position: the input token id and, for a masked slot, the
-    # original token id it stands for.
-    slot_input: list[int] = []
-    slot_original: list[int | None] = []
-
-    for seg in segs:
+    # Per position: the token a text slot stands for (a masked slot's hidden
+    # token, pad for filler); None for speech.
+    original: list[int | None] = []
+    for seg in segments:
         s_lo = len(positions)
-        positions.extend(speech(f) for f in range(*seg.plan_frames))
+        positions.extend(speech(f) for f in range(*seg.frames))
         t_lo = len(positions)
-        for j, occ in enumerate(seg.tokens):
-            tok = utt.tokens[occ]
-            if seg.masked_last and j == len(seg.tokens) - 1:
-                positions.append(text(sp.pad))
-                slot_input.append(sp.pad)
-                slot_original.append(tok)
-            else:
-                positions.append(text(tok))
-                slot_input.append(tok)
-                slot_original.append(None)
-        for _ in range(seg.n_slots - len(seg.tokens)):
-            positions.append(text(sp.pad))
-            slot_input.append(sp.pad)
-            slot_original.append(None)
+        toks = [utt.tokens[o] for o in seg.tokens]
+        fill = [sp.pad] * (seg.slots - len(toks))
+        shown = toks[:-1] + [sp.pad] if seg.masked else toks
+        positions.extend(text(t) for t in shown + fill)
+        original.extend([None] * (t_lo - s_lo) + toks + fill)
         ranges.append(((s_lo, t_lo), (t_lo, len(positions))))
+    original.append(None)  # nothing follows the last position
 
-    # Map position index -> slot arrays index for text positions.
-    is_text_pos = [p.kind == "t" for p in positions]
-    slot_at: list[int | None] = []
-    ti = 0
-    for flag in is_text_pos:
-        slot_at.append(ti if flag else None)
-        ti += 1 if flag else 0
-
-    def is_fill(pos_idx: int) -> bool:
-        si = slot_at[pos_idx]
-        assert si is not None
-        return slot_input[si] == sp.pad and slot_original[si] is None
-
+    # A chunk's last speech predicts its first slot. A token slot predicts
+    # the slot after it, or pad (the turn-stop) before speech and at the
+    # end. Filler, the slots past a segment's tokens, carries no loss.
     targets: list[int | None] = [None] * len(positions)
-    last_speech = {rng[0][1] - 1 for rng in ranges if rng[0][1] > rng[0][0]}
+    for seg, ((s_lo, t_lo), _) in zip(segments, ranges):
+        if t_lo > s_lo:
+            targets[t_lo - 1] = original[t_lo]
+        for p in range(t_lo, t_lo + len(seg.tokens)):
+            nxt = original[p + 1]
+            targets[p] = sp.pad if nxt is None else nxt
 
-    for p in range(len(positions)):
-        q = p + 1
-        if not is_text_pos[p]:
-            if p in last_speech:
-                # Predicts the first slot: its original token when masked.
-                si = slot_at[q]
-                assert si is not None
-                orig = slot_original[si]
-                targets[p] = orig if orig is not None else slot_input[si]
-            continue
-        if is_fill(p):
-            continue  # pad filler carries no loss
-        if q >= len(positions) or not is_text_pos[q]:
-            targets[p] = sp.pad  # turn-stop before speech or at sequence end
-        else:
-            si = slot_at[q]
-            assert si is not None
-            orig = slot_original[si]
-            targets[p] = orig if orig is not None else slot_input[si]
-
-    if paradigm == "ss":
-        # Exactly one eos, at the utterance's final stop position: the last
-        # real token overall, or the last speech of a trailing empty segment.
-        stop = None
-        for p in range(len(positions) - 1, -1, -1):
-            if is_text_pos[p] and not is_fill(p):
-                stop = p
-                break
-        if stop is None or _seg_index_of(ranges, stop) != len(segs) - 1:
-            # Tokens ended before the final segment: eos on its last speech.
-            s_rng = ranges[-1][0]
-            if s_rng[1] > s_rng[0]:
-                stop = s_rng[1] - 1
-        if stop is not None:
-            targets[stop] = sp.eos
+    if paradigm == "ss" and segments:
+        # Exactly one eos: on the final segment's last token, or on its last
+        # speech frame when only silence remains.
+        (_, s_hi), (t_lo, _) = ranges[-1]
+        n = len(segments[-1].tokens)
+        targets[t_lo + n - 1 if n else s_hi - 1] = sp.eos
     return MixedSequence(positions, targets, ranges, paradigm=paradigm)
-
-
-def _seg_index_of(
-    ranges: list[tuple[tuple[int, int], tuple[int, int]]], pos: int
-) -> int:
-    for i, (s_rng, t_rng) in enumerate(ranges):
-        if s_rng[0] <= pos < t_rng[1]:
-            return i
-    raise IndexError(pos)
 
 
 def build_ns(utt: Utterance, sp: SpecialTokens | None = None) -> MixedSequence:
@@ -319,51 +248,7 @@ def build_ss(
 ) -> MixedSequence:
     """Standard streaming layout: interleaved chunks, pad turn-stops, one eos."""
     sp = sp or SpecialTokens()
-    plans = chunk_utterance(utt.alignments, cfg, utt.num_frames)
-    segs = [
-        _Seg(
-            plan_frames=(pl.frame_start, pl.frame_end),
-            chunk_index=pl.chunk_index,
-            tokens=list(pl.token_indexes),
-            masked_last=False,
-            n_slots=len(pl.token_indexes) if pl.is_flush else cfg.slots(pl.n_frames),
-            is_flush=pl.is_flush,
-        )
-        for pl in plans
-    ]
-    return _emit(utt, segs, sp, "ss")
-
-
-def cs_assignment(
-    alignments: Sequence[TokenAlignment],
-    cfg: ChunkingConfig,
-    total_frames: int,
-) -> tuple[list[tuple[list[int], bool]], list[tuple[int, int]]]:
-    """Context-aware takes per chunk plus the flush queue.
-
-    Returns ([(take, masked_last)] per chunk (+ flush entry last if any),
-    chunk bounds). A non-terminal segment's last taken occurrence is masked
-    and re-queued at the front, re-appearing in the successor segment. The
-    final chunk is terminal only when its take leaves slots to spare; a
-    budget-full final take cannot prove the queue empty, so it masks and
-    flushes like any other boundary.
-    """
-    bounds = chunk_bounds(total_frames, cfg.chunk_frames)
-    dues = _dues_by_chunk(alignments, bounds)
-    takes: list[tuple[list[int], bool]] = []
-    pending: list[int] = []
-    for k, (lo, hi) in enumerate(bounds):
-        pending.extend(dues[k])
-        m = cfg.slots(hi - lo)
-        take, pending = pending[:m], pending[m:]
-        last_chunk = k == len(bounds) - 1
-        masked = bool(take) and (not last_chunk or len(take) == m)
-        if masked:
-            pending.insert(0, take[-1])
-        takes.append((take, masked))
-    if pending:
-        takes.append((pending, False))
-    return takes, bounds
+    return _emit(utt, assign_slots(utt.alignments, cfg, utt.num_frames), sp, "ss")
 
 
 def build_cs(
@@ -371,22 +256,8 @@ def build_cs(
 ) -> MixedSequence:
     """Context-aware streaming layout: masked carries, no eos anywhere."""
     sp = sp or SpecialTokens()
-    takes, bounds = cs_assignment(utt.alignments, cfg, utt.num_frames)
-    segs: list[_Seg] = []
-    for k, (take, masked) in enumerate(takes):
-        is_flush = k >= len(bounds)
-        lo, hi = bounds[k] if not is_flush else (utt.num_frames, utt.num_frames)
-        segs.append(
-            _Seg(
-                plan_frames=(lo, hi),
-                chunk_index=k,
-                tokens=list(take),
-                masked_last=masked,
-                n_slots=len(take) if is_flush else cfg.slots(hi - lo),
-                is_flush=is_flush,
-            )
-        )
-    return _emit(utt, segs, sp, "cs")
+    segments = assign_slots(utt.alignments, cfg, utt.num_frames, masked=True)
+    return _emit(utt, segments, sp, "cs")
 
 
 def sample_paradigm(step: int, chunk_attention_active: bool, seed: int) -> str:

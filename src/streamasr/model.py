@@ -644,9 +644,10 @@ class BoundaryOracle:
 
     State lives entirely in the symbolic cache: the count of real text
     tokens identifies the next occurrence to emit, the max speech frame
-    identifies the context edge. A token whose end frame lies within the
-    confusion window of the edge, with no audio past it in context, comes
-    out wrong; re-decoded with later audio it comes out right. Stop symbols
+    identifies the context edge. With a positive confusion window, a token
+    whose last frame is the context edge (no audio past it in context) comes
+    out wrong; re-decoded with later audio it comes out right. Every
+    positive window behaves the same; window 0 is an exact model. Stop symbols
     follow the bound paradigm: pad for turn-stops, eos only where the
     non-streaming and standard streaming layouts end an utterance.
     """
@@ -689,11 +690,8 @@ class BoundaryOracle:
         if end > edge:  # not yet audible: wait for more speech
             return _one_hot_logits(self.vocab_size, self._stop_token(False))
         tok = self.utt.tokens[o]
-        confused = (
-            self.window > 0
-            and (edge - end) < self.window
-            and edge <= end  # no speech past the token in context
-        )
+        # end <= edge here, so no speech past the token means end == edge
+        confused = self.window > 0 and end == edge
         return _one_hot_logits(
             self.vocab_size, self.confusable(tok) if confused else tok
         )

@@ -18,10 +18,10 @@ from .engine import StrategyConfig, push_chunk, run_stream, session_new
 from .layout import (
     ChunkingConfig,
     SpecialTokens,
+    assign_slots,
     build_cs,
     build_ss,
     chunk_bounds,
-    cs_assignment,
     sample_paradigm,
     stage_plan,
 )
@@ -502,11 +502,11 @@ def check_layout_structure(
         seq_cs = build_cs(u, ck, sp)
         if any(t == sp.eos for t in seq_cs.targets):
             problems.append(f"{u.id}: cs has an eos target")
-        takes, _ = cs_assignment(u.alignments, ck, u.num_frames)
-        for (sseg, tseg), (take, masked) in zip(seq_cs.segments, takes):
+        segments = assign_slots(u.alignments, ck, u.num_frames, masked=True)
+        for (_, tseg), seg in zip(seq_cs.segments, segments):
             slot_vals = [seq_cs.positions[p].value for p in range(*tseg)]
-            j = len(take)
-            if masked:
+            j = len(seg.tokens)
+            if seg.masked:
                 if j == 0 or slot_vals[j - 1] != sp.pad:
                     problems.append(f"{u.id}: masked slot is not pad")
                 if any(v < sp.first_text_id for v in slot_vals[: j - 1]):

@@ -142,6 +142,44 @@ def test_config_rejects_a_non_boolean_flag(tmp_path, capsys):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_config_rejects_unknown_keys(tmp_path, corpus, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("chunk_mss = 320\nstrategi = ss_greedy\nfps = 25\n")
+    out = tmp_path / "dec.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--config", str(cfg), "--corpus", str(corpus),
+              "--strategy", "cs_fallback_greedy", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "chunk_mss" in err and "strategi" in err
+    assert "fps" not in err.splitlines()[-1]
+    assert not out.exists()
+
+
+def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("chunk_ms = 320\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "chunk_ms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["teacher", "boundary:1"])
+def test_decode_rejects_a_corrupt_corpus(tmp_path, corpus, capsys, model):
+    lines = corpus.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["alignments"] = rec["alignments"][:-3]
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["decode", "--corpus", str(bad), "--strategy",
+               "cs_fallback_greedy", "--model", model])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and rec["id"] in err
+
+
 def test_decode_with_toy_checkpoint(tmp_path, corpus):
     from streamasr.model import ModelConfig, ToyDecoder
 

@@ -1,10 +1,13 @@
 """Text normalization, alignment aggregation, and synthetic corpus generation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from streamasr.corpus import (
     FIRST_TEXT_ID,
+    AlignmentError,
     CharAlignment,
     CorpusConfig,
     MultiCharCjkToken,
@@ -160,6 +163,18 @@ def test_round_trip_with_inline_frames(tmp_path, tiny_corpus):
 # -----------------------------
 # config validation
 # -----------------------------
+
+def test_read_corpus_rejects_an_invalid_utterance(tmp_path, tiny_corpus):
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, tiny_corpus, inline_frames=True)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["alignments"] = rec["alignments"][:-3]
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AlignmentError, match=rec["id"]):
+        read_corpus(path)
+
 
 def test_config_rejects_tiny_vocab():
     with pytest.raises(ValueError):

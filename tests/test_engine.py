@@ -379,6 +379,23 @@ def test_per_turn_accounting_sums_to_totals(edge_example, chunk4, sp):
     assert st.prefill_positions + st.decode_positions == st.forward_positions
 
 
+def test_any_positive_boundary_window_confuses_alike(chunk4, sp):
+    # the oracle only confuses a token ending on the context edge, so the
+    # window's size past 0 changes nothing
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=8, seed=1))
+    runs = {}
+    for w in (0, 1, 3):
+        suite = make_boundary_oracle(utts, confusion_window=w)
+        runs[w] = []
+        for u in utts:
+            for name in ("ss_greedy", "cs_fallback_greedy"):
+                s = session_new(suite.bind(u.id, PARADIGM_OF[name]), chunk4,
+                                StrategyConfig(name), sp)
+                runs[w].append((run_stream(s, u.frames), s.records))
+    assert runs[1] == runs[3]
+    assert runs[1] != runs[0]  # window 1 does confuse something
+
+
 # -----------------------------
 # beam strategies
 # -----------------------------

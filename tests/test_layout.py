@@ -1,5 +1,8 @@
 """Sequence layouts pinned against hand-derived values for the running example."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,11 @@ from streamasr.corpus import CorpusConfig, TokenAlignment, Utterance, gen_synthe
 from streamasr.layout import (
     ChunkingConfig,
     SpecialTokens,
+    assign_slots,
     build_cs,
     build_ns,
     build_ss,
     chunk_bounds,
-    chunk_utterance,
     sample_paradigm,
     stage_plan,
 )
@@ -49,27 +52,31 @@ def test_chunking_config_validation():
         ChunkingConfig(chunk_frames=4, speech_text_ratio=0)
 
 
-def test_chunk_assignment_running_example(running_example, chunk4):
-    plans = chunk_utterance(running_example.alignments, chunk4, 8)
-    assert [(p.frame_start, p.frame_end) for p in plans] == [(0, 4), (4, 8)]
-    assert [p.token_indexes for p in plans] == [[0], [1, 2]]
-    assert not any(p.is_flush for p in plans)
+def test_assign_slots_running_example(running_example, chunk4):
+    segs = assign_slots(running_example.alignments, chunk4, 8)
+    assert [s.frames for s in segs] == [(0, 4), (4, 8)]
+    assert [s.tokens for s in segs] == [[0], [1, 2]]
+    assert all(s.frames[1] > s.frames[0] for s in segs)  # no flush
 
 
-def test_token_on_chunk_edge_assigned_to_that_chunk(chunk4):
+def test_assign_slots_token_on_chunk_edge_assigned_to_that_chunk(chunk4):
     # end frame 3 < chunk end 4: due in the first chunk
-    plans = chunk_utterance([TokenAlignment(9, 0, 3)], chunk4, 8)
-    assert plans[0].token_indexes == [0]
+    segs = assign_slots([TokenAlignment(9, 0, 3)], chunk4, 8)
+    assert segs[0].tokens == [0]
 
 
-def test_overflow_carries_then_flushes(chunk4):
-    # 5 tokens all due inside a single 4-frame chunk
+def _overflow_utterance():
+    # five tokens due in one 4-frame chunk: overflow, then a flush segment
     aligns = [TokenAlignment(10 + i, min(i, 3), min(i, 3)) for i in range(5)]
-    plans = chunk_utterance(aligns, chunk4, 4)
-    assert plans[0].token_indexes == [0, 1]
-    assert plans[-1].is_flush
-    assert plans[-1].token_indexes == [2, 3, 4]
-    assert plans[-1].n_frames == 0
+    return Utterance("overflow", [a.token_id for a in aligns], aligns,
+                     np.zeros((4, 8)))
+
+
+def test_assign_slots_overflow_carries_then_flushes(chunk4):
+    segs = assign_slots(_overflow_utterance().alignments, chunk4, 4)
+    assert segs[0].tokens == [0, 1]
+    assert segs[-1].tokens == [2, 3, 4]
+    assert segs[-1].frames == (4, 4)  # the flush: an empty frame range
 
 
 # -----------------------------
@@ -195,6 +202,40 @@ def test_cs_structural_invariants(sp):
                     seen_pad = True
                 else:
                     assert not seen_pad
+
+
+def test_zero_frame_utterance_lays_out_empty():
+    u = Utterance("void", [], [], np.zeros((0, 8)))
+    for build in (build_ss, build_cs):
+        seq = build(u, ChunkingConfig(4))
+        assert (seq.positions, seq.targets, seq.segments) == ([], [], [])
+
+
+# sha256 over every pinned ss/cs layout, recorded before build_ss and
+# build_cs were rebuilt on assign_slots
+LAYOUT_PIN = "4f86aa4d44480c713cebfc88429310103d807f14af8ad8a9acd0b5d22cceb261"
+
+
+def test_ss_and_cs_layouts_are_pinned():
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        for fptm in (2.0, 4.0, 6.0):
+            utts = gen_synthetic_corpus(CorpusConfig(
+                num_utterances=16, seed=seed, frames_per_token_mean=fptm,
+                noise_std=0.0))
+            utts.append(_overflow_utterance())
+            for chunk in (1, 3, 4, 8, 16):
+                for ratio in (1, 2):
+                    ck = ChunkingConfig(chunk, ratio)
+                    for u in utts:
+                        for build in (build_ss, build_cs):
+                            seq = build(u, ck)
+                            h.update(json.dumps([
+                                u.id, build.__name__, chunk, ratio,
+                                [str(p) for p in seq.positions],
+                                seq.targets, seq.segments,
+                            ]).encode())
+    assert h.hexdigest() == LAYOUT_PIN
 
 
 def test_cs_and_ss_share_chunk_geometry(tiny_corpus, chunk4):

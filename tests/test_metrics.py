@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr.corpus import TokenAlignment
 from streamasr.engine import EmissionRecord
@@ -114,6 +116,18 @@ def test_align_tokens_consistent_with_counts():
         assert subs == c.substitutions
         assert len(ref) - len(pairs) == c.deletions
         assert len(hyp) - len(pairs) == c.insertions
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=12),
+       st.lists(st.integers(0, 4), max_size=12))
+def test_align_tokens_agrees_with_counts_on_any_pair(ref, hyp):
+    pairs = align_tokens(ref, hyp)
+    c = edit_distance(ref, hyp)
+    for (r0, h0), (r1, h1) in zip(pairs, pairs[1:]):
+        assert r1 > r0 and h1 > h0
+    assert len(pairs) == len(ref) - c.deletions == len(hyp) - c.insertions
+    assert sum(ref[r] != hyp[h] for r, h in pairs) == c.substitutions
 
 
 # -----------------------------
