@@ -95,14 +95,25 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
-def _read_config_overrides(argv: list[str]) -> dict[str, str]:
+def _read_config_overrides(parser: argparse.ArgumentParser,
+                           argv: list[str]) -> dict[str, str]:
     """key=value defaults; values stay strings, commands coerce on use
-    (``main`` coerces on/off flags itself)."""
-    if "--config" not in argv:
+    (``main`` coerces on/off flags itself). ``--config`` is found by
+    argparse's own rules; a missing or unreadable path is a usage error."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
+    if path is None:
         return {}
-    path = argv[argv.index("--config") + 1]
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        parser.error(f"--config: {exc}")
     overrides: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -450,7 +461,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
-    overrides = _read_config_overrides(argv)
+    overrides = _read_config_overrides(parser, argv)
     flags = {a.dest for sp in subcommands.values() for a in sp._actions
              if isinstance(a, argparse._StoreTrueAction)}
     for key in flags & overrides.keys():
@@ -469,7 +480,8 @@ def main(argv: list[str] | None = None) -> int:
                     action.required = False
     ns = parser.parse_args(argv)
     sub = subcommands[ns.command]
-    unknown = overrides.keys() - {a.dest for a in sub._actions}
+    unknown = overrides.keys() - {a.dest for a in sub._actions
+                                  if not isinstance(a, argparse._HelpAction)}
     if unknown:
         sub.error(f"--config: no {ns.command} option for "
                   f"{', '.join(sorted(unknown))}")

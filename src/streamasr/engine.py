@@ -231,13 +231,26 @@ class StreamingSession:
 
     def _fwd(self, cache, items: Sequence[StreamItem], bucket: str) -> np.ndarray:
         logits = self.model.forward(cache, items)
-        n = len(items)
+        self._count(len(items), bucket)
+        return logits
+
+    def _fwd_batch(self, caches: list,
+                   items: list[StreamItem]) -> Sequence[np.ndarray]:
+        """Decode one item onto each cache in a single model call, looping
+        over ``forward`` for a model without ``forward_batch``; returns one
+        row of logits per cache."""
+        batch = getattr(self.model, "forward_batch", None)
+        logits = (batch(caches, items) if batch is not None else
+                  [self.model.forward(c, [it]) for c, it in zip(caches, items)])
+        self._count(len(items), "decode")
+        return logits
+
+    def _count(self, n: int, bucket: str) -> None:
         self.stats.forward_positions += n
         if bucket == "prefill":
             self.stats.prefill_positions += n
         else:
             self.stats.decode_positions += n
-        return logits
 
     def _speech_items(self, frames: np.ndarray) -> list[StreamItem]:
         base = self.frames_seen
@@ -380,51 +393,64 @@ def _turn_rollout(session: StreamingSession, cache, logits: np.ndarray,
                 stopped_via=stop)
 
 
+def _beam_step(session: StreamingSession, frontier: list[_Hyp],
+               pool: list[_Hyp], limit: int) -> list[_Hyp]:
+    """Expand each frontier hypothesis by its ``beam_width`` best tokens.
+
+    Stops, and expansions that reach ``limit``, go to ``pool``; the other
+    expansions are returned as children. Every expansion that needs a
+    forward (each child, and a standard streaming one that fills the last
+    slot) gets a branched cache, and all of them are forwarded in one
+    batch. Nothing bound here outlives the step, so pruned children free
+    their caches before the next step branches.
+    """
+    sp = session.sp
+    width = session.strategy.beam_width
+    children: list[_Hyp] = []
+    grown: list[_Hyp] = []
+    for hyp in frontier:
+        lps = _lps(hyp.logits)
+        for t in (int(x) for x in np.argsort(-lps, kind="stable")[:width]):
+            lp = hyp.lp + float(lps[t])
+            if t == sp.pad or t == sp.eos:
+                pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.cache,
+                                 stopped_via=t))
+                continue
+            child = _Hyp(hyp.tokens + [t], lp, None, hyp.cache,
+                         budget_full=len(hyp.tokens) + 1 >= limit)
+            (pool if child.budget_full else children).append(child)
+            if not child.budget_full or session.paradigm == "ss":
+                child.cache = hyp.cache.branch()
+                grown.append(child)
+    if grown:
+        logits = session._fwd_batch([h.cache for h in grown],
+                                    [_text_item(h.tokens[-1]) for h in grown])
+        for h, row in zip(grown, logits):
+            h.logits = row
+    return children
+
+
 def beam_turn_decode(
     session: StreamingSession,
     first_logits: np.ndarray,
     budget: int,
 ) -> _Hyp:
-    """Per-turn beam search over the slot phase.
+    """Per-turn beam search over the slot phase, one batched forward per
+    step.
 
     Candidates score by length-normalized log probability, counting a stop
     emission toward the length. The greedy rollout always enters the pool,
-    so the winner never scores below it; ties break toward the smaller
-    token tuple. The winner's branched cache replaces the session cache.
+    last, so the winner never scores below it and an exact tie goes to the
+    beam; other ties break toward the smaller token tuple. The winner's
+    branched cache replaces the session cache.
     """
-    sp = session.sp
-    paradigm = session.paradigm
     width = session.strategy.beam_width
     limit = min(budget, session.strategy.max_decode_per_turn)
     frontier = [_Hyp([], 0.0, first_logits, session.cache)]
     pool: list[_Hyp] = []
     while frontier:
-        children: list[_Hyp] = []
-        for hyp in frontier:
-            lps = _lps(hyp.logits)
-            order = np.argsort(-lps, kind="stable")[:width]
-            for t in (int(x) for x in order):
-                logp = float(lps[t])
-                if t == sp.pad or t == sp.eos:
-                    pool.append(_Hyp(list(hyp.tokens), hyp.lp + logp,
-                                     hyp.logits, hyp.cache, stopped_via=t))
-                    continue
-                if len(hyp.tokens) + 1 >= limit:
-                    if paradigm == "ss":
-                        branch = hyp.cache.branch()
-                        logits = session._fwd(branch, [_text_item(t)], "decode")
-                    else:
-                        branch, logits = hyp.cache, None
-                    pool.append(_Hyp(hyp.tokens + [t], hyp.lp + logp, logits,
-                                     branch, budget_full=True))
-                    continue
-                branch = hyp.cache.branch()
-                logits = session._fwd(branch, [_text_item(t)], "decode")
-                children.append(_Hyp(hyp.tokens + [t], hyp.lp + logp, logits,
-                                     branch))
-        children.sort(key=_rank)
-        frontier = children[:width]
-
+        frontier = sorted(_beam_step(session, frontier, pool, limit),
+                          key=_rank)[:width]
     pool.append(_turn_rollout(session, session.cache.branch(), first_logits,
                               budget))
     winner = min(pool, key=_rank)

@@ -2,13 +2,18 @@
 
 Three interchangeable models drive the streaming engine, all sharing one
 contract: ``new_cache()`` plus ``forward(cache, items) -> logits`` for the
-last appended position.
+last appended position. ``forward_batch(caches, items)`` is optional: it
+appends ``items[i]`` to ``caches[i]`` and returns one row of logits per
+cache. Beam search uses it to forward a whole step at once and falls back
+to one ``forward`` per item for a model without it (the oracles).
 
 * ``ToyDecoder``: a small deterministic pre-norm transformer over mixed
   speech/text positions. Speech frames enter through a two-linear-layer
   ReLU adapter, text through an embedding table; absolute position
   embeddings keep chunked and one-shot forwards equivalent. Depth 0
-  degenerates to output-projected input embeddings.
+  degenerates to output-projected input embeddings. One layer body serves
+  a span on one cache and a batch of one-row spans on many: layer norm,
+  projections and FFN run over all rows, attention per cache.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -450,9 +455,11 @@ class SymbolicCache(_MarkedCache):
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + 1e-5) * g + b
+    # One pass over the centred rows; sum / n is what ndarray.mean and
+    # .var compute, so this is bit-identical to mean-then-variance.
+    n = x.shape[-1]
+    d = x - x.sum(axis=-1, keepdims=True) / n
+    return d / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + 1e-5) * g + b
 
 
 class ToyDecoder:
@@ -475,9 +482,16 @@ class ToyDecoder:
     # -- embedding
 
     def embed_items(self, items: Sequence[StreamItem], start: int) -> np.ndarray:
-        if start + len(items) > self.cfg.max_context:
+        return self._embed(items, np.arange(start, start + len(items)))
+
+    def _embed(self, items: Sequence[StreamItem],
+               positions: np.ndarray) -> np.ndarray:
+        """Input rows: each item's token or adapted frame embedding plus the
+        embedding of its absolute position. Every check runs before any row
+        reaches a cache."""
+        if len(items) and positions.max() >= self.cfg.max_context:
             raise ContextOverflow(
-                f"{start + len(items)} > max_context {self.cfg.max_context}"
+                f"{positions.max() + 1} > max_context {self.cfg.max_context}"
             )
         rows = np.empty((len(items), self.cfg.embed_dim))
         for i, it in enumerate(items):
@@ -489,10 +503,57 @@ class ToyDecoder:
                 if it.frame is None:
                     raise ValueError("speech item without a frame vector")
                 rows[i] = adapter_forward(it.frame, self.params.adapter)
-        rows += self.params.pos[start : start + len(items)]
+        rows += self.params.pos[positions]
         return rows
 
     # -- core forward
+
+    def _layers(self, x: np.ndarray, spans: list[tuple[KVCache, slice]],
+                mask_mode: str = "full",
+                chunk_size: int | None = None) -> np.ndarray:
+        """Run every layer over the rows of ``x`` and return their logits.
+
+        ``spans`` gives each cache the slice of rows it appends. Layer norm,
+        projections and FFN run over all rows at once; attention runs per
+        cache, over that cache's own keys.
+        """
+        for li, lp in enumerate(self.params.layers):
+            h = _layer_norm(x, lp.ln1_g, lp.ln1_b)
+            q = h @ lp.wq.T + lp.bq
+            k = h @ lp.wk.T + lp.bk
+            v = h @ lp.wv.T + lp.bv
+            ctx = np.empty_like(x)
+            for cache, rows in spans:
+                ctx[rows] = self._attend(cache, li, q[rows], k[rows], v[rows],
+                                         mask_mode, chunk_size)
+            x = x + ctx @ lp.wo.T + lp.bo
+            h2 = _layer_norm(x, lp.ln2_g, lp.ln2_b)
+            ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
+            x = x + ff + lp.ffn_b2
+        for cache, rows in spans:
+            cache.advance(rows.stop - rows.start)
+        return x @ self.params.out_w.T + self.params.out_b
+
+    def _attend(self, cache: KVCache, li: int, q: np.ndarray, k: np.ndarray,
+                v: np.ndarray, mask_mode: str,
+                chunk_size: int | None) -> np.ndarray:
+        """Append one span's keys and values to layer ``li`` of its cache and
+        attend from its queries over everything the cache holds."""
+        s = q.shape[0]
+        h_count = self.cfg.num_heads
+        dh = self.cfg.embed_dim // h_count
+        new_len = len(cache) + s
+        cache.append(li, k, v)
+        kh = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+        vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+        qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
+        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+        if s > 1 or mask_mode != "full":  # a lone full-mode query sees every key
+            mask = build_attention_mask(mask_mode, s, new_len, chunk_size)
+            scores = np.where(mask[None, :, :], scores, -np.inf)
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        return (probs @ vh).transpose(1, 0, 2).reshape(s, self.cfg.embed_dim)
 
     def forward_embedded(
         self,
@@ -502,39 +563,29 @@ class ToyDecoder:
         chunk_size: int | None = None,
     ) -> np.ndarray:
         """Append the embedded span to the cache, return logits for each row."""
-        s = x.shape[0]
-        h_count = self.cfg.num_heads
-        dh = self.cfg.embed_dim // h_count
-        new_len = len(cache) + s
-        for li, lp in enumerate(self.params.layers):
-            h = _layer_norm(x, lp.ln1_g, lp.ln1_b)
-            q = h @ lp.wq.T + lp.bq
-            k = h @ lp.wk.T + lp.bk
-            v = h @ lp.wv.T + lp.bv
-            cache.append(li, k, v)
-            keys = cache.k[li][:new_len]
-            vals = cache.v[li][:new_len]
-            mask = build_attention_mask(mask_mode, s, new_len, chunk_size)
-            qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
-            kh = keys.reshape(new_len, h_count, dh).transpose(1, 0, 2)
-            vh = vals.reshape(new_len, h_count, dh).transpose(1, 0, 2)
-            scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-            scores = np.where(mask[None, :, :], scores, -np.inf)
-            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            probs /= probs.sum(axis=-1, keepdims=True)
-            ctx = (probs @ vh).transpose(1, 0, 2).reshape(s, self.cfg.embed_dim)
-            x = x + ctx @ lp.wo.T + lp.bo
-            h2 = _layer_norm(x, lp.ln2_g, lp.ln2_b)
-            ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
-            x = x + ff + lp.ffn_b2
-        cache.advance(s)
-        return x @ self.params.out_w.T + self.params.out_b
+        return self._layers(x, [(cache, slice(0, x.shape[0]))],
+                            mask_mode, chunk_size)
 
     def forward(self, cache: KVCache, items: Sequence[StreamItem]) -> np.ndarray:
         """Engine entry point: append items, return last-position logits."""
         x = self.embed_items(items, start=len(cache))
         logits = self.forward_embedded(x, cache)
         return logits[-1]
+
+    def forward_batch(self, caches: Sequence[KVCache],
+                      items: Sequence[StreamItem]) -> np.ndarray:
+        """Append ``items[i]`` to ``caches[i]`` for every i in one pass and
+        return one row of logits per cache, as ``forward`` would for each.
+
+        All rows are embedded first, so a ``ContextOverflow`` (or a bad
+        item) leaves every cache untouched. The caches must be distinct.
+        """
+        if len(caches) != len(items):
+            raise ValueError("forward_batch needs one item per cache")
+        if len({id(c) for c in caches}) != len(caches):
+            raise ValueError("forward_batch got the same cache twice")
+        x = self._embed(items, np.array([len(c) for c in caches], dtype=int))
+        return self._layers(x, [(c, slice(i, i + 1)) for i, c in enumerate(caches)])
 
     def forward_sequence(
         self,

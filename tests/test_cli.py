@@ -165,6 +165,41 @@ def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
     assert "chunk_ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify", "--config"],
+                                  ["verify", "--config", "--full"]])
+def test_config_without_a_path_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_missing_file_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(tmp_path / "absent.cfg")])
+    assert exc.value.code == 2
+    assert "absent.cfg" in capsys.readouterr().err
+
+
+def test_config_help_key_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "help.cfg"
+    cfg.write_text("help = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "help" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_config_equals_form_is_read(tmp_path, corpus):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("strategy = ss_greedy\nchunk_ms = 1000\nfps = 25\n")
+    out = tmp_path / "dec.jsonl"
+    rc = main(["decode", f"--config={cfg}", "--corpus", str(corpus),
+               "--model", "boundary:1", "--out", str(out)])
+    assert rc == 0
+    assert _manifest(out)["summary"]["chunk_frames"] == 25
+
+
 @pytest.mark.parametrize("model", ["teacher", "boundary:1"])
 def test_decode_rejects_a_corrupt_corpus(tmp_path, corpus, capsys, model):
     lines = corpus.read_text().splitlines()

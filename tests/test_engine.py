@@ -527,6 +527,59 @@ def test_toy_strategies_are_pinned(name, sp):
         assert s.stats.forward_positions == positions
 
 
+class _Unbatched:
+    """A model seen through the bare ``new_cache``/``forward`` contract."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocab_size = model.vocab_size
+
+    def new_cache(self):
+        return self.model.new_cache()
+
+    def forward(self, cache, items):
+        return self.model.forward(cache, items)
+
+
+class _CountingToy(ToyDecoder):
+    batches = 0
+
+    def forward_batch(self, caches, items):
+        self.batches += 1
+        return super().forward_batch(caches, items)
+
+
+@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
+def test_batched_beam_matches_unbatched(name, sp):
+    """One forward_batch per beam step decodes exactly what one forward per
+    expansion does: same hypotheses, records and position counts, and
+    per-turn scores within 1e-9, through an audio-less final chunk."""
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=5, vocab_size=32, frames_per_second=25.0,
+        min_tokens=5, max_tokens=20, seed=0))
+    model = _CountingToy(ModelConfig(vocab_size=32, embed_dim=64,
+                                     num_layers=4, num_heads=4, ffn_dim=128,
+                                     max_context=2048, seed=0))
+    chunking = ChunkingConfig(8, speech_text_ratio=2)
+    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
+    for u in utts:
+        runs = []
+        for m in (model, _Unbatched(model)):
+            s = session_new(m, chunking, strategy, sp)
+            for lo, hi in chunk_bounds(len(u.frames), 8):
+                push_chunk(s, u.frames[lo:hi])
+            push_chunk(s, u.frames[:0], is_last=True)
+            runs.append(s)
+        a, b = runs
+        assert final_hypothesis(a) == final_hypothesis(b)
+        assert a.records == b.records
+        assert a.stats.forward_positions == b.stats.forward_positions
+        scores = [[t.pop("score") for t in s.stats.per_turn] for s in runs]
+        assert np.allclose(*scores, rtol=1e-9, atol=0)
+        assert a.stats.as_dict() == b.stats.as_dict()
+    assert model.batches > 0
+
+
 # -----------------------------
 # re-decoding baselines
 # -----------------------------

@@ -16,6 +16,7 @@ from streamasr.model import (
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
+    _layer_norm,
     adapter_forward,
     build_attention_mask,
     default_confusable_map,
@@ -345,6 +346,73 @@ def test_growing_cache_matches_one_shot_and_replay(ops):
         assert [a.shape for a in cache.k + cache.v] == shapes
     for other, checksum in left:
         assert other.checksum() == checksum
+
+
+# (span length, parent): parent 0 starts a fresh cache, parent p > 0
+# branches the (p - 1)-th cache built so far (mod their count) and extends it
+_BATCH_CACHES = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)),
+                         min_size=1, max_size=6)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_BATCH_CACHES, st.integers(0, 2**16), st.booleans())
+def test_forward_batch_matches_per_cache_forward(plan, seed, full):
+    """Caches of different lengths, some branched from one parent: one
+    batched step gives each cache the logits and K/V rows a forward of its
+    own would, and grows it by exactly one. With one cache at max_context
+    the batch raises before touching any cache."""
+    m = ToyDecoder(GROW_CFG)
+    limit = GROW_CFG.max_context
+    caches = []
+    for i, (n, parent) in enumerate(plan):
+        cache = caches[(parent - 1) % len(caches)].branch() \
+            if parent and caches else m.new_cache()
+        n = min(n, limit - 1 - len(cache))
+        if n:
+            m.forward(cache, _random_span(m, n, seed + i))
+        caches.append(cache)
+    items = _random_span(m, len(caches), seed)
+    if full:
+        victim = caches[seed % len(caches)]
+        m.forward(victim, _random_span(m, limit - len(victim), seed + 1))
+        before = [(len(c), c.checksum()) for c in caches]
+        with pytest.raises(ContextOverflow):
+            m.forward_batch(caches, items)
+        assert [(len(c), c.checksum()) for c in caches] == before
+        return
+    solo = [c.branch() for c in caches]
+    lengths = [len(c) for c in caches]
+    logits = m.forward_batch(caches, items)
+    assert logits.shape == (len(caches), GROW_CFG.vocab_size)
+    for cache, ref, item, row, n in zip(caches, solo, items, logits, lengths):
+        want = m.forward(ref, [item])
+        assert np.allclose(row, want, rtol=1e-9, atol=1e-12)
+        assert len(cache) == n + 1
+        for a, b in zip(cache.k + cache.v, ref.k + ref.v):
+            assert np.array_equal(a[:n], b[:n])
+            assert np.allclose(a[n], b[n], rtol=1e-9, atol=1e-12)
+
+
+def test_forward_batch_rejects_a_repeated_cache():
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    with pytest.raises(ValueError):
+        m.forward_batch([cache, cache], _items(m, 0, [4, 5]))
+    assert len(cache) == 0
+
+
+def test_layer_norm_is_bit_identical_to_two_pass():
+    """The one-pass layer norm reads exactly as mean-then-variance."""
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        d = int(rng.choice([8, 16, 64]))
+        x = rng.standard_normal((int(rng.integers(1, 12)), d)) \
+            * rng.uniform(0.01, 100.0)
+        g, b = rng.standard_normal(d), rng.standard_normal(d)
+        mu = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        assert np.array_equal(_layer_norm(x, g, b),
+                              (x - mu) / np.sqrt(var + 1e-5) * g + b)
 
 
 # -----------------------------
