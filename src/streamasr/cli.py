@@ -14,8 +14,9 @@ run is reproducible from the manifest alone. A ``--config`` file of
 ``key=value`` lines (long option names, underscores) seeds any command's
 defaults; explicit flags win, and a key the command has no option for is a
 usage error. On/off flags take ``true``/``false``, ``yes``/``no`` or
-``1``/``0``. Corpora are validated as they are read, so a malformed
-utterance stops a command with an ``error:`` line that names it.
+``1``/``0``. Corpora are validated as they are read, and against a toy
+model's frame_dim, so a malformed utterance stops a command with an
+``error:`` line that names it; one that fails to decode is only skipped.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import hashlib
 import json
 import math
 import sys
+import traceback
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -195,15 +198,50 @@ def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens,
         model = ToyDecoder(ModelConfig(vocab_size=vocab, seed=seed))
     else:
         model = ToyDecoder.load(spec)
+    for u in utts:
+        if u.frames.shape[1] != model.cfg.frame_dim:
+            raise ValueError(
+                f"{u.id}: corpus frame_dim {u.frames.shape[1]} does not "
+                f"match the model's frame_dim {model.cfg.frame_dim}")
     return lambda u, paradigm, ck: model
+
+
+def _decode_one(sess, u, fps: float, chunk_ms: float):
+    """Decode and score one utterance: its entry, counts and latency."""
+    hyp = run_stream(sess, u.frames)
+    c = edit_distance(u.tokens, hyp)
+    lat = emission_latency(sess.records, u.alignments, chunk_ms, fps)
+    entry = {
+        "id": u.id,
+        "ref": list(u.tokens),
+        "hyp": hyp,
+        "errors": asdict(c),
+        "records": [
+            {
+                "token": r.token,
+                "first_token": r.first_token,
+                "retracted_value": r.retracted_value,
+                "emit_chunk": r.emit_chunk,
+                "finalize_chunk": r.finalize_chunk,
+                "provisional": r.provisional,
+                "revised": r.revised,
+                "retracted": r.retracted,
+            }
+            for r in sess.records
+        ],
+        "stats": sess.stats.as_dict(),
+    }
+    return entry, c, lat
 
 
 def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
                   factory, sp: SpecialTokens, fps: float, chunk_ms: float):
-    """Decode and score every utterance. One that overflows the model's
-    context gets an ``{"id", "error"}`` entry and no score; the rest of the
-    corpus still runs. Returns the summary row, the per-utterance entries
-    and the count of failed utterances."""
+    """Decode and score every utterance. One that raises gets an
+    ``{"id", "error"}`` entry, a warning on stderr (with the traceback
+    unless it overflowed the context) and no score; the rest still runs.
+    A configuration the engine rejects is raised from ``session_new``,
+    outside that isolation, so it ends the command instead.
+    Returns the summary row, the per-utterance entries and the failed count."""
     paradigm = PARADIGM_OF[strategy.name]
     per_utt = []
     counts = []
@@ -213,44 +251,21 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     for u in utts:
         sess = session_new(factory(u, paradigm, ck), ck, strategy, sp)
         try:
-            hyp = run_stream(sess, u.frames)
+            entry, c, lat = _decode_one(sess, u, fps, chunk_ms)
         except ContextOverflow as exc:
+            entry = {"id": u.id, "error": f"context overflow: {exc}"}
+        except Exception as exc:  # one bad utterance must not end the run
+            traceback.print_exc(file=sys.stderr)
+            entry = {"id": u.id, "error": f"{type(exc).__name__}: {exc}"}
+        per_utt.append(entry)
+        if "error" in entry:
             failed += 1
-            error = f"context overflow: {exc}"
-            per_utt.append({"id": u.id, "error": error})
-            print(f"warning: {u.id}: {error}", file=sys.stderr)
+            print(f"warning: {u.id}: {entry['error']}", file=sys.stderr)
             continue
-        c = edit_distance(u.tokens, hyp)
         counts.append(c)
-        lat = emission_latency(sess.records, u.alignments, chunk_ms, fps)
         pooled_lat.emit_ms.extend(lat.emit_ms)
         pooled_lat.finalize_ms.extend(lat.finalize_ms)
-        positions += sess.stats.forward_positions
-        per_utt.append({
-            "id": u.id,
-            "ref": list(u.tokens),
-            "hyp": hyp,
-            "errors": {
-                "substitutions": c.substitutions,
-                "insertions": c.insertions,
-                "deletions": c.deletions,
-                "ref_len": c.ref_len,
-            },
-            "records": [
-                {
-                    "token": r.token,
-                    "first_token": r.first_token,
-                    "retracted_value": r.retracted_value,
-                    "emit_chunk": r.emit_chunk,
-                    "finalize_chunk": r.finalize_chunk,
-                    "provisional": r.provisional,
-                    "revised": r.revised,
-                    "retracted": r.retracted,
-                }
-                for r in sess.records
-            ],
-            "stats": sess.stats.as_dict(),
-        })
+        positions += entry["stats"]["forward_positions"]
     pooled = pool_counts(counts)
     row = RowSummary(
         name=f"{strategy.name}@{ck.chunk_frames}f",
@@ -319,12 +334,12 @@ def _cmd_ablate(ns: argparse.Namespace) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise SystemExit(f"unknown strategy {s!r}")
+    factory = _make_model_factory(ns, utts, sp, vocab)
     rows = []
     results = []
     for chunk_ms in (float(x) for x in ns.chunk_ms.split(",")):
         ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
                             int(ns.speech_text_ratio))
-        factory = _make_model_factory(ns, utts, sp, vocab)
         for name in strategies:
             strategy = _strategy_from_ns(ns, name)
             row, _, failed = _run_strategy(utts, strategy, ck, factory, sp,

@@ -40,7 +40,6 @@ __all__ = [
     "gen_synthetic_corpus",
     "write_corpus",
     "read_corpus",
-    "load_char_alignments",
     "validate_utterance",
 ]
 
@@ -331,19 +330,6 @@ def read_corpus(path: str | Path) -> list[Utterance]:
             validate_utterance(u)
             utts.append(u)
     return utts
-
-
-def load_char_alignments(path: str | Path) -> list[CharAlignment]:
-    """Read the character-alignment ingest format: JSONL of char/start_ms/end_ms."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            out.append(CharAlignment(rec["char"], rec["start_ms"], rec["end_ms"]))
-    return out
 
 
 def validate_utterance(u: Utterance) -> None:

@@ -1,8 +1,9 @@
 """Error and latency metrics for streaming transcripts.
 
-Edit distance is the standard dynamic program with a pinned tie-break so
-error category counts are deterministic: at equal total cost a
-substitution is preferred over an insertion, an insertion over a deletion.
+Edit distance is one dynamic program, ``align_tokens``, with a pinned
+tie-break so error category counts are deterministic: at equal total cost
+a substitution is preferred over an insertion, an insertion over a
+deletion. ``edit_distance`` counts errors along the path it returns.
 
 Latency idealizes chunk arrival: chunk k is fully available at time
 (k+1)*chunk_ms and compute is free, so strategy comparisons isolate the
@@ -56,59 +57,45 @@ class ErrorCounts:
 
 
 def edit_distance(ref: Sequence[int], hyp: Sequence[int]) -> ErrorCounts:
-    """Levenshtein alignment counts; ties resolve sub > ins > del."""
-    nr, nh = len(ref), len(hyp)
-    # cell = (cost, subs, inss, dels)
-    prev = [(j, 0, j, 0) for j in range(nh + 1)]
-    for i in range(1, nr + 1):
-        cur = [(i, 0, 0, i)]
-        for j in range(1, nh + 1):
-            dc, ds, di, dd = prev[j - 1]
-            if ref[i - 1] == hyp[j - 1]:
-                best = (dc, ds, di, dd)
-            else:
-                best = (dc + 1, ds + 1, di, dd)
-            ic, is_, ii, id_ = cur[j - 1]
-            if ic + 1 < best[0]:
-                best = (ic + 1, is_, ii + 1, id_)
-            ec, es, ei, ed = prev[j]
-            if ec + 1 < best[0]:
-                best = (ec + 1, es, ei, ed + 1)
-            cur.append(best)
-        prev = cur
-    cost, s, i_, d = prev[nh]
-    assert s + i_ + d == cost
-    return ErrorCounts(s, i_, d, nr)
+    """Levenshtein alignment counts; ties resolve sub > ins > del. Read off
+    the ``align_tokens`` path: every reference or hypothesis token it
+    leaves unpaired is a deletion or an insertion."""
+    pairs = align_tokens(ref, hyp)
+    subs = sum(1 for i, j in pairs if ref[i] != hyp[j])
+    return ErrorCounts(subs, len(hyp) - len(pairs), len(ref) - len(pairs),
+                       len(ref))
 
 
 def align_tokens(
     ref: Sequence[int], hyp: Sequence[int],
 ) -> list[tuple[int, int]]:
     """(ref_index, hyp_index) pairs for matched and substituted tokens under
-    the same optimal alignment edit_distance counts, same tie-break. Inserted
-    hypothesis tokens and deleted reference tokens pair with nothing."""
-    nr, nh = len(ref), len(hyp)
-    cost = [[0] * (nh + 1) for _ in range(nr + 1)]
-    cost[0] = list(range(nh + 1))
-    for i in range(1, nr + 1):
-        cost[i][0] = i
-        for j in range(1, nh + 1):
-            best = cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
-            if cost[i][j - 1] + 1 < best:
-                best = cost[i][j - 1] + 1
-            if cost[i - 1][j] + 1 < best:
-                best = cost[i - 1][j] + 1
-            cost[i][j] = best
+    the optimal alignment with the pinned tie-break. Inserted hypothesis
+    tokens and deleted reference tokens pair with nothing."""
+    if ref == hyp:
+        # the diagonal is the only zero-cost alignment
+        return [(i, i) for i in range(len(ref))]
+    cost = [list(range(len(hyp) + 1))]
+    for i, r in enumerate(ref, 1):
+        row = [i]
+        left = i
+        # d, up: the cells diagonally above and directly above this one
+        for d, up, h in zip(cost[-1], cost[-1][1:], hyp):
+            if h != r:
+                d += 1
+            m = left if left < up else up
+            left = d if d <= m else m + 1
+            row.append(left)
+        cost.append(row)
     pairs: list[tuple[int, int]] = []
-    i, j = nr, nh
-    while i > 0 or j > 0:
-        # mirror the forward preference: diagonal, then insertion, then
-        # deletion, so the traced path is the one the counts describe
-        if i > 0 and j > 0 and \
-                cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
-            pairs.append((i - 1, j - 1))
+    i, j = len(ref), len(hyp)
+    # At each cell prefer diagonal, then insertion, then deletion: the
+    # pinned tie-break. Once a border is reached only unpaired steps remain.
+    while i > 0 and j > 0:
+        if cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
             i, j = i - 1, j - 1
-        elif j > 0 and cost[i][j] == cost[i][j - 1] + 1:
+            pairs.append((i, j))
+        elif cost[i][j] == cost[i][j - 1] + 1:
             j -= 1
         else:
             i -= 1

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -344,18 +345,23 @@ class KVCache(_MarkedCache):
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
         if end > self.k[layer].shape[0]:
-            self.k[layer] = self._grown(self.k[layer], end)
-            self.v[layer] = self._grown(self.v[layer], end)
+            cap = self._capacity(end)
+            self.k[layer] = self._grown(self.k[layer], cap)
+            self.v[layer] = self._grown(self.v[layer], cap)
         self.k[layer][self.length : end] = k_rows
         self.v[layer][self.length : end] = v_rows
 
-    def _grown(self, rows: np.ndarray, need: int) -> np.ndarray:
-        """A copy of the live rows in an array of at least ``need`` rows:
-        the initial size doubled as often as needed, capped at max_context."""
+    def _capacity(self, need: int) -> int:
+        """Rows to reserve for ``need``: the initial size doubled as often
+        as needed, capped at max_context."""
         cap = _KV_INITIAL_ROWS
         while cap < need:
             cap *= 2
-        out = np.empty((min(cap, self.max_context), rows.shape[1]))
+        return min(cap, self.max_context)
+
+    def _grown(self, rows: np.ndarray, cap: int) -> np.ndarray:
+        """A copy of the live rows in an array of ``cap`` rows."""
+        out = np.empty((cap, rows.shape[1]))
         out[: self.length] = rows[: self.length]
         return out
 
@@ -373,8 +379,9 @@ class KVCache(_MarkedCache):
         other = KVCache(0, 0, self.max_context)
         other.length = self.length
         # room for the one position a beam child forwards next
-        other.k = [self._grown(a, self.length + 1) for a in self.k]
-        other.v = [self._grown(a, self.length + 1) for a in self.v]
+        cap = self._capacity(self.length + 1)
+        other.k = [self._grown(a, cap) for a in self.k]
+        other.v = [self._grown(a, cap) for a in self.v]
         self._copy_marks_to(other)
         return other
 
@@ -444,10 +451,12 @@ class SymbolicCache(_MarkedCache):
 
     def checksum(self, upto: int | None = None) -> int:
         n = len(self.kinds) if upto is None else upto
-        packed = ",".join(
-            f"{self.kinds[i]}{self.values[i]}" for i in range(n)
-        ).encode()
-        return zlib.crc32(packed)
+        if n > len(self.kinds):
+            raise ValueError(f"checksum upto {n} beyond length {len(self.kinds)}")
+        # kinds are one character each and values fixed-width, so the
+        # hashed bytes determine the prefix; re-hashed on every call
+        kinds = zlib.crc32("".join(self.kinds[:n]).encode())
+        return zlib.crc32(array("q", self.values[:n]), kinds)
 
 
 # --------------------------------------------------------------------------

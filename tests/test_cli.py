@@ -265,6 +265,71 @@ def test_decode_isolates_context_overflow(tmp_path, corpus, capsys):
     assert "utt00005" in capsys.readouterr().err
 
 
+def test_decode_isolates_any_utterance_error(tmp_path, corpus, capsys,
+                                            monkeypatch):
+    import streamasr.cli as cli
+    from streamasr.model import StepBeyondSequence
+
+    calls = []
+
+    def run_stream(sess, frames):
+        calls.append(frames)
+        if len(calls) == 3:
+            raise StepBeyondSequence("replayed past the layout")
+        return real_run_stream(sess, frames)
+
+    real_run_stream = cli.run_stream
+    monkeypatch.setattr(cli, "run_stream", run_stream)
+    out = tmp_path / "dec.jsonl"
+    rc = main(["decode", "--corpus", str(corpus), "--strategy",
+               "cs_fallback_greedy", "--model", "teacher", "--out", str(out)])
+    assert rc == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["id"] for r in rows] == [f"utt0000{i}" for i in range(6)]
+    assert rows[2] == {"id": "utt00002",
+                       "error": "StepBeyondSequence: replayed past the layout"}
+    assert all(r["hyp"] == r["ref"] for r in rows if "error" not in r)
+    assert _manifest(out)["summary"]["failed"] == 1
+    err = capsys.readouterr().err
+    assert "warning: utt00002: StepBeyondSequence" in err
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["decode", "--strategy", "ss_greedy", "--max-decode-per-turn", "0"],
+     "max_decode_per_turn must be >= 1"),
+    (["ablate", "--strategies", "ss_greedy,ss_beam", "--chunk-ms", "640",
+      "--beam-width", "0"], "beam_width must be >= 1"),
+])
+def test_invalid_strategy_config_is_an_error_not_a_failed_utterance(
+        tmp_path, corpus, capsys, command, message):
+    out = tmp_path / "out.json"
+    rc = main([*command, "--corpus", str(corpus), "--model", "teacher",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "warning:" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["decode", "--strategy", "ss_greedy"],
+    ["ablate", "--strategies", "ss_greedy", "--chunk-ms", "640"],
+])
+def test_toy_model_rejects_a_corpus_of_another_frame_dim(tmp_path, capsys,
+                                                         command):
+    path = tmp_path / "dim5.jsonl"
+    assert main(["gen-corpus", "--out", str(path), "--num-utterances", "2",
+                 "--frame-dim", "5"]) == 0
+    rc = main([*command, "--corpus", str(path), "--model", "toy"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: utt00000: corpus frame_dim 5 does not match the " \
+           "model's frame_dim 8" in err
+    assert "Traceback" not in err
+
+
 def test_ablate_counts_failed_utterances(tmp_path, corpus):
     out = tmp_path / "ablate.json"
     rc = main(["ablate", "--corpus", str(corpus), "--strategies",

@@ -24,6 +24,82 @@ from streamasr.metrics import (
 )
 
 
+def _reference_edit_distance(ref, hyp):
+    """The former two-DP implementation, kept as the oracle: one forward DP
+    carries (cost, subs, ins, dels) per cell, a second builds the cost
+    matrix and backtraces the pairs. Ties resolve sub > ins > del."""
+    nr, nh = len(ref), len(hyp)
+    prev = [(j, 0, j, 0) for j in range(nh + 1)]
+    for i in range(1, nr + 1):
+        cur = [(i, 0, 0, i)]
+        for j in range(1, nh + 1):
+            dc, ds, di, dd = prev[j - 1]
+            if ref[i - 1] == hyp[j - 1]:
+                best = (dc, ds, di, dd)
+            else:
+                best = (dc + 1, ds + 1, di, dd)
+            ic, is_, ii, id_ = cur[j - 1]
+            if ic + 1 < best[0]:
+                best = (ic + 1, is_, ii + 1, id_)
+            ec, es, ei, ed = prev[j]
+            if ec + 1 < best[0]:
+                best = (ec + 1, es, ei, ed + 1)
+            cur.append(best)
+        prev = cur
+    _, s, i_, d = prev[nh]
+    counts = ErrorCounts(s, i_, d, nr)
+
+    cost = [[0] * (nh + 1) for _ in range(nr + 1)]
+    cost[0] = list(range(nh + 1))
+    for i in range(1, nr + 1):
+        cost[i][0] = i
+        for j in range(1, nh + 1):
+            best = cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1])
+            if cost[i][j - 1] + 1 < best:
+                best = cost[i][j - 1] + 1
+            if cost[i - 1][j] + 1 < best:
+                best = cost[i - 1][j] + 1
+            cost[i][j] = best
+    pairs = []
+    i, j = nr, nh
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and \
+                cost[i][j] == cost[i - 1][j - 1] + (ref[i - 1] != hyp[j - 1]):
+            pairs.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif j > 0 and cost[i][j] == cost[i][j - 1] + 1:
+            j -= 1
+        else:
+            i -= 1
+    pairs.reverse()
+    return counts, pairs
+
+
+@st.composite
+def _ref_hyp_pairs(draw):
+    """Lengths 0-40 over alphabets of 1-5 symbols. A third of the pairs are
+    equal and a third are the reference with a few random edits."""
+    alphabet = st.integers(0, draw(st.integers(0, 4)))
+    ref = draw(st.lists(alphabet, max_size=40))
+    kind = draw(st.sampled_from(["equal", "edited", "independent"]))
+    if kind == "equal":
+        return ref, list(ref)
+    if kind == "independent":
+        return ref, draw(st.lists(alphabet, max_size=40))
+    hyp = list(ref)
+    for op in draw(st.lists(st.sampled_from(["sub", "ins", "del"]),
+                            min_size=1, max_size=4)):
+        at = draw(st.integers(0, len(hyp)))
+        if op == "ins":
+            hyp.insert(at, draw(alphabet))
+        elif hyp and at < len(hyp):
+            if op == "sub":
+                hyp[at] = draw(alphabet)
+            else:
+                del hyp[at]
+    return ref, hyp
+
+
 def _brute_cost(ref, hyp):
     @lru_cache(maxsize=None)
     def d(i, j):
@@ -128,6 +204,15 @@ def test_align_tokens_agrees_with_counts_on_any_pair(ref, hyp):
         assert r1 > r0 and h1 > h0
     assert len(pairs) == len(ref) - c.deletions == len(hyp) - c.insertions
     assert sum(ref[r] != hyp[h] for r, h in pairs) == c.substitutions
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ref_hyp_pairs())
+def test_one_dp_matches_the_two_dp_reference(pair):
+    ref, hyp = pair
+    counts, pairs = _reference_edit_distance(ref, hyp)
+    assert edit_distance(ref, hyp) == counts
+    assert align_tokens(ref, hyp) == pairs
 
 
 # -----------------------------

@@ -447,6 +447,74 @@ def test_symbolic_checksum_tracks_content(sp):
     assert a.checksum() == b.checksum()
 
 
+def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
+    c = SymbolicCache(sp)
+    c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    assert c.checksum(2) == c.checksum()
+    with pytest.raises(ValueError, match="beyond length 2"):
+        c.checksum(3)
+
+
+_SYM_ITEMS = st.one_of(
+    st.builds(lambda f: StreamItem(speech(f)), st.integers(0, 60)),
+    st.builds(lambda t: StreamItem(text(t)), st.integers(0, 12)),
+)
+_SYM_OPS = st.one_of(
+    st.tuples(st.just("append"), st.lists(_SYM_ITEMS, max_size=5)),
+    st.tuples(st.just("mark"), st.none()),
+    st.tuples(st.just("rollback"), st.integers(0, 40)),
+    st.tuples(st.just("branch"), st.none()),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), _SYM_OPS), max_size=40),
+       st.data())
+def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
+    """Random append/mark/rollback/branch sequences over several live
+    branches. Each cache then hashes and counts exactly like a fresh cache
+    built from its surviving items, also cut at a random point, and bumping
+    any value below its mark changes the sealed checksum."""
+    sp = SpecialTokens()
+    caches = [(SymbolicCache(sp), [])]  # (cache, surviving items)
+    for which, (op, arg) in ops:
+        cache, items = caches[which % len(caches)]
+        if op == "append":
+            cache.append_items(arg)
+            items.extend(arg)
+        elif op == "mark":
+            cache.mark_chunk()
+        elif op == "rollback":
+            target = arg % (len(items) + 1)
+            if cache.chunk_marks and target < cache.chunk_marks[-1]:
+                with pytest.raises(RollbackPastChunkBoundary):
+                    cache.rollback(target)
+            else:
+                cache.rollback(target)
+                del items[target:]
+        else:
+            caches.append((cache.branch(), list(items)))
+
+    for cache, items in caches:
+        fresh = SymbolicCache(sp)
+        fresh.append_items(items)
+        assert len(cache) == len(items)
+        assert cache.checksum() == fresh.checksum()
+        assert cache.real_count == fresh.real_count
+        assert cache.max_frame == fresh.max_frame
+        cut = data.draw(st.integers(0, len(items)))
+        prefix = SymbolicCache(sp)
+        prefix.append_items(items[:cut])
+        assert cache.checksum(cut) == prefix.checksum()
+        mark = cache.chunk_marks[-1] if cache.chunk_marks else 0
+        sealed = cache.checksum(mark)
+        for i in range(mark):
+            cache.values[i] += 1
+            assert cache.checksum(mark) != sealed
+            cache.values[i] -= 1
+        assert cache.checksum(mark) == sealed
+
+
 # -----------------------------
 # oracles
 # -----------------------------
