@@ -13,7 +13,8 @@ to one ``forward`` per item for a model without it (the oracles).
   embeddings keep chunked and one-shot forwards equivalent. Depth 0
   degenerates to output-projected input embeddings. One layer body serves
   a span on one cache and a batch of one-row spans on many: layer norm,
-  projections and FFN run over all rows, attention per cache.
+  projections and FFN run over all rows, attention per cache. A lone row
+  runs through it as 1-D vectors, bit for bit as it would as a 2-D row.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -26,8 +27,8 @@ Caches are append-only below recorded chunk boundaries; rollback past the
 most recent boundary raises, and checksums let callers prove entries below
 a boundary never changed. A ``KVCache`` grows its per-layer arrays on
 demand rather than reserving ``max_context`` rows up front, and a branch
-copies only the live rows, so beam search pays for what each hypothesis
-holds.
+copies only the live rows into a reserve rounded up to 16, so beam search
+pays for what each hypothesis holds.
 """
 
 from __future__ import annotations
@@ -378,8 +379,9 @@ class KVCache(_MarkedCache):
     def branch(self) -> "KVCache":
         other = KVCache(0, 0, self.max_context)
         other.length = self.length
-        # room for the one position a beam child forwards next
-        cap = self._capacity(self.length + 1)
+        # room for the one position a beam child forwards next, rounded up
+        # to 16 rows: a doubled reserve costs more to allocate than it saves
+        cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
         other.k = [self._grown(a, cap) for a in self.k]
         other.v = [self._grown(a, cap) for a in self.v]
         self._copy_marks_to(other)
@@ -465,10 +467,11 @@ class SymbolicCache(_MarkedCache):
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     # One pass over the centred rows; sum / n is what ndarray.mean and
-    # .var compute, so this is bit-identical to mean-then-variance.
-    n = x.shape[-1]
-    d = x - x.sum(axis=-1, keepdims=True) / n
-    return d / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + 1e-5) * g + b
+    # .var compute, so this is bit-identical to mean-then-variance. A 1-D
+    # row reduces to scalars.
+    n, keep = x.shape[-1], x.ndim > 1
+    d = x - np.add.reduce(x, -1, keepdims=keep) / n
+    return d / np.sqrt(np.add.reduce(d * d, -1, keepdims=keep) / n + 1e-5) * g + b
 
 
 class ToyDecoder:
@@ -524,35 +527,44 @@ class ToyDecoder:
 
         ``spans`` gives each cache the slice of rows it appends. Layer norm,
         projections and FFN run over all rows at once; attention runs per
-        cache, over that cache's own keys.
+        cache, over that cache's own keys. A lone row on one cache runs as
+        a 1-D vector: the same arithmetic bit for bit, less numpy overhead.
         """
+        n = x.shape[0]
+        if n == 1 and len(spans) == 1:
+            x = x[0]
         for li, lp in enumerate(self.params.layers):
             h = _layer_norm(x, lp.ln1_g, lp.ln1_b)
             q = h @ lp.wq.T + lp.bq
             k = h @ lp.wk.T + lp.bk
             v = h @ lp.wv.T + lp.bv
-            ctx = np.empty_like(x)
-            for cache, rows in spans:
-                ctx[rows] = self._attend(cache, li, q[rows], k[rows], v[rows],
-                                         mask_mode, chunk_size)
+            if len(spans) == 1:
+                ctx = self._attend(spans[0][0], li, q, k, v, mask_mode, chunk_size)
+            else:
+                ctx = np.empty_like(x)
+                for cache, rows in spans:
+                    ctx[rows] = self._attend(cache, li, q[rows], k[rows],
+                                             v[rows], mask_mode, chunk_size)
             x = x + ctx @ lp.wo.T + lp.bo
             h2 = _layer_norm(x, lp.ln2_g, lp.ln2_b)
             ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
             x = x + ff + lp.ffn_b2
         for cache, rows in spans:
             cache.advance(rows.stop - rows.start)
-        return x @ self.params.out_w.T + self.params.out_b
+        return (x @ self.params.out_w.T + self.params.out_b).reshape(n, -1)
 
     def _attend(self, cache: KVCache, li: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray, mask_mode: str,
                 chunk_size: int | None) -> np.ndarray:
         """Append one span's keys and values to layer ``li`` of its cache and
-        attend from its queries over everything the cache holds."""
-        s = q.shape[0]
+        attend from its queries over everything the cache holds. A 1-D
+        query is one row."""
+        d = self.cfg.embed_dim
+        s = k.size // d
         h_count = self.cfg.num_heads
-        dh = self.cfg.embed_dim // h_count
+        dh = d // h_count
         new_len = len(cache) + s
-        cache.append(li, k, v)
+        cache.append(li, k.reshape(s, d), v.reshape(s, d))
         kh = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
@@ -562,7 +574,7 @@ class ToyDecoder:
             scores = np.where(mask[None, :, :], scores, -np.inf)
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs /= probs.sum(axis=-1, keepdims=True)
-        return (probs @ vh).transpose(1, 0, 2).reshape(s, self.cfg.embed_dim)
+        return (probs @ vh).transpose(1, 0, 2).reshape(q.shape)
 
     def forward_embedded(
         self,

@@ -202,6 +202,43 @@ def test_teacher_decoding_regenerates_the_layout(u, chunk_frames, ratio):
                 == [(p.kind, p.value) for p in seq.positions])
 
 
+@st.composite
+def _resplit_streams(draw):
+    """An utterance, a chunk size and a random cut of its frames into
+    pieces of 1..chunk_frames frames."""
+    u = draw(_aligned_utterances())
+    chunk_frames = draw(st.integers(1, 30))
+    pieces, lo = [], 0
+    while lo < u.num_frames:
+        hi = min(u.num_frames, lo + draw(st.integers(1, chunk_frames)))
+        pieces.append((lo, hi))
+        lo = hi
+    return u, chunk_frames, pieces
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=_resplit_streams())
+def test_resplit_stream_recovers_the_reference(stream):
+    """However the frames are cut into chunks: an exact boundary oracle
+    gives every strategy the reference, and with confusion at the context
+    edge the cs fallback strategies still repair it, given audio past the
+    last token to repair it with."""
+    u, chunk_frames, pieces = stream
+    ck = ChunkingConfig(chunk_frames)
+    cases = [(0, STRATEGIES)]
+    if u.alignments[-1].end_frame < u.num_frames - 1:
+        cases.append((1, ("cs_fallback_greedy", "cs_fallback_beam")))
+    for window, names in cases:
+        suite = make_boundary_oracle([u], confusion_window=window)
+        for name in names:
+            width = 3 if name.endswith("_beam") else 1
+            s = session_new(suite.bind(u, PARADIGM_OF[name]), ck,
+                            StrategyConfig(name, beam_width=width), SP)
+            for lo, hi in pieces:
+                push_chunk(s, u.frames[lo:hi], is_last=hi == u.num_frames)
+            assert final_hypothesis(s) == u.tokens, (name, window)
+
+
 # -----------------------------
 # teacher traces on the running example
 # -----------------------------

@@ -416,6 +416,147 @@ def test_layer_norm_is_bit_identical_to_two_pass():
 
 
 # -----------------------------
+# reference forward: every row as a 2-D array
+# -----------------------------
+
+def _reference_layer_norm(x, g, b):
+    """The former layer norm, kept as the oracle: keepdims reductions over
+    2-D rows."""
+    n = x.shape[-1]
+    d = x - x.sum(axis=-1, keepdims=True) / n
+    return d / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + 1e-5) * g + b
+
+
+def _reference_attend(model, cache, li, q, k, v, mask_mode, chunk_size):
+    s = q.shape[0]
+    h_count = model.cfg.num_heads
+    dh = model.cfg.embed_dim // h_count
+    new_len = len(cache) + s
+    cache.append(li, k, v)
+    kh = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+    vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+    qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+    if s > 1 or mask_mode != "full":
+        mask = build_attention_mask(mask_mode, s, new_len, chunk_size)
+        scores = np.where(mask[None, :, :], scores, -np.inf)
+    probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return (probs @ vh).transpose(1, 0, 2).reshape(s, model.cfg.embed_dim)
+
+
+def _reference_layers(model, x, spans, mask_mode="full", chunk_size=None):
+    """The former layer body, kept as the oracle: every row, a lone one
+    too, runs as a 2-D array through a ``ctx`` buffer."""
+    for li, lp in enumerate(model.params.layers):
+        h = _reference_layer_norm(x, lp.ln1_g, lp.ln1_b)
+        q = h @ lp.wq.T + lp.bq
+        k = h @ lp.wk.T + lp.bk
+        v = h @ lp.wv.T + lp.bv
+        ctx = np.empty_like(x)
+        for cache, rows in spans:
+            ctx[rows] = _reference_attend(model, cache, li, q[rows], k[rows],
+                                          v[rows], mask_mode, chunk_size)
+        x = x + ctx @ lp.wo.T + lp.bo
+        h2 = _reference_layer_norm(x, lp.ln2_g, lp.ln2_b)
+        ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
+        x = x + ff + lp.ffn_b2
+    for cache, rows in spans:
+        cache.advance(rows.stop - rows.start)
+    return x @ model.params.out_w.T + model.params.out_b
+
+
+def _exact_model(depth, heads, d):
+    return ToyDecoder(ModelConfig(vocab_size=16, embed_dim=d, num_layers=depth,
+                                  num_heads=heads, ffn_dim=2 * d, frame_dim=4,
+                                  adapter_hidden=8, max_context=40, seed=depth))
+
+
+def _same_rows(a, b):
+    """Equal lengths and bit-equal live K/V rows in every layer."""
+    return len(a) == len(b) and all(
+        np.array_equal(x[: len(a)], y[: len(b)]) for x, y in zip(a.k + a.v, b.k + b.v))
+
+
+# cache lengths either side of the 16-row start and its first doubling
+_EDGE_LENGTHS = st.sampled_from([0, 15, 16, 17, 31, 32, 33])
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
+       d=st.sampled_from([8, 12, 64]), how=st.sampled_from(
+           ["text", "speech", "span", "chunk_span", "batch"]),
+       lengths=st.lists(_EDGE_LENGTHS, min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
+                                                   lengths, seed):
+    """Lone text and speech rows (1-D inside the layer body), spans in
+    either mask mode and batches of any size give the logits and append
+    the K/V rows the all-2-D reference body does, bit for bit."""
+    m = _exact_model(depth, heads, d)
+    if how != "batch":
+        lengths = lengths[:1]
+    caches = []
+    for i, n in enumerate(lengths):
+        cache = m.new_cache()
+        if n:
+            m.forward(cache, _random_span(m, n, seed + i))
+        caches.append(cache)
+    refs = [c.branch() for c in caches]
+    rng = np.random.default_rng(seed)
+    if how == "batch":
+        items = _random_span(m, len(caches), seed)
+        got = m.forward_batch(caches, items)
+        x = m._embed(items, np.array(lengths))
+        want = _reference_layers(
+            m, x, [(c, slice(i, i + 1)) for i, c in enumerate(refs)])
+    else:
+        if how == "text":
+            items = [StreamItem(text(int(rng.integers(0, m.cfg.vocab_size))))]
+        elif how == "speech":
+            items = [StreamItem(speech(0), rng.standard_normal(m.cfg.frame_dim))]
+        else:
+            items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
+        mode, size = ("chunk", 3) if how == "chunk_span" else ("full", None)
+        x = m.embed_items(items, start=lengths[0])
+        got = m.forward_embedded(x, caches[0], mode, size)
+        want = _reference_layers(m, x, [(refs[0], slice(0, len(items)))],
+                                 mode, size)
+    assert got.shape == want.shape == (len(x), m.cfg.vocab_size)
+    assert np.array_equal(got, want)
+    assert all(_same_rows(c, r) for c, r in zip(caches, refs))
+
+
+def test_branch_reserves_one_more_row_and_little_else():
+    """A branch holds room for the next row, so a beam child's one-row
+    forward does not regrow it, and reserves under 16 rows past that."""
+    m = _exact_model(1, 2, 8)
+    cache = m.new_cache()
+    for n in range(m.cfg.max_context):
+        fork = cache.branch()
+        arrays = fork.k + fork.v
+        assert all(n + 1 <= a.shape[0] <= min(n + 16, m.cfg.max_context)
+                   for a in arrays)
+        m.forward(fork, _random_span(m, 1, n))
+        assert all(a is b for a, b in zip(fork.k + fork.v, arrays))
+        m.forward(cache, _random_span(m, 1, n))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_lone_row_at_max_context_overflows_untouched(depth):
+    m = _exact_model(depth, 2, 8)
+    cache = m.new_cache()
+    m.forward(cache, _random_span(m, m.cfg.max_context, depth))
+    before = (len(cache), cache.checksum())
+    for item in (StreamItem(text(3)), StreamItem(speech(0), np.zeros(4))):
+        with pytest.raises(ContextOverflow):
+            m.forward(cache, [item])
+        with pytest.raises(ContextOverflow):
+            m.forward_batch([cache], [item])
+    assert (len(cache), cache.checksum()) == before
+
+
+# -----------------------------
 # symbolic cache
 # -----------------------------
 
