@@ -161,8 +161,9 @@ def _text_item(token_id: int) -> StreamItem:
 
 
 def _lps(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    return z - np.log(np.exp(z).sum())
+    # the reduction loops ndarray.max and .sum run, minus their wrappers
+    z = logits - np.maximum.reduce(logits)
+    return z - np.log(np.add.reduce(np.exp(z)))
 
 
 @dataclass
@@ -368,7 +369,7 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
     lp = 0.0
     while len(tokens) < limit:
         lps = _lps(logits)
-        t = int(np.argmax(lps))
+        t = int(lps.argmax())
         lp += float(lps[t])
         if t == sp.pad or t == sp.eos:
             return tokens, lp, t, logits

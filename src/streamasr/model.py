@@ -23,6 +23,9 @@ to one ``forward`` per item for a model without it (the oracles).
   deterministically. It models the chunk-boundary ambiguity that the
   fallback decoding strategies exist to repair.
 
+Both oracles reply with a window of one read-only logits vector rather
+than a fresh row, so callers must never write into the logits they get.
+
 Caches are append-only below recorded chunk boundaries; rollback past the
 most recent boundary raises, and checksums let callers prove entries below
 a boundary never changed. A ``KVCache`` grows its per-layer arrays on
@@ -33,6 +36,7 @@ pays for what each hypothesis holds.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from array import array
@@ -303,11 +307,17 @@ class _MarkedCache:
     def mark_chunk(self) -> None:
         self.chunk_marks.append(len(self))
 
+    def _check_target(self, n: int, what: str) -> None:
+        """A rollback or checksum target must lie within 0..len(self)."""
+        if n > len(self):
+            raise ValueError(f"{what} {n} beyond length {len(self)}")
+        if n < 0:
+            raise ValueError(f"{what} {n} is negative")
+
     def rollback(self, n: int) -> None:
         """Truncate to length n. Only the suffix above the most recent chunk
         boundary is mutable; anything below is immutable history."""
-        if n > len(self):
-            raise ValueError(f"rollback target {n} beyond length {len(self)}")
+        self._check_target(n, "rollback target")
         if self.chunk_marks and n < self.chunk_marks[-1]:
             raise RollbackPastChunkBoundary(
                 f"target {n} below chunk boundary {self.chunk_marks[-1]}"
@@ -389,12 +399,12 @@ class KVCache(_MarkedCache):
 
     def checksum(self, upto: int | None = None) -> int:
         n = self.length if upto is None else upto
-        if n > self.length:
-            raise ValueError(f"checksum upto {n} beyond length {self.length}")
+        self._check_target(n, "checksum upto")
+        # the live prefix of a C-contiguous row block is read in place
         c = 0
         for i in range(len(self.k)):
-            c = zlib.crc32(self.k[i][:n].tobytes(), c)
-            c = zlib.crc32(self.v[i][:n].tobytes(), c)
+            c = zlib.crc32(self.k[i][:n], c)
+            c = zlib.crc32(self.v[i][:n], c)
         return c
 
 
@@ -403,29 +413,31 @@ class SymbolicCache(_MarkedCache):
 
     Keeps prefix counts of real text tokens and a running max over speech
     frame indices so an oracle can answer "which occurrence comes next" and
-    "how much audio is in context" at any rollback state.
+    "how much audio is in context" at any rollback state. ``values`` is a
+    typed ``array("q")`` log: ``checksum`` hashes its prefix in place
+    through the buffer protocol, and ``branch`` and rollback copy and cut
+    it in C.
     """
 
     def __init__(self, sp: SpecialTokens) -> None:
         super().__init__()
         self.sp = sp
         self.kinds: list[str] = []
-        self.values: list[int] = []
-        self._reals: list[int] = []      # prefix count, len+1 entries
-        self._max_frame: list[int] = []  # prefix running max, len+1 entries
-        self._reals.append(0)
-        self._max_frame.append(-1)
+        self.values = array("q")
+        self._reals = [0]       # prefix count, len+1 entries
+        self._max_frame = [-1]  # prefix running max, len+1 entries
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def append_items(self, items: Sequence[StreamItem]) -> None:
         for it in items:
-            self.kinds.append(it.pos.kind)
-            self.values.append(it.pos.value)
-            real = it.pos.kind == "t" and self.sp.is_text(it.pos.value)
+            kind, value = it.pos.kind, it.pos.value
+            self.kinds.append(kind)
+            self.values.append(value)
+            real = kind == "t" and self.sp.is_text(value)
             self._reals.append(self._reals[-1] + (1 if real else 0))
-            frame = it.pos.value if it.pos.kind == "s" else -1
+            frame = value if kind == "s" else -1
             self._max_frame.append(max(self._max_frame[-1], frame))
 
     @property
@@ -444,21 +456,20 @@ class SymbolicCache(_MarkedCache):
 
     def branch(self) -> "SymbolicCache":
         other = SymbolicCache(self.sp)
-        other.kinds = list(self.kinds)
-        other.values = list(self.values)
-        other._reals = list(self._reals)
-        other._max_frame = list(self._max_frame)
+        other.kinds = self.kinds[:]
+        other.values = self.values[:]
+        other._reals = self._reals[:]
+        other._max_frame = self._max_frame[:]
         self._copy_marks_to(other)
         return other
 
     def checksum(self, upto: int | None = None) -> int:
         n = len(self.kinds) if upto is None else upto
-        if n > len(self.kinds):
-            raise ValueError(f"checksum upto {n} beyond length {len(self.kinds)}")
+        self._check_target(n, "checksum upto")
         # kinds are one character each and values fixed-width, so the
         # hashed bytes determine the prefix; re-hashed on every call
         kinds = zlib.crc32("".join(self.kinds[:n]).encode())
-        return zlib.crc32(array("q", self.values[:n]), kinds)
+        return zlib.crc32(memoryview(self.values)[:n], kinds)
 
 
 # --------------------------------------------------------------------------
@@ -468,10 +479,14 @@ class SymbolicCache(_MarkedCache):
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     # One pass over the centred rows; sum / n is what ndarray.mean and
     # .var compute, so this is bit-identical to mean-then-variance. A 1-D
-    # row reduces to scalars.
-    n, keep = x.shape[-1], x.ndim > 1
-    d = x - np.add.reduce(x, -1, keepdims=keep) / n
-    return d / np.sqrt(np.add.reduce(d * d, -1, keepdims=keep) / n + 1e-5) * g + b
+    # row takes its mean and variance as Python floats: the same IEEE
+    # division and square root without numpy's scalar overhead.
+    n = x.shape[-1]
+    if x.ndim == 1:
+        d = x - float(np.add.reduce(x)) / n
+        return d / math.sqrt(float(np.add.reduce(d * d)) / n + 1e-5) * g + b
+    d = x - np.add.reduce(x, -1, keepdims=True) / n
+    return d / np.sqrt(np.add.reduce(d * d, -1, keepdims=True) / n + 1e-5) * g + b
 
 
 class ToyDecoder:
@@ -533,32 +548,36 @@ class ToyDecoder:
         n = x.shape[0]
         if n == 1 and len(spans) == 1:
             x = x[0]
+        # True = hidden; every layer of a span sees the same keys. A lone
+        # full-mode query sees every key and needs none.
+        hidden = [None if s == 1 and mask_mode == "full" else
+                  ~build_attention_mask(mask_mode, s, len(c) + s, chunk_size)
+                  for c, s in ((c, r.stop - r.start) for c, r in spans)]
         for li, lp in enumerate(self.params.layers):
             h = _layer_norm(x, lp.ln1_g, lp.ln1_b)
             q = h @ lp.wq.T + lp.bq
             k = h @ lp.wk.T + lp.bk
             v = h @ lp.wv.T + lp.bv
             if len(spans) == 1:
-                ctx = self._attend(spans[0][0], li, q, k, v, mask_mode, chunk_size)
+                ctx = self._attend(spans[0][0], li, q, k, v, hidden[0])
             else:
                 ctx = np.empty_like(x)
-                for cache, rows in spans:
+                for (cache, rows), mask in zip(spans, hidden):
                     ctx[rows] = self._attend(cache, li, q[rows], k[rows],
-                                             v[rows], mask_mode, chunk_size)
+                                             v[rows], mask)
             x = x + ctx @ lp.wo.T + lp.bo
-            h2 = _layer_norm(x, lp.ln2_g, lp.ln2_b)
-            ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
-            x = x + ff + lp.ffn_b2
+            f = _layer_norm(x, lp.ln2_g, lp.ln2_b) @ lp.ffn_w1.T
+            f += lp.ffn_b1
+            x = x + np.maximum(f, 0.0, out=f) @ lp.ffn_w2.T + lp.ffn_b2
         for cache, rows in spans:
             cache.advance(rows.stop - rows.start)
         return (x @ self.params.out_w.T + self.params.out_b).reshape(n, -1)
 
     def _attend(self, cache: KVCache, li: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray, mask_mode: str,
-                chunk_size: int | None) -> np.ndarray:
+                v: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
         """Append one span's keys and values to layer ``li`` of its cache and
-        attend from its queries over everything the cache holds. A 1-D
-        query is one row."""
+        attend from its queries over everything the cache holds, except the
+        keys ``hidden`` marks. A 1-D query is one row."""
         d = self.cfg.embed_dim
         s = k.size // d
         h_count = self.cfg.num_heads
@@ -568,13 +587,15 @@ class ToyDecoder:
         kh = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-        if s > 1 or mask_mode != "full":  # a lone full-mode query sees every key
-            mask = build_attention_mask(mask_mode, s, new_len, chunk_size)
-            scores = np.where(mask[None, :, :], scores, -np.inf)
-        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        probs /= probs.sum(axis=-1, keepdims=True)
-        return (probs @ vh).transpose(1, 0, 2).reshape(q.shape)
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores /= np.sqrt(dh)
+        if hidden is not None:
+            scores[:, hidden] = -np.inf
+        # softmax in place, through the loops ndarray.max and .sum run
+        scores -= np.maximum.reduce(scores, -1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= np.add.reduce(scores, -1, keepdims=True)
+        return (scores @ vh).transpose(1, 0, 2).reshape(q.shape)
 
     def forward_embedded(
         self,
@@ -668,10 +689,20 @@ class ToyDecoder:
 _ORACLE_LOW = -30.0  # non-target logit; softmax mass on the target is ~1
 
 
-def _one_hot_logits(vocab_size: int, token_id: int) -> np.ndarray:
-    out = np.full(vocab_size, _ORACLE_LOW)
-    out[token_id] = 0.0
-    return out
+def _one_hot_rows(vocab_size: int) -> np.ndarray:
+    """A read-only vector of 2V-1 logits, 0 at V-1: the V-wide window at
+    ``V-1-t`` is token t's reply, shared by every call that emits t."""
+    rows = np.full(2 * vocab_size - 1, _ORACLE_LOW)
+    rows[vocab_size - 1] = 0.0
+    rows.flags.writeable = False
+    return rows
+
+
+def _one_hot_logits(rows: np.ndarray, token_id: int) -> np.ndarray:
+    v = (rows.shape[0] + 1) // 2
+    if not 0 <= token_id < v:
+        raise IndexError(f"token id {token_id} outside a vocabulary of {v}")
+    return rows[v - 1 - token_id : 2 * v - 1 - token_id]
 
 
 class TeacherOracle:
@@ -688,6 +719,7 @@ class TeacherOracle:
         self.seq = seq
         self.sp = sp or SpecialTokens()
         self.vocab_size = vocab_size
+        self._rows = _one_hot_rows(vocab_size)
 
     def new_cache(self) -> SymbolicCache:
         return SymbolicCache(self.sp)
@@ -698,7 +730,7 @@ class TeacherOracle:
         if idx >= len(self.seq.targets):
             raise StepBeyondSequence(f"position {idx} past layout end")
         t = self.seq.targets[idx]
-        return _one_hot_logits(self.vocab_size, t if t is not None else self.sp.pad)
+        return _one_hot_logits(self._rows, t if t is not None else self.sp.pad)
 
 
 def default_confusable_map(sp: SpecialTokens, vocab_size: int) -> Callable[[int], int]:
@@ -741,6 +773,7 @@ class BoundaryOracle:
         self.vocab_size = vocab_size
         self.window = confusion_window
         self.confusable = confusable or default_confusable_map(sp, vocab_size)
+        self._rows = _one_hot_rows(vocab_size)
 
     def new_cache(self) -> SymbolicCache:
         return SymbolicCache(self.sp)
@@ -756,16 +789,16 @@ class BoundaryOracle:
         cache.append_items(items)
         o = cache.real_count
         if o >= len(self.utt.tokens):
-            return _one_hot_logits(self.vocab_size, self._stop_token(True))
+            return _one_hot_logits(self._rows, self._stop_token(True))
         end = self.utt.alignments[o].end_frame
         edge = cache.max_frame
         if end > edge:  # not yet audible: wait for more speech
-            return _one_hot_logits(self.vocab_size, self._stop_token(False))
+            return _one_hot_logits(self._rows, self._stop_token(False))
         tok = self.utt.tokens[o]
         # end <= edge here, so no speech past the token means end == edge
         confused = self.window > 0 and end == edge
         return _one_hot_logits(
-            self.vocab_size, self.confusable(tok) if confused else tok
+            self._rows, self.confusable(tok) if confused else tok
         )
 
 

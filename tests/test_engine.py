@@ -17,6 +17,7 @@ from streamasr.engine import (
     ConfigMismatch,
     PushAfterFinish,
     StrategyConfig,
+    _lps,
     final_hypothesis,
     push_chunk,
     run_stream,
@@ -26,6 +27,7 @@ from streamasr.layout import (
     ChunkingConfig,
     SpecialTokens,
     build_cs,
+    build_ns,
     build_ss,
     chunk_bounds,
 )
@@ -34,6 +36,7 @@ from streamasr.model import (
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
+    _one_hot_rows,
     default_confusable_map,
     make_boundary_oracle,
 )
@@ -659,3 +662,47 @@ def test_ns_redecodes_from_scratch_each_turn(edge_example, chunk4, sp):
     # quadratic prefill: chunk 1 re-reads nothing, chunk 2 re-reads chunk 1
     assert st.cache_reused_positions == 0
     assert st.prefill_positions >= 4 + 1 + 8 + 1
+
+
+# -----------------------------
+# shared read-only logits
+# -----------------------------
+
+def test_lps_matches_the_wrapped_reductions():
+    """``_lps`` through the bare ufunc reductions equals the former
+    ``logits - logits.max()`` form bit for bit."""
+    rng = np.random.default_rng(0)
+    for _ in range(20_000):
+        row = rng.standard_normal(int(rng.integers(2, 65))) \
+            * rng.uniform(0.01, 50.0)
+        z = row - row.max()
+        assert np.array_equal(_lps(row), z - np.log(np.exp(z).sum()))
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_strategies_decode_from_shared_read_only_logits(name):
+    """The teacher and the boundary oracle reply with windows of one
+    read-only vector; every strategy decodes from them without writing into
+    logits (a write would raise), and the vector is unchanged after."""
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=3, seed=5))
+    ck = ChunkingConfig(4)
+    paradigm = PARADIGM_OF[name]
+    layout_of = {"ns": lambda u: build_ns(u, SP),
+                 "ss": lambda u: build_ss(u, ck, SP),
+                 "cs": lambda u: build_cs(u, ck, SP)}[paradigm]
+    suite = make_boundary_oracle(utts, confusion_window=1)
+    strategy = StrategyConfig(name, beam_width=3 if name.endswith("_beam") else 1)
+    for u in utts:
+        for model in (TeacherOracle(layout_of(u), SP), suite.bind(u, paradigm)):
+            replies = []
+
+            def forward(cache, items, inner=model.forward):
+                replies.append(inner(cache, items))
+                return replies[-1]
+
+            model.forward = forward
+            run_stream(session_new(model, ck, strategy, SP), u.frames)
+            assert replies
+            assert all(r.base is model._rows and not r.flags.writeable
+                       for r in replies)
+            assert np.array_equal(model._rows, _one_hot_rows(32))

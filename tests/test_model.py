@@ -1,5 +1,7 @@
 """Toy transformer, caches, masks, loss, and the two decoding oracles."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from streamasr.model import (
     TeacherOracle,
     ToyDecoder,
     _layer_norm,
+    _one_hot_logits,
+    _one_hot_rows,
     adapter_forward,
     build_attention_mask,
     default_confusable_map,
@@ -210,6 +214,31 @@ def test_rollback_guard_blocks_committed_prefix():
         cache.rollback(1)
     with pytest.raises(ValueError):
         cache.rollback(99)
+
+
+def test_kv_cache_rejects_a_negative_target():
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 0, [5, 6]))
+    with pytest.raises(ValueError, match="negative"):
+        cache.rollback(-1)
+    with pytest.raises(ValueError, match="negative"):
+        cache.checksum(-1)
+    assert len(cache) == 2
+
+
+def test_kv_checksum_equals_the_copying_formula():
+    """Hashing the live rows in place gives the value the former
+    ``.tobytes()`` copies gave, at every cut and across a regrow."""
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 20, [5, 6, 7]))
+    for n in range(len(cache) + 1):
+        c = 0
+        for k, v in zip(cache.k, cache.v):
+            c = zlib.crc32(k[:n].tobytes(), c)
+            c = zlib.crc32(v[:n].tobytes(), c)
+        assert cache.checksum(n) == c
 
 
 def test_branch_is_independent_and_checksum_stable():
@@ -415,6 +444,20 @@ def test_layer_norm_is_bit_identical_to_two_pass():
                               (x - mu) / np.sqrt(var + 1e-5) * g + b)
 
 
+def test_layer_norm_of_a_lone_row_is_bit_identical():
+    """A 1-D row, reduced to Python floats, reads exactly as the same row
+    in a 2-D block and as mean-then-variance."""
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        d = int(rng.choice([8, 16, 64]))
+        x = rng.standard_normal(d) * rng.uniform(0.01, 100.0)
+        g, b = rng.standard_normal(d), rng.standard_normal(d)
+        got = _layer_norm(x, g, b)
+        assert np.array_equal(got, _layer_norm(x[None, :], g, b)[0])
+        assert np.array_equal(got, (x - x.mean()) / np.sqrt(x.var() + 1e-5)
+                              * g + b)
+
+
 # -----------------------------
 # reference forward: every row as a 2-D array
 # -----------------------------
@@ -596,6 +639,16 @@ def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
         c.checksum(3)
 
 
+def test_symbolic_cache_rejects_a_negative_target(sp):
+    c = SymbolicCache(sp)
+    c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    with pytest.raises(ValueError, match="negative"):
+        c.rollback(-1)
+    with pytest.raises(ValueError, match="negative"):
+        c.checksum(-1)
+    assert (len(c), c.real_count, c.max_frame) == (2, 1, 0)
+
+
 _SYM_ITEMS = st.one_of(
     st.builds(lambda f: StreamItem(speech(f)), st.integers(0, 60)),
     st.builds(lambda t: StreamItem(text(t)), st.integers(0, 12)),
@@ -675,6 +728,24 @@ def test_teacher_oracle_replays_ns(running_example, sp):
         hyp.append(t)
         logits = oracle.forward(cache, [StreamItem(text(t))])
     assert hyp == running_example.tokens
+
+
+def test_one_hot_windows_are_read_only_one_hot_rows():
+    """Every window of the shared vector is the row a fresh ``np.full``
+    with one 0 would be; a token outside the vocabulary raises and no
+    window can be written through."""
+    for v in range(4, 65):
+        rows = _one_hot_rows(v)
+        for t in range(v):
+            want = np.full(v, -30.0)
+            want[t] = 0.0
+            got = _one_hot_logits(rows, t)
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[t] = 1.0
+        for t in (-v, -1, v, v + 3):
+            with pytest.raises(IndexError):
+                _one_hot_logits(rows, t)
 
 
 def test_confusable_map_never_identity(sp):
