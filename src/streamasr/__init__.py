@@ -29,6 +29,7 @@ from .engine import (
     SessionStats,
     StrategyConfig,
     StreamingSession,
+    TurnRecord,
     beam_turn_decode,
     fallback_rewind,
     final_hypothesis,
@@ -102,6 +103,7 @@ __all__ = [
     "SessionStats",
     "StrategyConfig",
     "StreamingSession",
+    "TurnRecord",
     "beam_turn_decode",
     "fallback_rewind",
     "final_hypothesis",

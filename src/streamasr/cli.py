@@ -216,19 +216,8 @@ def _decode_one(sess, u, fps: float, chunk_ms: float):
         "ref": list(u.tokens),
         "hyp": hyp,
         "errors": asdict(c),
-        "records": [
-            {
-                "token": r.token,
-                "first_token": r.first_token,
-                "retracted_value": r.retracted_value,
-                "emit_chunk": r.emit_chunk,
-                "finalize_chunk": r.finalize_chunk,
-                "provisional": r.provisional,
-                "revised": r.revised,
-                "retracted": r.retracted,
-            }
-            for r in sess.records
-        ],
+        "records": [{**asdict(r), "retracted_value": r.retracted_value}
+                    for r in sess.records],
         "stats": sess.stats.as_dict(),
     }
     return entry, c, lat

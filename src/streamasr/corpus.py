@@ -105,6 +105,8 @@ class CorpusConfig:
             raise ValueError("need 1 <= min_tokens <= max_tokens")
         if self.frames_per_token_mean < 2:
             raise ValueError("frames_per_token_mean must be >= 2")
+        if self.frame_dim < 1:
+            raise ValueError("frame_dim must be >= 1")
 
 
 def normalize_text(text: str) -> str:
@@ -304,7 +306,7 @@ def read_corpus(path: str | Path) -> list[Utterance]:
             ]
             if "frames" in rec:
                 frames = np.asarray(rec["frames"], dtype=np.float64)
-                if frames.size == 0:
+                if not len(frames):  # rows without columns stay invalid
                     frames = frames.reshape(0, rec.get("frame_dim", 0))
             else:
                 fs = rec["frames_seed"]
@@ -334,8 +336,13 @@ def read_corpus(path: str | Path) -> list[Utterance]:
 
 def validate_utterance(u: Utterance) -> None:
     """Raise AlignmentError unless every token has one sorted,
-    non-overlapping span inside the stream and no token is a reserved id.
+    non-overlapping span inside the stream and no token is a reserved id,
+    and ValueError for frames that are not a [num_frames, frame_dim] matrix
+    with frame_dim >= 1 (a zero-frame utterance may have no columns).
     ``read_corpus`` runs it on every utterance it loads."""
+    if u.frames.ndim != 2 or (u.num_frames and not u.frames.shape[1]):
+        raise ValueError(f"{u.id}: frames of shape {u.frames.shape} are not "
+                         "a [num_frames, frame_dim >= 1] matrix")
     if len(u.tokens) != len(u.alignments):
         raise AlignmentError(f"{u.id}: tokens/alignments length mismatch")
     prev_end = -1

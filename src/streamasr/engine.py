@@ -42,7 +42,8 @@ audio-less final turn's drain and every non-streaming re-decode.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import functools
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,20 +54,10 @@ from .layout import text as text_pos
 from .model import ImmutabilityViolation, StreamItem
 
 __all__ = [
-    "STRATEGIES",
-    "PARADIGM_OF",
-    "ConfigMismatch",
-    "PushAfterFinish",
-    "StrategyConfig",
-    "EmissionRecord",
-    "SessionStats",
-    "StreamingSession",
-    "session_new",
-    "push_chunk",
-    "fallback_rewind",
-    "beam_turn_decode",
-    "run_stream",
-    "final_hypothesis",
+    "STRATEGIES", "PARADIGM_OF", "ConfigMismatch", "PushAfterFinish",
+    "StrategyConfig", "EmissionRecord", "TurnRecord", "SessionStats",
+    "StreamingSession", "session_new", "push_chunk", "fallback_rewind",
+    "beam_turn_decode", "run_stream", "final_hypothesis",
 ]
 
 STRATEGIES = (
@@ -79,15 +70,8 @@ STRATEGIES = (
     "ns_redecode_wait_k",
 )
 
-PARADIGM_OF = {
-    "ss_greedy": "ss",
-    "ss_beam": "ss",
-    "cs_fallback_greedy": "cs",
-    "cs_fallback_beam": "cs",
-    "ns_redecode_hold_n": "ns",
-    "ns_redecode_local_agreement": "ns",
-    "ns_redecode_wait_k": "ns",
-}
+# a strategy's paradigm is its name's prefix: ss, cs or ns
+PARADIGM_OF = {name: name[:2] for name in STRATEGIES}
 
 
 class ConfigMismatch(ValueError):
@@ -109,7 +93,8 @@ class StrategyConfig:
     chunk_frames: int | None = None
 
 
-@dataclass
+# slots: a session keeps one record per token and one per turn
+@dataclass(slots=True)
 class EmissionRecord:
     """Lifecycle of one emitted token.
 
@@ -118,6 +103,13 @@ class EmissionRecord:
     is the final value, ``first_token`` the value at first emission;
     ``revised`` marks a fallback that changed the value, ``retracted`` a
     fallback that withdrew the emission entirely.
+
+    ``provisional`` marks the last token of a context-aware turn, which the
+    next turn rewinds and re-decodes. Only the newest record can be pending.
+    A re-decode whose only token is the pending one reopens it: it stays
+    provisional for one more turn and can be revised again, so
+    ``revised`` is a flag while ``SessionStats.revised`` counts revision
+    events.
     """
 
     token: int
@@ -135,8 +127,45 @@ class EmissionRecord:
         return self.first_token if self.revised else None
 
 
-@dataclass
+@dataclass(slots=True)
+class TurnRecord:
+    """One ``push_chunk`` call, appended to ``session.turns`` as it starts.
+
+    ``frames`` is the half-open range of stream frames the chunk carried
+    and ``slots`` its text slot budget. ``prefill`` and ``decode`` count the
+    positions forwarded; ``reused`` the cached positions the turn started
+    from; ``rolled_back`` the positions the fallback rewind removed (None
+    without a rewind) and ``checksum_verified`` whether it compared the
+    sealed checksum. ``tokens`` is the slot phase's decode (a re-decoding
+    baseline's whole hypothesis); ``stop`` (pad, eos, or None at the token
+    limit) and ``score`` are the slot phase's. ``emitted``, ``revised`` and
+    ``retracted`` hold indices into ``session.records``.
+    """
+
+    frames: tuple[int, int]
+    is_last: bool
+    slots: int
+    prefill: int = 0
+    decode: int = 0
+    reused: int = 0
+    rolled_back: int | None = None
+    checksum_verified: bool = False
+    tokens: tuple[int, ...] = ()
+    stop: int | None = None
+    score: float = 0.0
+    emitted: tuple[int, ...] = ()
+    revised: tuple[int, ...] = ()
+    retracted: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class SessionStats:
+    """Counters folded from a session's turn records, a fresh snapshot on
+    every read of ``StreamingSession.stats``. ``revised`` and ``retracted``
+    count events, not flagged records; ``early_eos`` counts streaming turns
+    that stopped on eos before the final chunk. ``per_turn`` is each turn
+    record as a dict, converted on first read."""
+
     turns: int = 0
     forward_positions: int = 0
     prefill_positions: int = 0
@@ -148,14 +177,18 @@ class SessionStats:
     revised: int = 0
     retracted: int = 0
     early_eos: int = 0
-    per_turn: list[dict] = field(default_factory=list)
+    _turns: tuple[TurnRecord, ...] = field(default=(), repr=False)
+
+    @functools.cached_property
+    def per_turn(self) -> list[dict]:
+        return [asdict(t) for t in self._turns]
 
     def as_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["per_turn"] = [dict(t) for t in self.per_turn]
-        return d
+        counters = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        return {**counters, "per_turn": [dict(t) for t in self.per_turn]}
 
 
+@functools.cache
 def _text_item(token_id: int) -> StreamItem:
     return StreamItem(text_pos(token_id))
 
@@ -197,13 +230,8 @@ def _rank(h: _Hyp) -> tuple:
 class StreamingSession:
     """Mutable state of one utterance being decoded chunk by chunk."""
 
-    def __init__(
-        self,
-        model,
-        chunking: ChunkingConfig,
-        strategy: StrategyConfig,
-        sp: SpecialTokens,
-    ):
+    def __init__(self, model, chunking: ChunkingConfig,
+                 strategy: StrategyConfig, sp: SpecialTokens):
         self.model = model
         self.chunking = chunking
         self.strategy = strategy
@@ -211,28 +239,50 @@ class StreamingSession:
         self.paradigm = PARADIGM_OF[strategy.name]
         self.cache = model.new_cache()
         self.records: list[EmissionRecord] = []
-        self.stats = SessionStats()
-        self.turn_index = 0
-        self.frames_seen = 0
-        self.finished = False
-        # context-aware bookkeeping for the next turn's rewind
-        self.last_turn_decoded: list[int] = []
-        self.last_turn_slots = 0
+        self.turns: list[TurnRecord] = []
+        # the checksum sealed at the newest chunk mark, for the next rewind
         self.stored_checksum: int | None = None
-        self.pending_record: int | None = None
         # logits left over at turn end, the seed for an audio-less flush
         self.last_logits: np.ndarray | None = None
-        # re-decoding baseline state
-        self.ns_frames: list[np.ndarray] = []
-        self.ns_prev_hyp: list[int] = []
-        self.ns_committed = 0
-        self._turn_score = 0.0
+        # re-decoding baseline: every speech item so far
+        self.ns_items: list[StreamItem] = []
+
+    @property
+    def stats(self) -> SessionStats:
+        turns = self.turns
+        return SessionStats(
+            turns=len(turns),
+            forward_positions=sum(t.prefill + t.decode for t in turns),
+            prefill_positions=sum(t.prefill for t in turns),
+            decode_positions=sum(t.decode for t in turns),
+            cache_reused_positions=sum(t.reused for t in turns),
+            rollback_count=sum(t.rolled_back is not None for t in turns),
+            rollback_positions=sum(t.rolled_back or 0 for t in turns),
+            checksum_checks=sum(t.checksum_verified for t in turns),
+            revised=sum(len(t.revised) for t in turns),
+            retracted=sum(len(t.retracted) for t in turns),
+            early_eos=sum(t.stop == self.sp.eos and not t.is_last
+                          for t in turns),
+            _turns=tuple(turns),
+        )
+
+    @property
+    def frames_seen(self) -> int:
+        return self.turns[-1].frames[1] if self.turns else 0
+
+    @property
+    def finished(self) -> bool:
+        return bool(self.turns) and self.turns[-1].is_last
 
     # -- low-level forward with accounting
 
     def _fwd(self, cache, items: Sequence[StreamItem], bucket: str) -> np.ndarray:
         logits = self.model.forward(cache, items)
-        self._count(len(items), bucket)
+        turn = self.turns[-1]
+        if bucket == "prefill":
+            turn.prefill += len(items)
+        else:
+            turn.decode += len(items)
         return logits
 
     def _fwd_batch(self, caches: list,
@@ -243,22 +293,13 @@ class StreamingSession:
         batch = getattr(self.model, "forward_batch", None)
         logits = (batch(caches, items) if batch is not None else
                   [self.model.forward(c, [it]) for c, it in zip(caches, items)])
-        self._count(len(items), "decode")
+        self.turns[-1].decode += len(items)
         return logits
 
-    def _count(self, n: int, bucket: str) -> None:
-        self.stats.forward_positions += n
-        if bucket == "prefill":
-            self.stats.prefill_positions += n
-        else:
-            self.stats.decode_positions += n
-
     def _speech_items(self, frames: np.ndarray) -> list[StreamItem]:
-        base = self.frames_seen
-        return [
-            StreamItem(speech_pos(base + i), frames[i])
-            for i in range(len(frames))
-        ]
+        base = self.turns[-1].frames[0]
+        return [StreamItem(speech_pos(base + i), row)
+                for i, row in enumerate(frames)]
 
     def fork(self, strategy: StrategyConfig | None = None) -> "StreamingSession":
         """Copy every piece of decoding state, sharing the model, so the
@@ -275,13 +316,14 @@ class StreamingSession:
 
     # -- record helpers
 
-    def _new_record(self, token: int, first: int, chunk: int,
-                    finalize: int | None) -> EmissionRecord:
-        rec = EmissionRecord(
-            token=token, first_token=first, emit_chunk=chunk,
-            finalize_chunk=finalize,
-            revised=token != first,
-        )
+    def _new_record(self, token: int, first: int) -> EmissionRecord:
+        """Emit a record in the current turn, final as of that turn."""
+        turn, k = self.turns[-1], len(self.turns) - 1
+        turn.emitted += (len(self.records),)
+        if token != first:
+            turn.revised += (len(self.records),)
+        rec = EmissionRecord(token=token, first_token=first, emit_chunk=k,
+                             finalize_chunk=k, revised=token != first)
         self.records.append(rec)
         return rec
 
@@ -306,12 +348,8 @@ def _check_strategy(strategy: StrategyConfig, chunking: ChunkingConfig) -> None:
             f"the session uses {chunking.chunk_frames}")
 
 
-def session_new(
-    model,
-    chunking: ChunkingConfig,
-    strategy: StrategyConfig,
-    sp: SpecialTokens | None = None,
-) -> StreamingSession:
+def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
+                sp: SpecialTokens | None = None) -> StreamingSession:
     sp = sp or SpecialTokens()
     _check_strategy(strategy, chunking)
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
@@ -337,17 +375,16 @@ def fallback_rewind(session: StreamingSession) -> int:
     if not cache.chunk_marks:
         return 0
     mark = cache.chunk_marks[-1]
-    session.stats.checksum_checks += 1
+    turn = session.turns[-1]
     if session.stored_checksum is not None:
+        turn.checksum_verified = True
         if cache.checksum(mark) != session.stored_checksum:
             raise ImmutabilityViolation(
                 f"cache prefix below mark {mark} changed since it was sealed"
             )
-    removed = len(cache) - mark
+    turn.rolled_back = len(cache) - mark
     cache.rollback(mark)
-    session.stats.rollback_count += 1
-    session.stats.rollback_positions += removed
-    return removed
+    return turn.rolled_back
 
 
 # --------------------------------------------------------------------------
@@ -431,11 +468,8 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
     return children
 
 
-def beam_turn_decode(
-    session: StreamingSession,
-    first_logits: np.ndarray,
-    budget: int,
-) -> _Hyp:
+def beam_turn_decode(session: StreamingSession, first_logits: np.ndarray,
+                     budget: int) -> _Hyp:
     """Per-turn beam search over the slot phase, one batched forward per
     step.
 
@@ -495,9 +529,9 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
     chunk's ``budget`` slots. An audio-less turn (no slots) decodes only if
     it is the final one: it drains from the logits the last prefill left
     (for the context-aware layout, the blanked slot's, which regenerate the
-    pending token). Scores the turn, counts an early eos, flushes a final
-    turn that ran into its limit, and keeps the logits for a later
-    audio-less turn.
+    pending token). Scores the turn, flushes a final turn that ran into its
+    limit, records the tokens and the stop in the turn record, and keeps
+    the logits for a later audio-less turn.
     """
     if budget == 0:
         res = _Hyp([], 0.0, logits, session.cache)
@@ -509,11 +543,11 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
         res = beam_turn_decode(session, logits, budget)
     else:
         res = _turn_rollout(session, session.cache, logits, budget)
-    session._turn_score = _hyp_score(res)
-    if res.stopped_via == session.sp.eos and not is_last:
-        session.stats.early_eos += 1
+    turn = session.turns[-1]
+    turn.score = _hyp_score(res)
     if is_last and res.budget_full:
         _flush_continue(session, res)
+    turn.tokens, turn.stop = tuple(res.tokens), res.stopped_via
     session.last_logits = res.logits
     return res
 
@@ -525,19 +559,16 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
 def _push_ss(session: StreamingSession, frames: np.ndarray,
              is_last: bool) -> list[EmissionRecord]:
     sp = session.sp
-    k = session.turn_index
-    n = len(frames)
-    if k > 0:
-        session.stats.cache_reused_positions += len(session.cache)
-    budget = session.chunking.slots(n)
+    turn = session.turns[-1]
+    turn.reused = len(session.cache)
     logits = session.last_logits
-    if n:
+    if len(frames):
         logits = session._fwd(session.cache, session._speech_items(frames),
                               "prefill")
-    res = _slot_phase(session, logits, budget, is_last)
-    touched = [session._new_record(t, t, k, k) for t in res.tokens]
+    res = _slot_phase(session, logits, turn.slots, is_last)
+    touched = [session._new_record(t, t) for t in res.tokens]
     # pad out the remaining slot positions so chunk strides stay exact
-    fill = max(0, budget - len(res.tokens))
+    fill = max(0, turn.slots - len(res.tokens))
     if fill:
         session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
     return touched
@@ -546,88 +577,70 @@ def _push_ss(session: StreamingSession, frames: np.ndarray,
 def _push_cs(session: StreamingSession, frames: np.ndarray,
              is_last: bool) -> list[EmissionRecord]:
     sp = session.sp
-    k = session.turn_index
-    n = len(frames)
+    turns, records = session.turns, session.records
+    turn, k = turns[-1], len(turns) - 1
     cache = session.cache
     logits = None
     if k > 0:
         fallback_rewind(session)
-        session.stats.cache_reused_positions += len(cache)
-        revised = session.last_turn_decoded[:-1]
-        span = [_text_item(t) for t in revised]
-        span += [_text_item(sp.pad)] * (session.last_turn_slots - len(revised))
+        turn.reused = len(cache)
+        prev = turns[-2]
+        span = [_text_item(t) for t in prev.tokens[:-1]]
+        span += [_text_item(sp.pad)] * (prev.slots - len(span))
         if span:
             logits = session._fwd(cache, span, "prefill")
-    budget = session.chunking.slots(n)
-    if n:
+    if len(frames):
         logits = session._fwd(cache, session._speech_items(frames), "prefill")
     cache.mark_chunk()
     session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
-    res = _slot_phase(session, logits, budget, is_last)
+    res = _slot_phase(session, logits, turn.slots, is_last)
 
     touched: list[EmissionRecord] = []
     tokens = res.tokens
     firsts = res.tokens if res.first_values is None else res.first_values
-    resolve_pending = bool(tokens) or is_last
-    if session.pending_record is not None and resolve_pending:
-        rec = session.records[session.pending_record]
+    # the pending record is always the newest one
+    if records and records[-1].finalize_chunk is None and (tokens or is_last):
+        rec = records[-1]
         rec.finalize_chunk = k
-        if tokens:
-            if tokens[0] != rec.token:
-                rec.revised = True
-                session.stats.revised += 1
-                rec.token = tokens[0]
-        else:
+        if not tokens:
             rec.retracted = True
-            session.stats.retracted += 1
+            turn.retracted += (len(records) - 1,)
+        elif tokens[0] != rec.token:
+            rec.revised = True
+            rec.token = tokens[0]
+            turn.revised += (len(records) - 1,)
         touched.append(rec)
-        session.pending_record = None
         tokens, firsts = tokens[1:], firsts[1:]
-    for t, f in zip(tokens, firsts):
-        rec = session._new_record(t, f, k, k)
-        if rec.revised:
-            session.stats.revised += 1
-        touched.append(rec)
+    touched += [session._new_record(t, f) for t, f in zip(tokens, firsts)]
 
     if is_last:
-        fill = 0 if res.budget_full else max(0, budget - len(res.tokens))
+        fill = 0 if res.budget_full else max(0, turn.slots - len(res.tokens))
         if fill:
             session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
     elif res.tokens:
         # the turn's final emission stays provisional until the next rewind
-        last_rec = touched[-1]
-        last_rec.provisional = True
-        last_rec.finalize_chunk = None
-        # the pending record is always the newest one
-        session.pending_record = len(session.records) - 1
-    session.last_turn_decoded = list(res.tokens)
-    session.last_turn_slots = budget
+        touched[-1].provisional = True
+        touched[-1].finalize_chunk = None
     return touched
 
 
 def _push_ns(session: StreamingSession, frames: np.ndarray,
              is_last: bool) -> list[EmissionRecord]:
-    sp = session.sp
-    k = session.turn_index
-    st = session.strategy
-    session.ns_frames.append(np.asarray(frames))
+    turns, st = session.turns, session.strategy
+    turn, k = turns[-1], len(turns) - 1
+    session.ns_items += session._speech_items(frames)
     cache = session.model.new_cache()
-    items: list[StreamItem] = []
-    gidx = 0
-    for block in session.ns_frames:
-        for row in block:
-            items.append(StreamItem(speech_pos(gidx), row))
-            gidx += 1
-    items.append(_text_item(sp.sos))
-    logits = session._fwd(cache, items, "prefill")
+    logits = session._fwd(cache, session.ns_items + [_text_item(session.sp.sos)],
+                          "prefill")
     hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]
+    turn.tokens = tuple(hyp)
 
     if is_last:
         target = len(hyp)
     elif st.name == "ns_redecode_hold_n":
         target = len(hyp) - st.hold_n
     elif st.name == "ns_redecode_local_agreement":
-        prev = session.ns_prev_hyp
+        prev = turns[-2].tokens if k else []
         target = 0
         for a, b in zip(prev, hyp):
             if a != b:
@@ -636,14 +649,10 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
     else:  # ns_redecode_wait_k
         per = session.chunking.slots(session.chunking.chunk_frames)
         target = (k + 1 - st.wait_k) * per
-    commit = max(session.ns_committed, min(max(0, target), len(hyp)))
-    touched = [
-        session._new_record(hyp[i], hyp[i], k, k)
-        for i in range(session.ns_committed, commit)
-    ]
-    session.ns_committed = commit
-    session.ns_prev_hyp = hyp
-    return touched
+    # every record is a commit, so the commit point is the record count
+    committed = len(session.records)
+    commit = max(committed, min(max(0, target), len(hyp)))
+    return [session._new_record(t, t) for t in hyp[committed:commit]]
 
 
 # --------------------------------------------------------------------------
@@ -652,40 +661,30 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
 
 def push_chunk(session: StreamingSession, frames: np.ndarray,
                is_last: bool = False) -> list[EmissionRecord]:
-    """Feed the next chunk of audio; returns the records touched this turn."""
+    """Feed the next chunk of audio; returns the records touched this turn.
+
+    The turn's ``TurnRecord`` is appended to ``session.turns`` before it
+    runs, so a turn that raises stays there as far as it got. A chunk
+    without rows is an audio-less (flush-only) turn.
+    """
     if session.finished:
         raise PushAfterFinish("stream already finished")
     frames = np.asarray(frames)
-    if frames.size == 0:
-        frames = frames.reshape(0, 0)  # audio-less turn: flush-only
-    elif frames.ndim != 2:
-        raise ValueError("frames must be a [n, frame_dim] array")
-    before_fwd = session.stats.forward_positions
-    before_pre = session.stats.prefill_positions
-    session._turn_score = 0.0
+    if frames.shape[:1] != (0,) and (frames.ndim != 2 or frames.shape[1] < 1):
+        raise ValueError("frames must be a [n, frame_dim] array, frame_dim >= 1")
+    lo = session.frames_seen
+    session.turns.append(TurnRecord((lo, lo + len(frames)), is_last,
+                                    session.chunking.slots(len(frames))))
     handler = {"ss": _push_ss, "cs": _push_cs, "ns": _push_ns}[session.paradigm]
-    touched = handler(session, frames, is_last)
-    session.stats.per_turn.append({
-        "prefill": session.stats.prefill_positions - before_pre,
-        "decode": (session.stats.forward_positions - before_fwd)
-        - (session.stats.prefill_positions - before_pre),
-        "score": session._turn_score,
-    })
-    session.stats.turns += 1
-    session.frames_seen += len(frames)
-    session.turn_index += 1
-    if is_last:
-        session.finished = True
-    return touched
+    return handler(session, frames, is_last)
 
 
 def run_stream(session: StreamingSession, frames: np.ndarray) -> list[int]:
     """Push a whole utterance through in chunks; returns the hypothesis."""
     frames = np.asarray(frames)
+    # a zero-frame utterance still gets its one (audio-less, final) turn
     bounds = chunk_bounds(len(frames), session.chunking.chunk_frames)
-    if not bounds:
-        push_chunk(session, frames, is_last=True)
-    for lo, hi in bounds:
+    for lo, hi in bounds or [(0, 0)]:
         push_chunk(session, frames[lo:hi], is_last=hi == len(frames))
     return final_hypothesis(session)
 

@@ -50,6 +50,14 @@ def test_gen_corpus_invalid_vocab_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_corpus_zero_frame_dim_is_usage_error(tmp_path, capsys):
+    rc = main(["gen-corpus", "--out", str(tmp_path / "x.jsonl"),
+               "--frame-dim", "0"])
+    assert rc == 2
+    assert "frame_dim must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 # -----------------------------
 # build-sequences
 # -----------------------------

@@ -12,10 +12,12 @@ from streamasr.corpus import (
     CorpusConfig,
     MultiCharCjkToken,
     OverlappingSpans,
+    Utterance,
     aggregate_alignments,
     gen_synthetic_corpus,
     normalize_text,
     read_corpus,
+    validate_utterance,
     write_corpus,
 )
 
@@ -174,6 +176,30 @@ def test_read_corpus_rejects_an_invalid_utterance(tmp_path, tiny_corpus):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(AlignmentError, match=rec["id"]):
         read_corpus(path)
+
+
+def test_read_corpus_rejects_frames_without_columns(tmp_path, tiny_corpus):
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, tiny_corpus, inline_frames=True)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["frames"] = [[] for _ in rec["frames"]]
+    lines[1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{rec['id']}: frames of shape"):
+        read_corpus(path)
+
+
+def test_validate_utterance_checks_the_frame_matrix():
+    for frames in (np.zeros((4, 0)), np.zeros(4)):
+        with pytest.raises(ValueError, match="frame_dim >= 1"):
+            validate_utterance(Utterance("u", [], [], frames))
+    validate_utterance(Utterance("u", [], [], np.zeros((0, 0))))  # no audio
+
+
+def test_config_rejects_zero_frame_dim():
+    with pytest.raises(ValueError, match="frame_dim"):
+        CorpusConfig(frame_dim=0)
 
 
 def test_config_rejects_tiny_vocab():

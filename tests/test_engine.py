@@ -1,5 +1,7 @@
 """Streaming sessions: turn traces, record lifecycle, accounting, guards."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,18 @@ def test_frames_must_be_matrix(chunk4):
         push_chunk(s, np.zeros(4), is_last=True)
 
 
+@pytest.mark.parametrize("name", ["ss_greedy", "cs_fallback_greedy",
+                                  "ns_redecode_hold_n"])
+def test_rows_without_columns_are_rejected(name, chunk4):
+    # four frames of width 0 are not an audio-less chunk; zero rows are
+    s = session_new(Scripted({}), chunk4, StrategyConfig(name), SP)
+    with pytest.raises(ValueError, match="frame_dim >= 1"):
+        push_chunk(s, np.zeros((4, 0)), is_last=True)
+    assert s.turns == [] and not s.finished
+    push_chunk(s, np.zeros((0, 0)), is_last=True)
+    assert s.finished and s.turns[0].frames == (0, 0)
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_final_turn_stops_at_the_cap(name, cap):
@@ -175,6 +189,90 @@ def test_fork_replays_the_rest_of_the_stream(name, kind, sp):
         assert b.records == a.records
         assert final_hypothesis(b) == final_hypothesis(a)
         assert b.stats.forward_positions == a.stats.forward_positions
+
+
+class _Counting:
+    """A model seen through the bare contract, counting forwarded positions."""
+
+    def __init__(self, model):
+        self.model, self.vocab_size, self.positions = model, model.vocab_size, 0
+
+    def new_cache(self):
+        return self.model.new_cache()
+
+    def forward(self, cache, items):
+        self.positions += len(items)
+        return self.model.forward(cache, items)
+
+
+_SMALL_TOY = ToyDecoder(ModelConfig(embed_dim=16, num_layers=1, num_heads=2,
+                                    ffn_dim=16, max_context=4096, seed=2))
+
+
+def _assert_folded(s):
+    """Every counter is its fold over ``s.turns``, and every record index
+    is emitted by exactly the turn its ``emit_chunk`` names."""
+    turns, st_ = s.turns, s.stats
+    assert st_.per_turn == [asdict(t) for t in turns]
+    assert (st_.turns, st_.prefill_positions, st_.decode_positions) == (
+        len(turns), sum(t.prefill for t in turns), sum(t.decode for t in turns))
+    assert st_.forward_positions == st_.prefill_positions + st_.decode_positions
+    assert st_.cache_reused_positions == sum(t.reused for t in turns)
+    rewinds = [t.rolled_back for t in turns if t.rolled_back is not None]
+    assert (st_.rollback_count, st_.rollback_positions) == (
+        len(rewinds), sum(rewinds))
+    assert st_.checksum_checks == sum(t.checksum_verified for t in turns)
+    assert st_.revised == sum(len(t.revised) for t in turns)
+    assert st_.retracted == sum(len(t.retracted) for t in turns)
+    assert st_.early_eos == sum(t.stop == SP.eos and not t.is_last
+                                for t in turns)
+    assert [i for t in turns for i in t.emitted] == list(range(len(s.records)))
+    for k, t in enumerate(turns):
+        assert all(s.records[i].emit_chunk == k for i in t.emitted)
+        assert all(s.records[i].revised for i in t.revised)
+        assert all(s.records[i].retracted for i in t.retracted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(STRATEGIES), kind=st.sampled_from(["toy", "boundary"]),
+       seed=st.integers(0, 10_000), max_tokens=st.integers(1, 10),
+       chunk_frames=st.integers(1, 12), cut=st.integers(0, 63))
+def test_stats_are_folds_of_the_turn_records(name, kind, seed, max_tokens,
+                                             chunk_frames, cut):
+    """On generated corpora: each stats counter equals its fold over the
+    turn records and the model's own position count, at most one record is
+    pending and it is the newest, and a mid-stream fork continues to the
+    same stats."""
+    u = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=1, min_tokens=1, max_tokens=max_tokens, seed=seed))[0]
+    model = (_SMALL_TOY if kind == "toy" else make_boundary_oracle(
+        [u], confusion_window=1).bind(u, PARADIGM_OF[name]))
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=12)
+    ck = ChunkingConfig(chunk_frames)
+    bounds = chunk_bounds(u.num_frames, chunk_frames)
+    counting = _Counting(model)
+    a = session_new(counting, ck, strategy, SP)
+    b = session_new(model, ck, strategy, SP)
+    fork = None
+    for k, (lo, hi) in enumerate(bounds):
+        is_last = hi == u.num_frames
+        if k == cut % len(bounds):
+            fork = b.fork()
+        for s in filter(None, (a, b, fork)):
+            push_chunk(s, u.frames[lo:hi], is_last=is_last)
+        pending = [i for i, r in enumerate(a.records)
+                   if r.finalize_chunk is None]
+        assert pending in ([], [len(a.records) - 1])
+        assert not (pending and is_last)
+    _assert_folded(a)
+    assert a.stats.forward_positions == counting.positions
+    assert a.records == b.records == fork.records
+    assert fork.stats.as_dict() == b.stats.as_dict()
+    counters = [s.stats.as_dict() for s in (a, b)]
+    for c in counters:
+        del c["per_turn"]
+    assert counters[0] == counters[1]
 
 
 @st.composite
@@ -340,6 +438,26 @@ def test_retraction_when_redecode_drops_the_token(chunk4):
     assert rec.retracted and not rec.revised
     assert final_hypothesis(s) == []
     assert s.stats.retracted == 1
+
+
+def test_a_reopened_provisional_record_counts_each_revision(chunk4):
+    # turn 0 emits 10; turn 1's only token re-decodes it as 11, which
+    # reopens it; the final turn revises it again to 12
+    model = Scripted({(0, 3): 10, (0, 7): 11, (0, 11): 12})
+    s = session_new(model, chunk4, StrategyConfig("cs_fallback_greedy"), SP)
+    push_chunk(s, _frames(4))
+    r1 = push_chunk(s, _frames(4))
+    assert r1 == [s.records[0]] and r1[0].provisional
+    assert r1[0].finalize_chunk is None and r1[0].token == 11
+    push_chunk(s, _frames(4), is_last=True)
+    assert len(s.records) == 1
+    rec = s.records[0]
+    assert (rec.first_token, rec.token, rec.finalize_chunk) == (10, 12, 2)
+    assert rec.revised and rec.retracted_value == 10  # flagged once
+    assert [t.revised for t in s.turns] == [(), (0,), (0,)]
+    assert [t.emitted for t in s.turns] == [(0,), (), ()]
+    assert s.stats.revised == 2 and s.stats.retracted == 0
+    assert final_hypothesis(s) == [12]
 
 
 def test_early_eos_is_flagged(chunk4):
@@ -567,6 +685,57 @@ def test_toy_strategies_are_pinned(name, sp):
         assert s.stats.forward_positions == positions
 
 
+# Every top-level counter of ``stats.as_dict()`` on the TOY_PINS set-up, in
+# SessionStats field order, as the engine produced them before its counters
+# were folded from turn records.
+TOY_STAT_FIELDS = ("turns", "forward_positions", "prefill_positions",
+                   "decode_positions", "cache_reused_positions",
+                   "rollback_count", "rollback_positions", "checksum_checks",
+                   "revised", "retracted", "early_eos")
+TOY_STATS = {
+    "ss_greedy": [(7, 96, 49, 47, 252, 0, 0, 0, 0, 0, 0),
+                  (9, 122, 67, 55, 432, 0, 0, 0, 0, 0, 0),
+                  (7, 99, 52, 47, 252, 0, 0, 0, 0, 0, 0)],
+    "ss_beam": [(7, 279, 49, 230, 252, 0, 0, 0, 0, 0, 0),
+                (9, 374, 67, 307, 432, 0, 0, 0, 0, 0, 0),
+                (7, 291, 52, 239, 252, 0, 0, 0, 0, 0, 0)],
+    "cs_fallback_greedy": [(7, 115, 73, 42, 228, 6, 18, 6, 4, 0, 0),
+                           (9, 147, 99, 48, 400, 8, 24, 8, 7, 0, 0),
+                           (7, 118, 76, 42, 228, 6, 18, 6, 4, 0, 0)],
+    "cs_fallback_beam": [(7, 241, 73, 168, 228, 6, 18, 6, 4, 0, 0),
+                         (9, 318, 99, 219, 400, 8, 24, 8, 7, 0, 0),
+                         (7, 247, 76, 171, 228, 6, 18, 6, 3, 0, 0)],
+    "ns_redecode_hold_n": [(7, 385, 224, 161, 0, 0, 0, 0, 0, 0, 0),
+                           (9, 571, 364, 207, 0, 0, 0, 0, 0, 0, 0),
+                           (7, 388, 227, 161, 0, 0, 0, 0, 0, 0, 0)],
+    "ns_redecode_local_agreement": [(7, 385, 224, 161, 0, 0, 0, 0, 0, 0, 0),
+                                    (9, 571, 364, 207, 0, 0, 0, 0, 0, 0, 0),
+                                    (7, 388, 227, 161, 0, 0, 0, 0, 0, 0, 0)],
+    "ns_redecode_wait_k": [(7, 385, 224, 161, 0, 0, 0, 0, 0, 0, 0),
+                           (9, 571, 364, 207, 0, 0, 0, 0, 0, 0, 0),
+                           (7, 388, 227, 161, 0, 0, 0, 0, 0, 0, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_STATS))
+def test_toy_strategy_counters_are_pinned(name, sp):
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=3, vocab_size=32, frames_per_second=25.0,
+        min_tokens=5, max_tokens=20, seed=0))
+    model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
+                                   num_heads=4, ffn_dim=128, max_context=2048,
+                                   seed=0))
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    for u, want in zip(utts, TOY_STATS[name]):
+        s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
+                        strategy, sp)
+        run_stream(s, u.frames)
+        counters = s.stats.as_dict()
+        del counters["per_turn"]
+        assert counters == dict(zip(TOY_STAT_FIELDS, want))
+
+
 class _Unbatched:
     """A model seen through the bare ``new_cache``/``forward`` contract."""
 
@@ -614,9 +783,11 @@ def test_batched_beam_matches_unbatched(name, sp):
         assert final_hypothesis(a) == final_hypothesis(b)
         assert a.records == b.records
         assert a.stats.forward_positions == b.stats.forward_positions
-        scores = [[t.pop("score") for t in s.stats.per_turn] for s in runs]
+        # each read of ``stats`` is a fresh fold: bind one snapshot per run
+        stats = [s.stats for s in runs]
+        scores = [[t.pop("score") for t in st.per_turn] for st in stats]
         assert np.allclose(*scores, rtol=1e-9, atol=0)
-        assert a.stats.as_dict() == b.stats.as_dict()
+        assert stats[0].as_dict() == stats[1].as_dict()
     assert model.batches > 0
 
 
