@@ -18,8 +18,9 @@ strategy:
 Cache discipline, which the accounting tests pin down exactly:
 
 * every position appended to the cache is forwarded exactly once;
-* the first decode of a turn reads the logits the speech prefill already
-  produced, so it costs nothing extra;
+* the first decode of a turn reads the logits its prefill already
+  produced, so it costs nothing extra; a context-aware turn forwards its
+  re-presented slot span and its chunk's speech in that one call;
 * turn-stop pads and slot padding are appended wherever the training
   layouts materialize them as inputs (standard streaming pads every slot;
   the context-aware layout instead rewrites the whole slot span on the
@@ -580,17 +581,15 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
     turns, records = session.turns, session.records
     turn, k = turns[-1], len(turns) - 1
     cache = session.cache
-    logits = None
+    items: list[StreamItem] = []
     if k > 0:
         fallback_rewind(session)
         turn.reused = len(cache)
         prev = turns[-2]
-        span = [_text_item(t) for t in prev.tokens[:-1]]
-        span += [_text_item(sp.pad)] * (prev.slots - len(span))
-        if span:
-            logits = session._fwd(cache, span, "prefill")
-    if len(frames):
-        logits = session._fwd(cache, session._speech_items(frames), "prefill")
+        items = [_text_item(t) for t in prev.tokens[:-1]]
+        items += [_text_item(sp.pad)] * (prev.slots - len(items))
+    items += session._speech_items(frames)
+    logits = session._fwd(cache, items, "prefill") if items else None
     cache.mark_chunk()
     session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
     res = _slot_phase(session, logits, turn.slots, is_last)

@@ -90,7 +90,7 @@ class ChunkingConfig:
         return math.ceil(n_frames / self.speech_text_ratio)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Position:
     """One sequence position: a speech frame ("s") or a text token ("t")."""
 

@@ -87,7 +87,7 @@ class ImmutabilityViolation(RuntimeError):
     """Cache content below a chunk boundary changed since it was recorded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamItem:
     """One position pushed through a model: a text token or a speech frame.
 
@@ -588,9 +588,9 @@ class ToyDecoder:
         vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
         scores = qh @ kh.transpose(0, 2, 1)
-        scores /= np.sqrt(dh)
+        scores /= math.sqrt(dh)
         if hidden is not None:
-            scores[:, hidden] = -np.inf
+            np.copyto(scores, -np.inf, where=hidden)
         # softmax in place, through the loops ndarray.max and .sum run
         scores -= np.maximum.reduce(scores, -1, keepdims=True)
         np.exp(scores, out=scores)

@@ -32,8 +32,11 @@ from streamasr.layout import (
     build_ns,
     build_ss,
     chunk_bounds,
+    speech,
+    text,
 )
 from streamasr.model import (
+    ContextOverflow,
     ModelConfig,
     SymbolicCache,
     TeacherOracle,
@@ -192,16 +195,19 @@ def test_fork_replays_the_rest_of_the_stream(name, kind, sp):
 
 
 class _Counting:
-    """A model seen through the bare contract, counting forwarded positions."""
+    """A model seen through the bare contract, counting forwarded positions
+    and logging each call's items."""
 
     def __init__(self, model):
         self.model, self.vocab_size, self.positions = model, model.vocab_size, 0
+        self.calls = []
 
     def new_cache(self):
         return self.model.new_cache()
 
     def forward(self, cache, items):
         self.positions += len(items)
+        self.calls.append(list(items))
         return self.model.forward(cache, items)
 
 
@@ -789,6 +795,120 @@ def test_batched_beam_matches_unbatched(name, sp):
         assert np.allclose(*scores, rtol=1e-9, atol=0)
         assert stats[0].as_dict() == stats[1].as_dict()
     assert model.batches > 0
+
+
+class _SplitPrefill:
+    """A model that forwards a text-then-speech item list as two calls,
+    the text and then the speech, as a context-aware turn prefilled before
+    its slot span and speech shared one forward. Everything else passes
+    through to the wrapped model."""
+
+    def __init__(self, model):
+        self.model, self.splits = model, 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def forward(self, cache, items):
+        cut = next((i for i, it in enumerate(items) if it.pos.kind == "s"),
+                   len(items))
+        if 0 < cut < len(items):
+            self.splits += 1
+            self.model.forward(cache, items[:cut])
+            items = items[cut:]
+        return self.model.forward(cache, items)
+
+
+@pytest.mark.parametrize("name", ["cs_fallback_greedy", "cs_fallback_beam"])
+@pytest.mark.parametrize("kind", ["toy", "boundary"])
+def test_one_prefill_call_matches_two(name, kind, sp):
+    """A context-aware turn that prefills its re-presented slot span and
+    its chunk's speech in one forward decodes what two forwards do: same
+    hypotheses, records, counters and per-turn positions, through an
+    audio-less final chunk. Scores agree to 1e-9 on the toy decoder (a
+    gemm row's last bit depends on how many rows share the call) and
+    exactly on the symbolic oracle."""
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=5, vocab_size=32, frames_per_second=25.0,
+        min_tokens=5, max_tokens=20, seed=0))
+    toy = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
+                                 num_heads=4, ffn_dim=128, max_context=2048,
+                                 seed=0))
+    suite = make_boundary_oracle(utts, confusion_window=1)
+    chunking = ChunkingConfig(8, speech_text_ratio=2)
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    splits = 0
+    for u in utts:
+        model = toy if kind == "toy" else suite.bind(u.id, "cs")
+        runs = []
+        for m in (model, _SplitPrefill(model)):
+            s = session_new(m, chunking, strategy, sp)
+            for lo, hi in chunk_bounds(len(u.frames), 8):
+                push_chunk(s, u.frames[lo:hi])
+            push_chunk(s, u.frames[:0], is_last=True)
+            runs.append(s)
+        splits += runs[1].model.splits
+        a, b = runs
+        assert final_hypothesis(a) == final_hypothesis(b)
+        assert a.records == b.records
+        stats = [s.stats for s in runs]
+        scores = [[t.pop("score") for t in st.per_turn] for st in stats]
+        if kind == "toy":
+            assert np.allclose(*scores, rtol=1e-9, atol=0)
+        else:
+            assert scores[0] == scores[1]
+        assert stats[0].as_dict() == stats[1].as_dict()
+    assert splits > 0
+
+
+@pytest.mark.parametrize("name", ["cs_fallback_greedy", "cs_fallback_beam"])
+def test_context_aware_turn_prefills_in_one_call(name, sp):
+    """Every context-aware turn after the first that carries audio makes one
+    prefill forward, the previous turn's slot span then the chunk's speech,
+    and every other forward of the turn decodes one position."""
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=3, vocab_size=32, frames_per_second=25.0,
+        min_tokens=5, max_tokens=20, seed=0))
+    chunking = ChunkingConfig(8, speech_text_ratio=2)
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    checked = 0
+    for u in utts:
+        model = _Counting(_SMALL_TOY)
+        s = session_new(model, chunking, strategy, sp)
+        for lo, hi in chunk_bounds(len(u.frames), 8):
+            start = len(model.calls)
+            push_chunk(s, u.frames[lo:hi])
+            k, turn, calls = len(s.turns) - 1, s.turns[-1], model.calls[start:]
+            if k == 0:
+                continue
+            prev = s.turns[-2]
+            span = [text(t) for t in prev.tokens[:-1]]
+            span += [text(sp.pad)] * (prev.slots - len(span))
+            assert [it.pos for it in calls[0]] == span + [
+                speech(f) for f in range(*turn.frames)]
+            assert turn.prefill == len(calls[0])
+            assert [len(c) for c in calls[1:]] == [1] * turn.decode
+            checked += 1
+    assert checked > 0
+
+
+def test_context_aware_overflow_appends_nothing(sp):
+    """A merged prefill past ``max_context`` raises before any row lands:
+    the cache stays at the chunk mark and the turn books no prefill."""
+    model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=16, num_layers=1,
+                                   num_heads=2, ffn_dim=16, max_context=12,
+                                   seed=2))
+    s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
+                    StrategyConfig("cs_fallback_greedy"), sp)
+    # turn 0 holds 8 frames and at most 3 decodes; turn 1 re-presents a
+    # 4-slot span and 8 more frames at position 8, past 12
+    push_chunk(s, _frames(8))
+    with pytest.raises(ContextOverflow):
+        push_chunk(s, _frames(8))
+    assert len(s.cache) == s.cache.chunk_marks[-1] == 8
+    assert s.turns[-1].prefill == 0
 
 
 # -----------------------------

@@ -1,5 +1,6 @@
 """Toy transformer, caches, masks, loss, and the two decoding oracles."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -134,6 +135,19 @@ def test_param_count_matches_parameters():
 # -----------------------------
 # toy decoder
 # -----------------------------
+
+@pytest.mark.parametrize("obj, field", [
+    (speech(3), "value"),
+    (StreamItem(speech(3), np.zeros(4)), "frame"),
+    (StreamItem(text(5)), "pos"),
+])
+def test_positions_and_items_are_slotted_and_frozen(obj, field):
+    """One ``Position`` and one ``StreamItem`` exist per pushed position,
+    so they carry no per-instance dict, and they stay immutable."""
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, None)
+
 
 def test_model_deterministic():
     a = ToyDecoder(CFG)
