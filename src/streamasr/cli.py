@@ -42,10 +42,10 @@ from .engine import (
 from .layout import ChunkingConfig, SpecialTokens, build_cs, build_ns, build_ss
 from .metrics import (
     LatencyReport,
-    RowSummary,
     edit_distance,
     emission_latency,
     pool_counts,
+    report_row,
     summarize,
     to_csv,
 )
@@ -122,7 +122,7 @@ def _read_config_overrides(parser: argparse.ArgumentParser,
             if not line:
                 continue
             if "=" not in line:
-                raise SystemExit(f"config line without '=': {raw.rstrip()}")
+                parser.error(f"--config: line without '=': {raw.rstrip()}")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
             if key == "fps":
@@ -230,13 +230,12 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     unless it overflowed the context) and no score; the rest still runs.
     A configuration the engine rejects is raised from ``session_new``,
     outside that isolation, so it ends the command instead.
-    Returns the summary row, the per-utterance entries and the failed count."""
+    Returns the report row and the per-utterance entries."""
     paradigm = PARADIGM_OF[strategy.name]
     per_utt = []
     counts = []
     pooled_lat = LatencyReport()
     positions = 0
-    failed = 0
     for u in utts:
         sess = session_new(factory(u, paradigm, ck), ck, strategy, sp)
         try:
@@ -248,24 +247,16 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
             entry = {"id": u.id, "error": f"{type(exc).__name__}: {exc}"}
         per_utt.append(entry)
         if "error" in entry:
-            failed += 1
             print(f"warning: {u.id}: {entry['error']}", file=sys.stderr)
             continue
         counts.append(c)
         pooled_lat.emit_ms.extend(lat.emit_ms)
         pooled_lat.finalize_ms.extend(lat.finalize_ms)
         positions += entry["stats"]["forward_positions"]
-    pooled = pool_counts(counts)
-    row = RowSummary(
-        name=f"{strategy.name}@{ck.chunk_frames}f",
-        wers=((100.0 * pooled.wer,),),
-        counts=pooled,
-        emit_ms=pooled_lat.mean_emit_ms,
-        finalize_ms=pooled_lat.mean_finalize_ms,
-        max_spike_ms=pooled_lat.max_spike_ms,
-        forward_positions=positions,
-    )
-    return row, per_utt, failed
+    row = report_row(strategy.name, chunk_ms, ck.chunk_frames,
+                     pool_counts(counts), pooled_lat, positions,
+                     failed=len(per_utt) - len(counts))
+    return row, per_utt
 
 
 def _strategy_from_ns(ns: argparse.Namespace, name: str) -> StrategyConfig:
@@ -290,27 +281,16 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
                         int(ns.speech_text_ratio))
     factory = _make_model_factory(ns, utts, sp, vocab)
     strategy = _strategy_from_ns(ns, ns.strategy)
-    row, per_utt, failed = _run_strategy(utts, strategy, ck, factory, sp,
-                                         fps, float(ns.chunk_ms))
+    row, per_utt = _run_strategy(utts, strategy, ck, factory, sp, fps,
+                                 float(ns.chunk_ms))
     print(summarize([row]))
     if ns.out:
-        # one JSON line per utterance; the run-level summary lives in the
-        # manifest next to it
+        # one JSON line per utterance; the report row is the summary in
+        # the manifest next to it
         with open(ns.out, "w", encoding="utf-8") as fh:
             for entry in per_utt:
                 fh.write(json.dumps(entry) + "\n")
-        _write_manifest(
-            ns.out, "decode", ns, [ns.corpus],
-            summary={
-                "strategy": strategy.name,
-                "chunk_frames": ck.chunk_frames,
-                "wer": row.counts.wer,
-                "emit_latency_ms": row.emit_ms,
-                "finalize_latency_ms": row.finalize_ms,
-                "max_spike_ms": row.max_spike_ms,
-                "forward_positions": row.forward_positions,
-                "failed": failed,
-            })
+        _write_manifest(ns.out, "decode", ns, [ns.corpus], summary=row)
     return 0
 
 
@@ -319,42 +299,20 @@ def _cmd_ablate(ns: argparse.Namespace) -> int:
     sp = SpecialTokens()
     vocab = int(ns.vocab_size)
     fps = float(ns.frames_per_second)
-    strategies = [s.strip() for s in ns.strategies.split(",") if s.strip()]
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise SystemExit(f"unknown strategy {s!r}")
     factory = _make_model_factory(ns, utts, sp, vocab)
     rows = []
-    results = []
     for chunk_ms in (float(x) for x in ns.chunk_ms.split(",")):
         ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
                             int(ns.speech_text_ratio))
-        for name in strategies:
+        for name in ns.strategies:
             strategy = _strategy_from_ns(ns, name)
-            row, _, failed = _run_strategy(utts, strategy, ck, factory, sp,
-                                           fps, chunk_ms)
-            rows.append(row)
-            c = row.counts
-            results.append({
-                "strategy": name,
-                "chunk_ms": chunk_ms,
-                "chunk_frames": ck.chunk_frames,
-                "wer": c.wer,
-                "substitutions": c.substitutions,
-                "insertions": c.insertions,
-                "deletions": c.deletions,
-                "ref_len": c.ref_len,
-                "emit_latency_ms": row.emit_ms,
-                "finalize_latency_ms": row.finalize_ms,
-                "max_spike_ms": row.max_spike_ms,
-                "forward_positions": row.forward_positions,
-                "failed": failed,
-            })
+            rows.append(_run_strategy(utts, strategy, ck, factory, sp, fps,
+                                      chunk_ms)[0])
     print(summarize(rows))
-    summary = {"failed": sum(r["failed"] for r in results)}
+    summary = {"failed": sum(r["failed"] for r in rows)}
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
-            json.dump({"rows": results}, fh, indent=2)
+            json.dump({"rows": rows}, fh, indent=2)
             fh.write("\n")
         _write_manifest(ns.out, "ablate", ns, [ns.corpus], summary)
     if ns.csv:
@@ -375,6 +333,16 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------------
 # parser
+
+
+def _strategy_list(value: str) -> list[str]:
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("needs at least one strategy")
+    for s in names:
+        if s not in STRATEGIES:
+            raise argparse.ArgumentTypeError(f"unknown strategy {s!r}")
+    return names
 
 
 def _add_fps_arg(p: argparse.ArgumentParser) -> None:
@@ -444,7 +412,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     a.add_argument("--config", help="key=value defaults file")
     a.add_argument("--corpus", required=True)
     a.add_argument(
-        "--strategies",
+        "--strategies", type=_strategy_list,
         default="ss_greedy,cs_fallback_greedy,ss_beam,cs_fallback_beam")
     a.add_argument("--chunk-ms", default="1000,640,320")
     a.add_argument("--out", help="JSON summary path")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -291,44 +292,46 @@ def write_corpus(
             fh.write(json.dumps(rec) + "\n")
 
 
+def _utterance_of(rec: dict) -> Utterance:
+    # token ids and frame indices index arrays, so they must be integers
+    tokens = [operator.index(t) for t in rec["tokens"]]
+    alignments = [
+        TokenAlignment(tid, operator.index(s), operator.index(e))
+        for tid, (s, e) in zip(tokens, rec["alignments"])
+    ]
+    if "frames" in rec:
+        frames = np.asarray(rec["frames"], dtype=np.float64)
+        if not len(frames):  # rows without columns stay invalid
+            frames = frames.reshape(0, rec.get("frame_dim", 0))
+    else:
+        fs = rec["frames_seed"]
+        cfg = CorpusConfig(num_utterances=1, **{
+            k: fs[k] for k in ("vocab_size", "noise_std", "frame_dim", "seed")})
+        codebook = make_codebook(cfg.seed, cfg.vocab_size, cfg.frame_dim)
+        frames = _gen_frames(cfg, fs["index"], alignments, rec["num_frames"],
+                             codebook)
+    return Utterance(rec["id"], tokens, alignments, frames)
+
+
 def read_corpus(path: str | Path) -> list[Utterance]:
-    """Read a JSON Lines corpus; every utterance is validated as it loads."""
+    """Read a JSON Lines corpus; every utterance is validated as it loads.
+    A record that cannot be read is an AlignmentError naming its id, or its
+    line number when it has none."""
     utts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            alignments = [
-                TokenAlignment(tid, s, e)
-                for tid, (s, e) in zip(rec["tokens"], rec["alignments"])
-            ]
-            if "frames" in rec:
-                frames = np.asarray(rec["frames"], dtype=np.float64)
-                if not len(frames):  # rows without columns stay invalid
-                    frames = frames.reshape(0, rec.get("frame_dim", 0))
-            else:
-                fs = rec["frames_seed"]
-                cfg = CorpusConfig(
-                    num_utterances=1,
-                    vocab_size=fs["vocab_size"],
-                    noise_std=fs["noise_std"],
-                    frame_dim=fs["frame_dim"],
-                    seed=fs["seed"],
-                )
-                codebook = make_codebook(
-                    fs["seed"], fs["vocab_size"], fs["frame_dim"]
-                )
-                frames = _gen_frames(
-                    cfg, fs["index"], alignments, rec["num_frames"], codebook
-                )
-            u = Utterance(
-                id=rec["id"],
-                tokens=list(rec["tokens"]),
-                alignments=alignments,
-                frames=frames,
-            )
+            where = f"line {lineno}"
+            try:
+                rec = json.loads(line)
+                where = rec.get("id", where)
+                u = _utterance_of(rec)
+            except KeyError as exc:
+                raise AlignmentError(f"{where}: no {exc} field") from None
+            except (AttributeError, IndexError, TypeError, ValueError) as exc:
+                raise AlignmentError(f"{where}: malformed record: {exc}") from None
             validate_utterance(u)
             utts.append(u)
     return utts

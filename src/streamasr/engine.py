@@ -90,8 +90,6 @@ class StrategyConfig:
     hold_n: int = 1
     wait_k: int = 1
     max_decode_per_turn: int = 256
-    # optional pin: a strategy tuned for one chunk size refuses another
-    chunk_frames: int | None = None
 
 
 # slots: a session keeps one record per token and one per turn
@@ -307,7 +305,7 @@ class StreamingSession:
         copy can continue the stream independently; ``strategy`` swaps in
         another configuration of the same paradigm."""
         strategy = strategy or self.strategy
-        _check_strategy(strategy, self.chunking)
+        _check_strategy(strategy)
         if PARADIGM_OF[strategy.name] != self.paradigm:
             raise ConfigMismatch(
                 f"cannot fork a {self.paradigm} session as {strategy.name}")
@@ -329,7 +327,7 @@ class StreamingSession:
         return rec
 
 
-def _check_strategy(strategy: StrategyConfig, chunking: ChunkingConfig) -> None:
+def _check_strategy(strategy: StrategyConfig) -> None:
     if strategy.name not in STRATEGIES:
         raise ConfigMismatch(f"unknown strategy {strategy.name!r}")
     if strategy.beam_width < 1:
@@ -342,17 +340,12 @@ def _check_strategy(strategy: StrategyConfig, chunking: ChunkingConfig) -> None:
         raise ConfigMismatch("wait_k must be >= 0")
     if strategy.max_decode_per_turn < 1:
         raise ConfigMismatch("max_decode_per_turn must be >= 1")
-    if (strategy.chunk_frames is not None
-            and strategy.chunk_frames != chunking.chunk_frames):
-        raise ConfigMismatch(
-            f"strategy pinned to {strategy.chunk_frames}-frame chunks but "
-            f"the session uses {chunking.chunk_frames}")
 
 
 def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
                 sp: SpecialTokens | None = None) -> StreamingSession:
     sp = sp or SpecialTokens()
-    _check_strategy(strategy, chunking)
+    _check_strategy(strategy)
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
         raise ConfigMismatch("model must provide new_cache() and forward()")
     vocab = getattr(model, "vocab_size", None)
@@ -554,50 +547,43 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
 
 
 # --------------------------------------------------------------------------
-# per-paradigm turn handlers
+# turn handlers: streaming (ss and cs) and re-decoding (ns)
 
 
-def _push_ss(session: StreamingSession, frames: np.ndarray,
-             is_last: bool) -> list[EmissionRecord]:
-    sp = session.sp
-    turn = session.turns[-1]
-    turn.reused = len(session.cache)
-    logits = session.last_logits
-    if len(frames):
-        logits = session._fwd(session.cache, session._speech_items(frames),
-                              "prefill")
-    res = _slot_phase(session, logits, turn.slots, is_last)
-    touched = [session._new_record(t, t) for t in res.tokens]
-    # pad out the remaining slot positions so chunk strides stay exact
-    fill = max(0, turn.slots - len(res.tokens))
-    if fill:
-        session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
-    return touched
+def _push_streaming(session: StreamingSession, frames: np.ndarray,
+                    is_last: bool) -> list[EmissionRecord]:
+    """One standard or context-aware streaming turn.
 
-
-def _push_cs(session: StreamingSession, frames: np.ndarray,
-             is_last: bool) -> list[EmissionRecord]:
+    A context-aware turn first rewinds the previous turn's decode and
+    prefills its slot span again, its tokens but the last and pad after
+    them, ahead of the chunk's speech, in one call. It then seals the
+    chunk mark, and its slot phase settles the pending record. A turn
+    with nothing to prefill decodes from the logits the last turn left.
+    """
     sp = session.sp
     turns, records = session.turns, session.records
     turn, k = turns[-1], len(turns) - 1
+    cs = session.paradigm == "cs"
     cache = session.cache
     items: list[StreamItem] = []
-    if k > 0:
+    if cs and k > 0:
         fallback_rewind(session)
-        turn.reused = len(cache)
         prev = turns[-2]
         items = [_text_item(t) for t in prev.tokens[:-1]]
         items += [_text_item(sp.pad)] * (prev.slots - len(items))
+    turn.reused = len(cache)
     items += session._speech_items(frames)
-    logits = session._fwd(cache, items, "prefill") if items else None
-    cache.mark_chunk()
-    session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
+    logits = (session._fwd(cache, items, "prefill") if items
+              else session.last_logits)
+    if cs:
+        cache.mark_chunk()
+        session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
     res = _slot_phase(session, logits, turn.slots, is_last)
 
     touched: list[EmissionRecord] = []
     tokens = res.tokens
     firsts = res.tokens if res.first_values is None else res.first_values
-    # the pending record is always the newest one
+    # only a context-aware turn leaves a pending record, always the newest
     if records and records[-1].finalize_chunk is None and (tokens or is_last):
         rec = records[-1]
         rec.finalize_chunk = k
@@ -612,14 +598,16 @@ def _push_cs(session: StreamingSession, frames: np.ndarray,
         tokens, firsts = tokens[1:], firsts[1:]
     touched += [session._new_record(t, f) for t, f in zip(tokens, firsts)]
 
-    if is_last:
-        fill = 0 if res.budget_full else max(0, turn.slots - len(res.tokens))
-        if fill:
+    if cs and not is_last:
+        if res.tokens:
+            # the turn's final emission stays provisional until the next rewind
+            touched[-1].provisional = True
+            touched[-1].finalize_chunk = None
+    elif not (cs and res.budget_full):
+        # pad out the remaining slot positions so chunk strides stay exact
+        fill = turn.slots - len(res.tokens)
+        if fill > 0:
             session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
-    elif res.tokens:
-        # the turn's final emission stays provisional until the next rewind
-        touched[-1].provisional = True
-        touched[-1].finalize_chunk = None
     return touched
 
 
@@ -674,7 +662,7 @@ def push_chunk(session: StreamingSession, frames: np.ndarray,
     lo = session.frames_seen
     session.turns.append(TurnRecord((lo, lo + len(frames)), is_last,
                                     session.chunking.slots(len(frames))))
-    handler = {"ss": _push_ss, "cs": _push_cs, "ns": _push_ns}[session.paradigm]
+    handler = _push_ns if session.paradigm == "ns" else _push_streaming
     return handler(session, frames, is_last)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .corpus import TokenAlignment
@@ -32,7 +32,7 @@ __all__ = [
     "pool_counts",
     "LatencyReport",
     "emission_latency",
-    "RowSummary",
+    "report_row",
     "summarize",
     "to_csv",
 ]
@@ -157,90 +157,56 @@ def emission_latency(
 
 
 # --------------------------------------------------------------------------
-# summary table
+# report rows
 
 
-@dataclass
-class RowSummary:
-    """One strategy/chunk-size row of a comparison report.
-
-    ``wers`` holds WER percentages grouped by dataset family, e.g.
-    ((2.46, 3.54), (2.74, 6.65)); the single-corpus case is ((wer,),).
-    """
-
-    name: str
-    wers: tuple[tuple[float, ...], ...]
-    counts: ErrorCounts | None = None
-    emit_ms: float | None = None
-    finalize_ms: float | None = None
-    max_spike_ms: float | None = None
-    forward_positions: int | None = None
-
-    @property
-    def avg_wer(self) -> float:
-        flat = [w for group in self.wers for w in group]
-        return sum(flat) / len(flat) if flat else 0.0
-
-    @property
-    def wer_cell(self) -> str:
-        groups = ", ".join(
-            " | ".join(f"{w:.2f}" for w in group) for group in self.wers
-        )
-        return f"{groups}, avg {self.avg_wer:.2f}"
+def report_row(strategy: str, chunk_ms: float, chunk_frames: int,
+               counts: ErrorCounts, latency: LatencyReport,
+               forward_positions: int, failed: int) -> dict:
+    """One strategy/chunk-size row of a comparison report. Its keys are the
+    report's columns: the decode manifest summary, an ablate JSON row and
+    an ablate CSV line are each this dict."""
+    return {
+        "strategy": strategy,
+        "chunk_ms": chunk_ms,
+        "chunk_frames": chunk_frames,
+        "wer": counts.wer,
+        **asdict(counts),
+        "emit_latency_ms": latency.mean_emit_ms,
+        "finalize_latency_ms": latency.mean_finalize_ms,
+        "max_spike_ms": latency.max_spike_ms,
+        "forward_positions": forward_positions,
+        "failed": failed,
+    }
 
 
-def _fmt(value, pattern: str) -> str:
-    return pattern.format(value) if value is not None else "-"
-
-
-def summarize(rows: Sequence[RowSummary]) -> str:
-    """Aligned markdown comparison table, one row per strategy/chunk size."""
+def summarize(rows: Sequence[dict]) -> str:
+    """Aligned markdown comparison table, one line per report row."""
     header = ["strategy", "wer%", "emit ms", "final ms", "spike ms",
               "positions"]
     body = [
-        [
-            r.name,
-            r.wer_cell,
-            _fmt(r.emit_ms, "{:.2f}"),
-            _fmt(r.finalize_ms, "{:.2f}"),
-            _fmt(r.max_spike_ms, "{:.2f}"),
-            _fmt(r.forward_positions, "{:d}"),
-        ]
+        [f"{r['strategy']}@{r['chunk_frames']}f", f"{100 * r['wer']:.2f}",
+         *(f"{r[k]:.2f}" for k in ("emit_latency_ms", "finalize_latency_ms",
+                                   "max_spike_ms")),
+         str(r["forward_positions"])]
         for r in rows
     ]
-    widths = [
-        max(len(header[c]), *(len(row[c]) for row in body)) if body
-        else len(header[c])
-        for c in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+
     def line(cells):
         return "| " + " | ".join(
-            c.ljust(widths[i]) for i, c in enumerate(cells)) + " |"
+            c.ljust(w) for c, w in zip(cells, widths)) + " |"
     out = [line(header),
            "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
     out.extend(line(row) for row in body)
     return "\n".join(out)
 
 
-def to_csv(rows: Sequence[RowSummary]) -> str:
-    """The same report as comma-separated values, counters included."""
+def to_csv(rows: Sequence[dict]) -> str:
+    """The same rows as comma-separated values, one column per row key."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["strategy", "wer_pct", "substitutions", "insertions",
-                "deletions", "ref_len", "emit_ms", "finalize_ms",
-                "max_spike_ms", "forward_positions"])
-    for r in rows:
-        c = r.counts
-        w.writerow([
-            r.name,
-            f"{r.avg_wer:.4f}",
-            c.substitutions if c else "",
-            c.insertions if c else "",
-            c.deletions if c else "",
-            c.ref_len if c else "",
-            f"{r.emit_ms:.2f}" if r.emit_ms is not None else "",
-            f"{r.finalize_ms:.2f}" if r.finalize_ms is not None else "",
-            f"{r.max_spike_ms:.2f}" if r.max_spike_ms is not None else "",
-            r.forward_positions if r.forward_positions is not None else "",
-        ])
+    w = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [],
+                       lineterminator="\n")
+    w.writeheader()
+    w.writerows(rows)
     return buf.getvalue()

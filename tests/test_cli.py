@@ -1,6 +1,8 @@
 """End-to-end subcommand runs against temp files, manifests included."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -223,6 +225,26 @@ def test_decode_rejects_a_corrupt_corpus(tmp_path, corpus, capsys, model):
     assert err.startswith("error:") and rec["id"] in err
 
 
+@pytest.mark.parametrize("record, where", [
+    ({"id": "u1", "tokens": [5], "alignments": [[0, 1]], "num_frames": 3},
+     "u1: no 'frames_seed' field"),
+    ({"id": "u2", "tokens": ["a"], "alignments": [[0, 1]],
+      "frames": [[0.0] * 8] * 3}, "u2: malformed record"),
+    ({"id": "u3", "tokens": [5], "alignments": [[0, 1, 2]],
+      "frames": [[0.0] * 8] * 3}, "u3: malformed record"),
+    ({"tokens": [5], "alignments": [[0, 1]], "frames": [[0.0] * 8] * 3},
+     "line 1: no 'id' field"),
+], ids=["no-frames", "str-token", "triple-span", "no-id"])
+def test_decode_rejects_a_malformed_record(tmp_path, capsys, record, where):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    rc = main(["decode", "--corpus", str(bad), "--strategy", "ss_greedy"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}")
+    assert "Traceback" not in err
+
+
 def test_decode_with_toy_checkpoint(tmp_path, corpus):
     from streamasr.model import ModelConfig, ToyDecoder
 
@@ -383,6 +405,43 @@ def test_ablate_default_grid(tmp_path, corpus, capsys):
                 <= by_key[("ss_greedy", frames)]["wer"])
     csv_lines = csv_path.read_text().splitlines()
     assert len(csv_lines) == 13  # header + rows
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--config", "{cfg}"], "--config: line without '=': full"),
+    (["--strategies", "ss_greedy,bogus"],
+     "argument --strategies: unknown strategy 'bogus'"),
+    (["--strategies", ","],
+     "argument --strategies: needs at least one strategy"),
+], ids=["config-line", "unknown-strategy", "no-strategy"])
+def test_ablate_usage_error_exits_2(tmp_path, corpus, capsys, args, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("full\n")
+    out = tmp_path / "ablate.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--corpus", str(corpus), "--out", str(out),
+              *(a.format(cfg=cfg) for a in args)])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_summary_ablate_json_and_csv_rows_are_one_row(tmp_path,
+                                                             corpus):
+    dec, out, csv_path = (tmp_path / n for n in ("d.jsonl", "a.json", "a.csv"))
+    assert main(["decode", "--corpus", str(corpus), "--model", "boundary:1",
+                 "--strategy", "ss_greedy", "--chunk-ms", "320",
+                 "--out", str(dec)]) == 0
+    assert main(["ablate", "--corpus", str(corpus), "--model", "boundary:1",
+                 "--strategies", "ss_greedy", "--chunk-ms", "320",
+                 "--out", str(out), "--csv", str(csv_path)]) == 0
+    summary = _manifest(dec)["summary"]
+    [row] = json.loads(out.read_text())["rows"]
+    [csv_row] = csv.DictReader(io.StringIO(csv_path.read_text()))
+    assert summary == row
+    assert csv_row == {k: str(v) for k, v in row.items()}
+    assert list(csv_row) == list(row)
+    assert row["wer"] > 0 and row["chunk_frames"] == 8
 
 
 def test_ablate_custom_sweep(tmp_path, corpus, capsys):

@@ -101,14 +101,6 @@ def test_session_new_validation(chunk4):
     assert session_new(model, chunk4, ok).finished is False
 
 
-def test_chunk_frames_pin(chunk4):
-    model = Scripted({})
-    cfg = StrategyConfig("ss_greedy", chunk_frames=4)
-    session_new(model, chunk4, cfg, SP)  # matching pin is fine
-    with pytest.raises(ConfigMismatch):
-        session_new(model, ChunkingConfig(8), cfg, SP)
-
-
 def test_new_session_stats_zero(chunk4):
     s = session_new(Scripted({}), chunk4, StrategyConfig("ss_greedy"), SP)
     st = s.stats
@@ -503,6 +495,29 @@ def test_cs_empty_final_chunk_flushes_pending(edge_example, chunk4, sp):
     push_chunk(split, np.zeros((0, 8)), is_last=True)  # flush-only turn
     hyp_b = final_hypothesis(split)
     assert hyp_a == hyp_b == [13, 20]
+
+
+@pytest.mark.parametrize("name", ["ss_greedy", "cs_fallback_greedy"])
+@pytest.mark.parametrize("idle", [1, 2])
+def test_audio_less_turns_before_the_flush_change_nothing(
+        edge_example, chunk4, sp, name, idle):
+    # a turn with nothing to prefill decodes from the logits the last turn
+    # left, so idle turns neither drop nor re-decode the pending token
+    suite = make_boundary_oracle([edge_example], confusion_window=1,
+                                 vocab_size=32)
+    s = session_new(suite.bind("edge", PARADIGM_OF[name]), chunk4,
+                    StrategyConfig(name), sp)
+    push_chunk(s, edge_example.frames)
+    for _ in range(idle):
+        push_chunk(s, np.zeros((0, 8)))
+    push_chunk(s, np.zeros((0, 8)), is_last=True)
+    ref = session_new(suite.bind("edge", PARADIGM_OF[name]), chunk4,
+                      StrategyConfig(name), sp)
+    push_chunk(ref, edge_example.frames)
+    push_chunk(ref, np.zeros((0, 8)), is_last=True)
+    assert final_hypothesis(s) == final_hypothesis(ref)
+    assert not any(r.retracted for r in s.records)
+    assert s.stats.forward_positions == ref.stats.forward_positions
 
 
 def test_run_stream_equals_manual_pushes(edge_example, chunk4, sp):

@@ -14,11 +14,11 @@ from streamasr.engine import EmissionRecord
 from streamasr.metrics import (
     ErrorCounts,
     LatencyReport,
-    RowSummary,
     align_tokens,
     edit_distance,
     emission_latency,
     pool_counts,
+    report_row,
     summarize,
     to_csv,
 )
@@ -282,41 +282,30 @@ def test_empty_report_means():
 # report rendering
 # -----------------------------
 
-def test_wer_cell_grouped_format():
-    row = RowSummary(name="g", wers=((2.46, 3.54), (2.74, 6.65)))
-    assert row.wer_cell == "2.46 | 3.54, 2.74 | 6.65, avg 3.85"
-    assert row.avg_wer == pytest.approx((2.46 + 3.54 + 2.74 + 6.65) / 4, abs=5e-3)
+def _row(strategy, counts, latency, positions):
+    return report_row(strategy, 1000.0, 25, counts, latency, positions,
+                      failed=0)
 
 
 def test_summarize_renders_markdown():
     rows = [
-        RowSummary(name="a@25f", wers=((1.0,),),
-                   counts=ErrorCounts(1, 0, 0, 100),
-                   emit_ms=10.0, finalize_ms=12.0, max_spike_ms=100.0,
-                   forward_positions=42),
-        RowSummary(name="b@25f", wers=((2.0, 3.0),)),
+        _row("a", ErrorCounts(1, 0, 0, 100),
+             LatencyReport([10.0], [12.0, 100.0]), 42),
+        _row("bb", ErrorCounts(2, 1, 0, 12), LatencyReport([8.5], [9.0]), 7),
     ]
-    table = summarize(rows)
-    lines = table.splitlines()
-    assert lines[0].startswith("| strategy")
-    assert set(lines[1]) <= {"|", "-", " "}
-    assert "a@25f" in table and "42" in table
-    assert "2.00 | 3.00" in table
-    # unmeasured cells render as a dash
-    assert "| -" in lines[3]
+    assert summarize(rows).splitlines() == [
+        "| strategy | wer%  | emit ms | final ms | spike ms | positions |",
+        "|----------|-------|---------|----------|----------|-----------|",
+        "| a@25f    | 1.00  | 10.00   | 56.00    | 100.00   | 42        |",
+        "| bb@25f   | 25.00 | 8.50    | 9.00     | 9.00     | 7         |",
+    ]
 
 
 def test_to_csv_parses_back():
-    rows = [
-        RowSummary(name="a@25f", wers=((1.5,),),
-                   counts=ErrorCounts(2, 1, 0, 200),
-                   emit_ms=10.0, finalize_ms=12.5, max_spike_ms=99.0,
-                   forward_positions=7),
-    ]
-    got = list(csv.DictReader(io.StringIO(to_csv(rows))))
-    assert len(got) == 1
-    r = got[0]
-    assert r["strategy"] == "a@25f"
-    assert float(r["wer_pct"]) == pytest.approx(1.5)
-    assert int(r["substitutions"]) == 2
-    assert int(r["forward_positions"]) == 7
+    rows = [_row("a", ErrorCounts(2, 1, 0, 200),
+                 LatencyReport([10.0], [12.5, 99.0]), 7)]
+    [got] = csv.DictReader(io.StringIO(to_csv(rows)))
+    # one column per row key, in row order; wer is a fraction
+    assert list(got) == list(rows[0])
+    assert got == {k: str(v) for k, v in rows[0].items()}
+    assert float(got["wer"]) == 3 / 200
