@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -58,7 +58,12 @@ from .model import (
 )
 from .verify import run_battery
 
-_BUILDERS = {"ns": build_ns, "ss": build_ss, "cs": build_cs}
+
+def _layout(u, paradigm: str, ck: ChunkingConfig, sp: SpecialTokens):
+    """The training layout of ``u`` in ``paradigm``; ns has no chunking."""
+    if paradigm == "ns":
+        return build_ns(u, sp)
+    return {"ss": build_ss, "cs": build_cs}[paradigm](u, ck, sp)
 
 
 def chunk_ms_to_frames(chunk_ms: float, frames_per_second: float) -> int:
@@ -100,9 +105,10 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
 
 def _read_config_overrides(parser: argparse.ArgumentParser,
                            argv: list[str]) -> dict[str, str]:
-    """key=value defaults; values stay strings, commands coerce on use
-    (``main`` coerces on/off flags itself). ``--config`` is found by
-    argparse's own rules; a missing or unreadable path is a usage error."""
+    """key=value defaults, kept as strings: argparse converts a string
+    default with the option's ``type``, so a bad value is a usage error
+    naming the flag (``main`` converts on/off flags). ``--config`` is found
+    by argparse's own rules; a missing or unreadable path is a usage error."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     try:
@@ -136,19 +142,10 @@ def _read_config_overrides(parser: argparse.ArgumentParser,
 
 
 def _cmd_gen_corpus(ns: argparse.Namespace) -> int:
-    cfg = CorpusConfig(
-        num_utterances=int(ns.num_utterances),
-        vocab_size=int(ns.vocab_size),
-        frames_per_second=float(ns.frames_per_second),
-        min_tokens=int(ns.min_tokens),
-        max_tokens=int(ns.max_tokens),
-        frames_per_token_mean=float(ns.frames_per_token_mean),
-        noise_std=float(ns.noise_std),
-        frame_dim=int(ns.frame_dim),
-        seed=int(ns.seed),
-    )
+    cfg = CorpusConfig(**{f.name: getattr(ns, f.name)
+                          for f in fields(CorpusConfig)})
     utts = gen_synthetic_corpus(cfg)
-    write_corpus(ns.out, utts, cfg, inline_frames=bool(ns.inline_frames))
+    write_corpus(ns.out, utts, cfg, inline_frames=ns.inline_frames)
     _write_manifest(ns.out, "gen-corpus", ns, [])
     print(f"wrote {len(utts)} utterances to {ns.out}")
     return 0
@@ -157,14 +154,11 @@ def _cmd_gen_corpus(ns: argparse.Namespace) -> int:
 def _cmd_build_sequences(ns: argparse.Namespace) -> int:
     utts = read_corpus(ns.corpus)
     sp = SpecialTokens()
-    frames = chunk_ms_to_frames(float(ns.chunk_ms), float(ns.frames_per_second))
-    ck = ChunkingConfig(frames, int(ns.speech_text_ratio))
+    frames = chunk_ms_to_frames(ns.chunk_ms, ns.frames_per_second)
+    ck = ChunkingConfig(frames, ns.speech_text_ratio)
     with open(ns.out, "w", encoding="utf-8") as fh:
         for u in utts:
-            if ns.paradigm == "ns":
-                seq = build_ns(u, sp)
-            else:
-                seq = _BUILDERS[ns.paradigm](u, ck, sp)
+            seq = _layout(u, ns.paradigm, ck, sp)
             rec = {
                 "id": u.id,
                 "paradigm": ns.paradigm,
@@ -179,16 +173,12 @@ def _cmd_build_sequences(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens,
-                        vocab: int):
+def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens):
     """Returns model_for(utt, paradigm, chunking) for the --model spec."""
-    spec = ns.model
+    spec, vocab = ns.model, ns.vocab_size
     if spec == "teacher":
-        def factory(u, paradigm, ck):
-            if paradigm == "ns":
-                return TeacherOracle(build_ns(u, sp), sp, vocab)
-            return TeacherOracle(_BUILDERS[paradigm](u, ck, sp), sp, vocab)
-        return factory
+        return lambda u, paradigm, ck: TeacherOracle(
+            _layout(u, paradigm, ck, sp), sp, vocab)
     if spec.startswith("boundary:"):
         window = int(spec.split(":", 1)[1])
         suite = make_boundary_oracle(utts, window, sp=sp, vocab_size=vocab)
@@ -262,27 +252,29 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
 def _strategy_from_ns(ns: argparse.Namespace, name: str) -> StrategyConfig:
     # --beam-width only applies to beam strategies, so a mixed
     # greedy-and-beam sweep can share one flag value
-    width = int(ns.beam_width) if name.endswith("_beam") else 1
-    return StrategyConfig(
-        name=name,
-        beam_width=width,
-        hold_n=int(ns.hold_n),
-        wait_k=int(ns.wait_k),
-        max_decode_per_turn=int(ns.max_decode_per_turn),
-    )
+    width = ns.beam_width if name.endswith("_beam") else 1
+    return StrategyConfig(name=name, beam_width=width, hold_n=ns.hold_n,
+                          wait_k=ns.wait_k,
+                          max_decode_per_turn=ns.max_decode_per_turn)
+
+
+def _grid(ns: argparse.Namespace, chunk_sizes, names):
+    """Decode the corpus at each chunk size with each strategy in turn,
+    yielding each report row with its per-utterance entries."""
+    utts = read_corpus(ns.corpus)
+    sp = SpecialTokens()
+    fps = ns.frames_per_second
+    factory = _make_model_factory(ns, utts, sp)
+    for chunk_ms in chunk_sizes:
+        ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
+                            ns.speech_text_ratio)
+        for name in names:
+            yield _run_strategy(utts, _strategy_from_ns(ns, name), ck,
+                                factory, sp, fps, chunk_ms)
 
 
 def _cmd_decode(ns: argparse.Namespace) -> int:
-    utts = read_corpus(ns.corpus)
-    sp = SpecialTokens()
-    vocab = int(ns.vocab_size)
-    fps = float(ns.frames_per_second)
-    ck = ChunkingConfig(chunk_ms_to_frames(float(ns.chunk_ms), fps),
-                        int(ns.speech_text_ratio))
-    factory = _make_model_factory(ns, utts, sp, vocab)
-    strategy = _strategy_from_ns(ns, ns.strategy)
-    row, per_utt = _run_strategy(utts, strategy, ck, factory, sp, fps,
-                                 float(ns.chunk_ms))
+    [(row, per_utt)] = _grid(ns, [ns.chunk_ms], [ns.strategy])
     print(summarize([row]))
     if ns.out:
         # one JSON line per utterance; the report row is the summary in
@@ -295,19 +287,7 @@ def _cmd_decode(ns: argparse.Namespace) -> int:
 
 
 def _cmd_ablate(ns: argparse.Namespace) -> int:
-    utts = read_corpus(ns.corpus)
-    sp = SpecialTokens()
-    vocab = int(ns.vocab_size)
-    fps = float(ns.frames_per_second)
-    factory = _make_model_factory(ns, utts, sp, vocab)
-    rows = []
-    for chunk_ms in (float(x) for x in ns.chunk_ms.split(",")):
-        ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
-                            int(ns.speech_text_ratio))
-        for name in ns.strategies:
-            strategy = _strategy_from_ns(ns, name)
-            rows.append(_run_strategy(utts, strategy, ck, factory, sp, fps,
-                                      chunk_ms)[0])
+    rows = [row for row, _ in _grid(ns, ns.chunk_ms, ns.strategies)]
     print(summarize(rows))
     summary = {"failed": sum(r["failed"] for r in rows)}
     if ns.out:
@@ -323,7 +303,7 @@ def _cmd_ablate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    results = run_battery(full=bool(ns.full), seed=int(ns.seed))
+    results = run_battery(full=ns.full, seed=ns.seed)
     for r in results:
         print(r.line())
     failed = [r for r in results if not r.passed]
@@ -343,6 +323,14 @@ def _strategy_list(value: str) -> list[str]:
         if s not in STRATEGIES:
             raise argparse.ArgumentTypeError(f"unknown strategy {s!r}")
     return names
+
+
+def _chunk_ms_list(value: str) -> list[float]:
+    try:
+        return [float(s) for s in value.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {value!r}") from None
 
 
 def _add_fps_arg(p: argparse.ArgumentParser) -> None:
@@ -414,7 +402,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     a.add_argument(
         "--strategies", type=_strategy_list,
         default="ss_greedy,cs_fallback_greedy,ss_beam,cs_fallback_beam")
-    a.add_argument("--chunk-ms", default="1000,640,320")
+    a.add_argument("--chunk-ms", type=_chunk_ms_list, default="1000,640,320")
     a.add_argument("--out", help="JSON summary path")
     a.add_argument("--csv", help="CSV report path")
     _add_common_model_args(a)

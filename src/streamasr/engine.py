@@ -52,7 +52,7 @@ import numpy as np
 from .layout import ChunkingConfig, SpecialTokens, chunk_bounds
 from .layout import speech as speech_pos
 from .layout import text as text_pos
-from .model import ImmutabilityViolation, StreamItem
+from .model import StreamItem
 
 __all__ = [
     "STRATEGIES", "PARADIGM_OF", "ConfigMismatch", "PushAfterFinish",
@@ -239,8 +239,6 @@ class StreamingSession:
         self.cache = model.new_cache()
         self.records: list[EmissionRecord] = []
         self.turns: list[TurnRecord] = []
-        # the checksum sealed at the newest chunk mark, for the next rewind
-        self.stored_checksum: int | None = None
         # logits left over at turn end, the seed for an audio-less flush
         self.last_logits: np.ndarray | None = None
         # re-decoding baseline: every speech item so far
@@ -359,25 +357,17 @@ def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
 
 
 def fallback_rewind(session: StreamingSession) -> int:
-    """Roll the cache back to the most recent chunk mark.
+    """Rewind the cache to its sealed chunk mark and record it in the turn.
 
-    Verifies the checksum stored when the mark was set; any change to the
-    prefix below the mark is an immutability violation. Returns the number
-    of positions removed (the previous turn's decoded appends).
+    ``KVCache.rewind``/``SymbolicCache.rewind`` verify the checksum sealed
+    at the mark first. Returns the number of positions removed (the
+    previous turn's decoded appends); an unsealed cache is left alone.
     """
-    cache = session.cache
-    if not cache.chunk_marks:
+    cache, turn = session.cache, session.turns[-1]
+    if cache.sealed is None:
         return 0
-    mark = cache.chunk_marks[-1]
-    turn = session.turns[-1]
-    if session.stored_checksum is not None:
-        turn.checksum_verified = True
-        if cache.checksum(mark) != session.stored_checksum:
-            raise ImmutabilityViolation(
-                f"cache prefix below mark {mark} changed since it was sealed"
-            )
-    turn.rolled_back = len(cache) - mark
-    cache.rollback(mark)
+    turn.checksum_verified = True
+    turn.rolled_back = cache.rewind()
     return turn.rolled_back
 
 
@@ -577,7 +567,6 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
               else session.last_logits)
     if cs:
         cache.mark_chunk()
-        session.stored_checksum = cache.checksum(cache.chunk_marks[-1])
     res = _slot_phase(session, logits, turn.slots, is_last)
 
     touched: list[EmissionRecord] = []

@@ -181,14 +181,15 @@ def report_row(strategy: str, chunk_ms: float, chunk_frames: int,
 
 
 def summarize(rows: Sequence[dict]) -> str:
-    """Aligned markdown comparison table, one line per report row."""
+    """Aligned markdown comparison table, one line per report row. Scores
+    pool the utterances that decoded; ``failed`` counts the others."""
     header = ["strategy", "wer%", "emit ms", "final ms", "spike ms",
-              "positions"]
+              "positions", "failed"]
     body = [
         [f"{r['strategy']}@{r['chunk_frames']}f", f"{100 * r['wer']:.2f}",
          *(f"{r[k]:.2f}" for k in ("emit_latency_ms", "finalize_latency_ms",
                                    "max_spike_ms")),
-         str(r["forward_positions"])]
+         str(r["forward_positions"]), str(r["failed"])]
         for r in rows
     ]
     widths = [max(map(len, column)) for column in zip(header, *body)]

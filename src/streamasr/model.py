@@ -26,12 +26,13 @@ to one ``forward`` per item for a model without it (the oracles).
 Both oracles reply with a window of one read-only logits vector rather
 than a fresh row, so callers must never write into the logits they get.
 
-Caches are append-only below recorded chunk boundaries; rollback past the
-most recent boundary raises, and checksums let callers prove entries below
-a boundary never changed. A ``KVCache`` grows its per-layer arrays on
-demand rather than reserving ``max_context`` rows up front, and a branch
-copies only the live rows into a reserve rounded up to 16, so beam search
-pays for what each hypothesis holds.
+Caches are append-only below their newest chunk mark. ``mark_chunk``
+seals the checksum of the prefix there, rollback below the mark raises,
+and ``rewind`` proves the prefix unchanged before it truncates to the
+mark. A ``KVCache`` grows its per-layer arrays on demand rather than
+reserving ``max_context`` rows up front, and a branch copies only the
+live rows into a reserve rounded up to 16, so beam search pays for what
+each hypothesis holds.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,12 +186,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.embed_dim % self.num_heads:
-            raise ValueError("embed_dim must divide evenly into heads")
         if min(self.vocab_size, self.embed_dim, self.num_heads,
                self.ffn_dim, self.frame_dim, self.adapter_hidden,
                self.max_context) < 1:
             raise ValueError("all dimensions must be positive")
+        if self.embed_dim % self.num_heads:
+            raise ValueError("embed_dim must divide evenly into heads")
         if self.num_layers < 0:
             raise ValueError("num_layers must be >= 0")
 
@@ -225,61 +226,47 @@ class ToyParams:
     out_b: np.ndarray     # [vocab]
 
 
+def _shapes(cfg: ModelConfig) -> list[tuple[int, ...]]:
+    """Every parameter block's shape in declaration order, which is also
+    the draw order and the file order."""
+    d, v, h, f = cfg.embed_dim, cfg.vocab_size, cfg.adapter_hidden, cfg.ffn_dim
+    layer = [(d,), (d,), *[(d, d), (d,)] * 4, (d,), (d,),
+             (f, d), (f,), (d, f), (d,)]
+    return [(v, d), (cfg.max_context, d), (h, cfg.frame_dim), (h,), (d, h),
+            (d,), *layer * cfg.num_layers, (v, d), (v,)]
+
+
 def param_count(cfg: ModelConfig) -> int:
     """Exact parameter count implied by the declaration order."""
-    d, v = cfg.embed_dim, cfg.vocab_size
-    n = v * d + cfg.max_context * d
-    n += cfg.adapter_hidden * cfg.frame_dim + cfg.adapter_hidden
-    n += d * cfg.adapter_hidden + d
-    per_layer = 2 * d + 4 * (d * d + d) + 2 * d
-    per_layer += cfg.ffn_dim * d + cfg.ffn_dim + d * cfg.ffn_dim + d
-    n += cfg.num_layers * per_layer
-    n += v * d + v
-    return n
+    return sum(math.prod(s) for s in _shapes(cfg))
+
+
+def _params_of(cfg: ModelConfig, blocks: list[np.ndarray]) -> ToyParams:
+    """Assemble blocks given in ``_shapes`` order into the dataclasses."""
+    it = iter(blocks)
+
+    def take(cls):
+        return cls(*(next(it) for _ in fields(cls)))
+
+    return ToyParams(next(it), next(it), take(AdapterParams),
+                     [take(LayerParams) for _ in range(cfg.num_layers)],
+                     next(it), next(it))
 
 
 def _init_params(cfg: ModelConfig) -> ToyParams:
     # One sequential stream; the draw order is the serialization order.
     rng = np.random.default_rng(cfg.seed)
-
-    def draw(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    d = cfg.embed_dim
-    embed = draw(cfg.vocab_size, d)
-    pos = draw(cfg.max_context, d)
-    adapter = AdapterParams(
-        w1=draw(cfg.adapter_hidden, cfg.frame_dim),
-        b1=draw(cfg.adapter_hidden),
-        w2=draw(d, cfg.adapter_hidden),
-        b2=draw(d),
-    )
-    layers = []
-    for _ in range(cfg.num_layers):
-        layers.append(
-            LayerParams(
-                ln1_g=draw(d), ln1_b=draw(d),
-                wq=draw(d, d), bq=draw(d),
-                wk=draw(d, d), bk=draw(d),
-                wv=draw(d, d), bv=draw(d),
-                wo=draw(d, d), bo=draw(d),
-                ln2_g=draw(d), ln2_b=draw(d),
-                ffn_w1=draw(cfg.ffn_dim, d), ffn_b1=draw(cfg.ffn_dim),
-                ffn_w2=draw(d, cfg.ffn_dim), ffn_b2=draw(d),
-            )
-        )
-    out_w = draw(cfg.vocab_size, d)
-    out_b = draw(cfg.vocab_size)
-    return ToyParams(embed, pos, adapter, layers, out_w, out_b)
+    return _params_of(cfg, [rng.uniform(-0.1, 0.1, size=s)
+                            for s in _shapes(cfg)])
 
 
-def _param_blocks(p: ToyParams) -> list[np.ndarray]:
-    blocks = [p.embed, p.pos, p.adapter.w1, p.adapter.b1, p.adapter.w2, p.adapter.b2]
-    for lp in p.layers:
-        blocks += [lp.ln1_g, lp.ln1_b, lp.wq, lp.bq, lp.wk, lp.bk, lp.wv, lp.bv,
-                   lp.wo, lp.bo, lp.ln2_g, lp.ln2_b,
-                   lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2]
-    blocks += [p.out_w, p.out_b]
+def _param_blocks(p) -> list[np.ndarray]:
+    """Every array of a parameter dataclass, in field order."""
+    blocks = []
+    for f in fields(p):
+        value = getattr(p, f.name)
+        for part in value if isinstance(value, list) else [value]:
+            blocks += [part] if isinstance(part, np.ndarray) else _param_blocks(part)
     return blocks
 
 
@@ -290,22 +277,17 @@ _KV_INITIAL_ROWS = 16  # rows a new KVCache reserves per layer before growing
 
 
 class _MarkedCache:
-    """Shared chunk-boundary bookkeeping for all cache kinds."""
+    """Chunk bookkeeping of both cache kinds: the newest chunk ``mark``
+    and the checksum ``sealed`` there (None until the first mark)."""
 
     def __init__(self) -> None:
-        self.chunk_marks: list[int] = []
-
-    def __len__(self) -> int:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def checksum(self, upto: int | None = None) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def _truncate(self, n: int) -> None:  # pragma: no cover
-        raise NotImplementedError
+        self.mark = 0
+        self.sealed: int | None = None
 
     def mark_chunk(self) -> None:
-        self.chunk_marks.append(len(self))
+        """Seal the current length: nothing below it may change again."""
+        self.mark = len(self)
+        self.sealed = self.checksum(self.mark)
 
     def _check_target(self, n: int, what: str) -> None:
         """A rollback or checksum target must lie within 0..len(self)."""
@@ -318,14 +300,21 @@ class _MarkedCache:
         """Truncate to length n. Only the suffix above the most recent chunk
         boundary is mutable; anything below is immutable history."""
         self._check_target(n, "rollback target")
-        if self.chunk_marks and n < self.chunk_marks[-1]:
+        if n < self.mark:
             raise RollbackPastChunkBoundary(
-                f"target {n} below chunk boundary {self.chunk_marks[-1]}"
-            )
+                f"target {n} below chunk boundary {self.mark}")
         self._truncate(n)
 
-    def _copy_marks_to(self, other: "_MarkedCache") -> None:
-        other.chunk_marks = list(self.chunk_marks)
+    def rewind(self) -> int:
+        """Verify the seal and truncate to the mark; returns the number of
+        positions removed. A changed prefix below the mark raises
+        ``ImmutabilityViolation``; an unsealed cache rewinds to empty."""
+        if self.sealed is not None and self.checksum(self.mark) != self.sealed:
+            raise ImmutabilityViolation(
+                f"cache prefix below mark {self.mark} changed since it was sealed")
+        removed = len(self) - self.mark
+        self.rollback(self.mark)
+        return removed
 
 
 class KVCache(_MarkedCache):
@@ -394,7 +383,7 @@ class KVCache(_MarkedCache):
         cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
         other.k = [self._grown(a, cap) for a in self.k]
         other.v = [self._grown(a, cap) for a in self.v]
-        self._copy_marks_to(other)
+        other.mark, other.sealed = self.mark, self.sealed
         return other
 
     def checksum(self, upto: int | None = None) -> int:
@@ -460,7 +449,7 @@ class SymbolicCache(_MarkedCache):
         other.values = self.values[:]
         other._reals = self._reals[:]
         other._max_frame = self._max_frame[:]
-        self._copy_marks_to(other)
+        other.mark, other.sealed = self.mark, self.sealed
         return other
 
     def checksum(self, upto: int | None = None) -> int:
@@ -644,19 +633,15 @@ class ToyDecoder:
 
     _MAGIC = b"SADC"
     _VERSION = 1
+    _HEADER = "<4sH9q"
 
     def save(self, path: str) -> None:
-        """Flat binary: header with dims and seed, then float64 parameter
-        blocks in declaration order. Reload is byte-exact."""
-        c = self.cfg
-        header = struct.pack(
-            "<4sH9q",
-            self._MAGIC, self._VERSION,
-            c.vocab_size, c.embed_dim, c.num_layers, c.num_heads, c.ffn_dim,
-            c.frame_dim, c.adapter_hidden, c.max_context, c.seed,
-        )
+        """Flat binary: a header with the config's fields in declaration
+        order, then float64 parameter blocks in declaration order. Reload
+        is byte-exact."""
         with open(path, "wb") as fh:
-            fh.write(header)
+            fh.write(struct.pack(self._HEADER, self._MAGIC, self._VERSION,
+                                 *astuple(self.cfg)))
             for block in _param_blocks(self.params):
                 fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
 
@@ -664,22 +649,21 @@ class ToyDecoder:
     def load(cls, path: str) -> "ToyDecoder":
         with open(path, "rb") as fh:
             raw = fh.read()
-        head = struct.calcsize("<4sH9q")
-        magic, version, *dims = struct.unpack("<4sH9q", raw[:head])
+        offset = struct.calcsize(cls._HEADER)
+        if len(raw) < offset:
+            raise ValueError("not a toy decoder parameter file")
+        magic, version, *dims = struct.unpack_from(cls._HEADER, raw)
         if magic != cls._MAGIC or version != cls._VERSION:
             raise ValueError("not a toy decoder parameter file")
         cfg = ModelConfig(*dims)
-        model = cls(cfg)  # allocates correctly shaped blocks
-        offset = head
-        for block in _param_blocks(model.params):
-            n = block.size * 8
-            block[...] = np.frombuffer(
-                raw[offset : offset + n], dtype=np.float64
-            ).reshape(block.shape)
-            offset += n
-        if offset != len(raw):
+        if len(raw) != offset + 8 * param_count(cfg):
             raise ValueError("parameter file size mismatch")
-        return model
+        # one aligned, writable copy per block, as a fresh draw has
+        shapes = _shapes(cfg)
+        cuts = np.cumsum([math.prod(s) for s in shapes])[:-1]
+        flat = np.frombuffer(raw, np.float64, offset=offset)
+        return cls(cfg, _params_of(cfg, [b.reshape(s).copy() for b, s in
+                                         zip(np.split(flat, cuts), shapes)]))
 
 
 # --------------------------------------------------------------------------

@@ -164,8 +164,7 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     cache = model.new_cache()
     model.forward(cache, _random_items(rng, 12, cfg.frame_dim, cfg.vocab_size))
     cache.mark_chunk()
-    mark = cache.chunk_marks[-1]
-    sealed = cache.checksum(mark)
+    mark, sealed = cache.mark, cache.sealed
     verified = 0
     for _ in range(num_rollbacks):
         model.forward(cache, [StreamItem(text_pos(int(rng.integers(0, 32)))),

@@ -413,7 +413,9 @@ def test_ablate_default_grid(tmp_path, corpus, capsys):
      "argument --strategies: unknown strategy 'bogus'"),
     (["--strategies", ","],
      "argument --strategies: needs at least one strategy"),
-], ids=["config-line", "unknown-strategy", "no-strategy"])
+    (["--chunk-ms", "1000,abc"], "argument --chunk-ms: not a "
+     "comma-separated list of numbers: '1000,abc'"),
+], ids=["config-line", "unknown-strategy", "no-strategy", "chunk-ms"])
 def test_ablate_usage_error_exits_2(tmp_path, corpus, capsys, args, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("full\n")
@@ -424,6 +426,50 @@ def test_ablate_usage_error_exits_2(tmp_path, corpus, capsys, args, message):
     assert exc.value.code == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, line, message", [
+    (["verify"], "seed = x", "argument --seed: invalid int value: 'x'"),
+    (["gen-corpus", "--out", "{out}"], "seed = x",
+     "argument --seed: invalid int value: 'x'"),
+    (["decode", "--corpus", "{corpus}", "--strategy", "ss_greedy",
+      "--out", "{out}"], "chunk_ms = abc",
+     "argument --chunk-ms: invalid float value: 'abc'"),
+    (["ablate", "--corpus", "{corpus}", "--out", "{out}"],
+     "chunk_ms = 1000,abc", "argument --chunk-ms: not a comma-separated "
+     "list of numbers: '1000,abc'"),
+], ids=["verify", "gen-corpus", "decode", "ablate"])
+def test_config_value_is_converted_by_the_option_type(
+        tmp_path, corpus, capsys, monkeypatch, command, line, message):
+    import streamasr.cli as cli
+
+    def no_decode(*args):
+        raise AssertionError("decoded before the usage error")
+
+    monkeypatch.setattr(cli, "_run_strategy", no_decode)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*(a.format(corpus=corpus, out=out) for a in command),
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_table_counts_an_all_failed_row(tmp_path, corpus, capsys):
+    from streamasr.model import ModelConfig, ToyDecoder
+
+    ckpt = tmp_path / "toy20.bin"
+    ToyDecoder(ModelConfig(seed=3, max_context=20)).save(str(ckpt))
+    rc = main(["ablate", "--corpus", str(corpus), "--strategies",
+               "ss_greedy", "--chunk-ms", "1000", "--model", str(ckpt)])
+    assert rc == 0
+    header, _, row = capsys.readouterr().out.splitlines()
+    assert header.split("|")[-2].strip() == "failed"
+    assert row.startswith("| ss_greedy@25f ")
+    assert row.split("|")[-2].strip() == "6"
 
 
 def test_decode_summary_ablate_json_and_csv_rows_are_one_row(tmp_path,

@@ -922,7 +922,7 @@ def test_context_aware_overflow_appends_nothing(sp):
     push_chunk(s, _frames(8))
     with pytest.raises(ContextOverflow):
         push_chunk(s, _frames(8))
-    assert len(s.cache) == s.cache.chunk_marks[-1] == 8
+    assert len(s.cache) == s.cache.mark == 8
     assert s.turns[-1].prefill == 0
 
 

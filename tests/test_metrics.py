@@ -294,10 +294,10 @@ def test_summarize_renders_markdown():
         _row("bb", ErrorCounts(2, 1, 0, 12), LatencyReport([8.5], [9.0]), 7),
     ]
     assert summarize(rows).splitlines() == [
-        "| strategy | wer%  | emit ms | final ms | spike ms | positions |",
-        "|----------|-------|---------|----------|----------|-----------|",
-        "| a@25f    | 1.00  | 10.00   | 56.00    | 100.00   | 42        |",
-        "| bb@25f   | 25.00 | 8.50    | 9.00     | 9.00     | 7         |",
+        "| strategy | wer%  | emit ms | final ms | spike ms | positions | failed |",
+        "|----------|-------|---------|----------|----------|-----------|--------|",
+        "| a@25f    | 1.00  | 10.00   | 56.00    | 100.00   | 42        | 0      |",
+        "| bb@25f   | 25.00 | 8.50    | 9.00     | 9.00     | 7         | 0      |",
     ]
 
 

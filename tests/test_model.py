@@ -1,6 +1,7 @@
 """Toy transformer, caches, masks, loss, and the two decoding oracles."""
 
 import dataclasses
+import hashlib
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ from streamasr.layout import ChunkingConfig, SpecialTokens, build_ns, build_ss, 
 from streamasr.model import (
     AdapterParams,
     ContextOverflow,
+    ImmutabilityViolation,
     KVCache,
     ModelConfig,
     RollbackPastChunkBoundary,
@@ -201,6 +203,44 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(m.forward_sequence(items), back.forward_sequence(items))
 
 
+# sha256 of the bytes ``save`` wrote before one shape table replaced the
+# hand-written draws: the draw order, the block order and the header are
+# part of the file format and must not move
+@pytest.mark.parametrize("cfg, digest", [
+    (ModelConfig(seed=3),
+     "c7489cbaf93685bab396713644800d6d849bfe8b9102be8e247fa3d1289bb5b7"),
+    # the benchmark's toy decoder (``TOY`` in perfbench/bench.py)
+    (ModelConfig(vocab_size=32, embed_dim=64, num_layers=4, num_heads=4,
+                 ffn_dim=128, max_context=2048, seed=0),
+     "9c4cd951676d046588d76787123734eaa722920c708f04f1bf5b774793f5dab7"),
+], ids=["seed3", "bench-toy"])
+def test_saved_bytes_are_pinned(tmp_path, cfg, digest):
+    path = tmp_path / "m.bin"
+    ToyDecoder(cfg).save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    back = ToyDecoder.load(str(path))
+    assert back.cfg == cfg
+    back.save(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: b"SADD" + raw[4:], "not a toy decoder"),
+    (lambda raw: raw[:20], "not a toy decoder"),
+    # num_heads, the fourth header field, read as 0
+    (lambda raw: raw[:30] + bytes(8) + raw[38:], "must be positive"),
+    (lambda raw: raw[:-8], "size mismatch"),
+    (lambda raw: raw + bytes(8), "size mismatch"),
+], ids=["magic", "truncated-header", "zero-heads", "truncated",
+        "trailing-bytes"])
+def test_load_rejects_a_malformed_file(tmp_path, corrupt, message):
+    path = tmp_path / "m.bin"
+    ToyDecoder(CFG).save(str(path))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        ToyDecoder.load(str(path))
+
+
 # -----------------------------
 # KV cache bookkeeping
 # -----------------------------
@@ -228,6 +268,74 @@ def test_rollback_guard_blocks_committed_prefix():
         cache.rollback(1)
     with pytest.raises(ValueError):
         cache.rollback(99)
+
+
+def _sealed_kv():
+    """Six positions sealed below the mark, two more above it."""
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 4, [5, 6]))
+    cache.mark_chunk()
+    m.forward(cache, _items(m, 0, [7, 8]))
+    return cache
+
+
+def _sealed_symbolic():
+    cache = SymbolicCache(SpecialTokens())
+    cache.append_items([StreamItem(speech(0)), StreamItem(speech(1)),
+                        StreamItem(text(10)), StreamItem(text(0))])
+    cache.mark_chunk()
+    cache.append_items([StreamItem(text(11)), StreamItem(speech(2))])
+    return cache
+
+
+def test_kv_rewind_catches_any_single_edit_below_the_mark():
+    cache = _sealed_kv()
+    assert cache.mark == 6 and cache.sealed == cache.checksum(6)
+    for rows in cache.k + cache.v:
+        for idx in np.ndindex(cache.mark, rows.shape[1]):
+            saved = rows[idx]
+            rows[idx] += 1.0
+            with pytest.raises(ImmutabilityViolation):
+                cache.rewind()
+            assert len(cache) == 8
+            rows[idx] = saved
+    # the unsealed suffix is free to change
+    cache.k[0][7, 0] += 1.0
+    assert cache.rewind() == 2 and len(cache) == cache.mark == 6
+
+
+def test_symbolic_rewind_catches_any_single_edit_below_the_mark():
+    cache = _sealed_symbolic()
+    assert cache.mark == 4 and cache.sealed == cache.checksum(4)
+    for i in range(cache.mark):
+        other_kind = "t" if cache.kinds[i] == "s" else "s"
+        for log, edited in ((cache.values, cache.values[i] + 1),
+                            (cache.kinds, other_kind)):
+            saved, log[i] = log[i], edited
+            with pytest.raises(ImmutabilityViolation):
+                cache.rewind()
+            assert len(cache) == 6
+            log[i] = saved
+    assert cache.rewind() == 2 and len(cache) == cache.mark == 4
+
+
+@pytest.mark.parametrize("sealed_cache", [_sealed_kv, _sealed_symbolic],
+                         ids=["kv", "symbolic"])
+def test_a_branch_carries_the_seal(sealed_cache):
+    cache = sealed_cache()
+    fork = cache.branch()
+    assert (fork.mark, fork.sealed) == (cache.mark, cache.sealed)
+    with pytest.raises(RollbackPastChunkBoundary):
+        fork.rollback(fork.mark - 1)
+    assert fork.rewind() == cache.rewind() == 2
+
+
+def test_an_unsealed_cache_rewinds_to_empty():
+    cache = SymbolicCache(SpecialTokens())
+    cache.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    assert (cache.mark, cache.sealed) == (0, None)
+    assert cache.rewind() == 2 and len(cache) == 0
 
 
 def test_kv_cache_rejects_a_negative_target():
@@ -262,7 +370,7 @@ def test_branch_is_independent_and_checksum_stable():
     cache.mark_chunk()
     before = cache.checksum()
     fork = cache.branch()
-    assert fork.chunk_marks == cache.chunk_marks
+    assert fork.mark == cache.mark
     assert fork.checksum() == before
     m.forward(fork, _items(m, 0, [8]))
     assert len(cache) == 3 and len(fork) == 4
@@ -363,11 +471,11 @@ def test_growing_cache_matches_one_shot_and_replay(ops):
             marks.append(len(spans))
         elif op[0] == "rollback":
             if marks:
-                cache.rollback(cache.chunk_marks[-1])
+                cache.rollback(cache.mark)
                 del spans[marks[-1]:]
         else:
             fork = cache.branch()
-            assert fork.chunk_marks == cache.chunk_marks
+            assert fork.mark == cache.mark
             assert not any(np.shares_memory(a, b) for a in fork.k + fork.v
                            for b in cache.k + cache.v)
             if op[1]:
@@ -694,7 +802,7 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
             cache.mark_chunk()
         elif op == "rollback":
             target = arg % (len(items) + 1)
-            if cache.chunk_marks and target < cache.chunk_marks[-1]:
+            if target < cache.mark:
                 with pytest.raises(RollbackPastChunkBoundary):
                     cache.rollback(target)
             else:
@@ -714,7 +822,7 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
         prefix = SymbolicCache(sp)
         prefix.append_items(items[:cut])
         assert cache.checksum(cut) == prefix.checksum()
-        mark = cache.chunk_marks[-1] if cache.chunk_marks else 0
+        mark = cache.mark
         sealed = cache.checksum(mark)
         for i in range(mark):
             cache.values[i] += 1
