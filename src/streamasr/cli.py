@@ -10,18 +10,20 @@ Subcommands:
 
 Writing commands drop ``<out>.manifest.json`` beside their output: the
 resolved configuration, package version, and a sha256 per input file, so a
-run is reproducible from the manifest alone. A ``--config`` file of
-``key=value`` lines (long option names, underscores) seeds any command's
-defaults; explicit flags win, and a key the command has no option for is a
-usage error. On/off flags take ``true``/``false``, ``yes``/``no`` or
-``1``/``0``. Corpora are validated as they are read, and against a toy
-model's frame_dim, so a malformed utterance stops a command with an
-``error:`` line that names it; one that fails to decode is only skipped.
+run is reproducible from the manifest alone. Each line of a ``--config``
+file of ``key=value`` lines (long option names, underscores) is parsed as
+the flag ``--key=value``, checked like one, ahead of the explicit flags,
+which win; a key the command has no option for is a usage error. On/off
+flags take ``true``/``false``, ``yes``/``no`` or ``1``/``0``. Corpora are
+validated as they are read, and against a toy model's frame_dim, so a
+malformed utterance stops a command with an ``error:`` line that names it;
+one that fails to decode is only skipped.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -103,38 +105,58 @@ _BOOLEANS = {"true": True, "yes": True, "1": True,
              "false": False, "no": False, "0": False}
 
 
-def _read_config_overrides(parser: argparse.ArgumentParser,
-                           argv: list[str]) -> dict[str, str]:
-    """key=value defaults, kept as strings: argparse converts a string
-    default with the option's ``type``, so a bad value is a usage error
-    naming the flag (``main`` converts on/off flags). ``--config`` is found
-    by argparse's own rules; a missing or unreadable path is a usage error."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
+# every subcommand's parent, and the pre-parse that finds the file
+_CONFIG = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG.add_argument("--config", help="key=value lines, parsed as flags")
+
+
+def _config_args(subcommands: dict[str, argparse.ArgumentParser],
+                 argv: list[str]) -> list[str]:
+    """``argv`` with each ``--config`` line put right after the subcommand
+    name as its flag (``--key=value``, bare for a true on/off value), so
+    argparse checks it as typed (type, choices, required) and the user's
+    own flags win. A missing path, a line without ``=``, an unknown key and
+    a non-boolean on/off value are usage errors."""
+    at = next((i for i, a in enumerate(argv) if not a.startswith("-")), None)
+    sub = None if at is None else subcommands.get(argv[at])
+    if sub is None:
+        return argv  # parse_args reports the missing or unknown command
     try:
-        path = pre.parse_known_args(argv)[0].config
+        path = _CONFIG.parse_known_args(argv[at + 1:])[0].config
     except argparse.ArgumentError as exc:
-        parser.error(str(exc))
+        sub.error(str(exc))
     if path is None:
-        return {}
+        return argv
+    options = {s.lstrip("-").replace("-", "_"): a for a in sub._actions
+               if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings}
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        parser.error(f"--config: {exc}")
-    overrides: dict[str, str] = {}
+        sub.error(f"--config: {exc}")
+    tokens, unknown = [], set()
     with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                parser.error(f"--config: line without '=': {raw.rstrip()}")
+                sub.error(f"--config: line without '=': {raw.rstrip()}")
             key, value = (s.strip() for s in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key == "fps":
-                key = "frames_per_second"
-            overrides[key] = value
-    return overrides
+            action = options.get(key.replace("-", "_"))
+            if action is None:
+                unknown.add(key)
+            elif action.nargs != 0:
+                tokens.append(f"{action.option_strings[0]}={value}")
+            elif value.lower() not in _BOOLEANS:
+                sub.error(f"--config: {key} = {value!r} is not "
+                          "true/false, yes/no or 1/0")
+            elif _BOOLEANS[value.lower()]:
+                tokens.append(action.option_strings[0])
+    if unknown:
+        sub.error(f"--config: no {argv[at]} option for "
+                  f"{', '.join(sorted(unknown))}")
+    return [*argv[:at + 1], *tokens, *argv[at + 1:]]
 
 
 # --------------------------------------------------------------------------
@@ -325,17 +347,31 @@ def _strategy_list(value: str) -> list[str]:
     return names
 
 
-def _chunk_ms_list(value: str) -> list[float]:
+def _positive(value: str) -> float:
+    """A frame rate or a chunk length: a finite number above 0."""
     try:
-        return [float(s) for s in value.split(",")]
+        x = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {value!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"not a finite number above 0: {value!r}")
+    return x
+
+
+def _chunk_ms_list(value: str) -> list[float]:
+    try:  # a non-number names the whole list, a bad number itself
+        [float(s) for s in value.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of numbers: {value!r}") from None
+    return [_positive(s) for s in value.split(",")]
 
 
 def _add_fps_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fps", "--frames-per-second", dest="frames_per_second",
-                   default=25.0, type=float)
+                   default=25.0, type=_positive)
 
 
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
@@ -360,9 +396,9 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, parents=[_CONFIG])
 
-    g = sub.add_parser("gen-corpus", help="synthesize a deterministic corpus")
-    g.add_argument("--config", help="key=value defaults file")
+    g = add("gen-corpus", help="synthesize a deterministic corpus")
     g.add_argument("--out", required=True)
     g.add_argument("--num-utterances", default=200, type=int)
     g.add_argument("--vocab-size", default=32, type=int)
@@ -377,27 +413,24 @@ def build_parser() -> tuple[argparse.ArgumentParser,
                    help="store frame matrices instead of regeneration seeds")
     g.set_defaults(func=_cmd_gen_corpus)
 
-    b = sub.add_parser("build-sequences", help="lay a corpus out for training")
-    b.add_argument("--config", help="key=value defaults file")
+    b = add("build-sequences", help="lay a corpus out for training")
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
     b.add_argument("--paradigm", choices=("ns", "ss", "cs"), required=True)
-    b.add_argument("--chunk-ms", default=640.0, type=float)
+    b.add_argument("--chunk-ms", default=640.0, type=_positive)
     _add_fps_arg(b)
     b.add_argument("--speech-text-ratio", default=2, type=int)
     b.set_defaults(func=_cmd_build_sequences)
 
-    d = sub.add_parser("decode", help="decode a corpus with one strategy")
-    d.add_argument("--config", help="key=value defaults file")
+    d = add("decode", help="decode a corpus with one strategy")
     d.add_argument("--corpus", required=True)
     d.add_argument("--strategy", choices=STRATEGIES, required=True)
-    d.add_argument("--chunk-ms", default=640.0, type=float)
+    d.add_argument("--chunk-ms", default=640.0, type=_positive)
     d.add_argument("--out")
     _add_common_model_args(d)
     d.set_defaults(func=_cmd_decode)
 
-    a = sub.add_parser("ablate", help="strategy x chunk-size comparison grid")
-    a.add_argument("--config", help="key=value defaults file")
+    a = add("ablate", help="strategy x chunk-size comparison grid")
     a.add_argument("--corpus", required=True)
     a.add_argument(
         "--strategies", type=_strategy_list,
@@ -409,8 +442,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     # the stock grid pairs each greedy strategy with its width-3 beam twin
     a.set_defaults(func=_cmd_ablate, beam_width=3)
 
-    v = sub.add_parser("verify", help="run the self-check battery")
-    v.add_argument("--config", help="key=value defaults file")
+    v = add("verify", help="run the self-check battery")
     v.add_argument("--full", action="store_true", help="full-scale checks")
     v.add_argument("--seed", default=0, type=int)
     v.set_defaults(func=_cmd_verify)
@@ -421,30 +453,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands = build_parser()
-    overrides = _read_config_overrides(parser, argv)
-    flags = {a.dest for sp in subcommands.values() for a in sp._actions
-             if isinstance(a, argparse._StoreTrueAction)}
-    for key in flags & overrides.keys():
-        value = _BOOLEANS.get(overrides[key].lower())
-        if value is None:
-            parser.error(f"--config: {key} = {overrides[key]!r} is not "
-                         "true/false, yes/no or 1/0")
-        overrides[key] = value
-    if overrides:
-        # subparsers parse into their own namespace, so defaults go on them
-        for sp in subcommands.values():
-            sp.set_defaults(**overrides)
-            for action in sp._actions:
-                # a config-supplied value satisfies a required flag
-                if action.dest in overrides:
-                    action.required = False
-    ns = parser.parse_args(argv)
-    sub = subcommands[ns.command]
-    unknown = overrides.keys() - {a.dest for a in sub._actions
-                                  if not isinstance(a, argparse._HelpAction)}
-    if unknown:
-        sub.error(f"--config: no {ns.command} option for "
-                  f"{', '.join(sorted(unknown))}")
+    ns = parser.parse_args(_config_args(subcommands, argv))
     try:
         return ns.func(ns)
     except (ValueError, OSError) as exc:

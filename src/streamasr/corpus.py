@@ -100,6 +100,8 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.num_utterances < 0:
+            raise ValueError("num_utterances must be >= 0")
         if self.vocab_size <= FIRST_TEXT_ID:
             raise ValueError("vocab_size must exceed the reserved special ids")
         if not (1 <= self.min_tokens <= self.max_tokens):

@@ -135,10 +135,11 @@ class TurnRecord:
     positions forwarded; ``reused`` the cached positions the turn started
     from; ``rolled_back`` the positions the fallback rewind removed (None
     without a rewind) and ``checksum_verified`` whether it compared the
-    sealed checksum. ``tokens`` is the slot phase's decode (a re-decoding
-    baseline's whole hypothesis); ``stop`` (pad, eos, or None at the token
-    limit) and ``score`` are the slot phase's. ``emitted``, ``revised`` and
-    ``retracted`` hold indices into ``session.records``.
+    sealed checksum. ``tokens`` is the turn's decode, a final turn's flush
+    past its slots included (a re-decoding baseline's whole hypothesis),
+    and ``stop`` (pad, eos, or None at the token limit) is where it ended;
+    ``score`` is the slot phase's alone, taken before that flush.
+    ``emitted``, ``revised`` and ``retracted`` index ``session.records``.
     """
 
     frames: tuple[int, int]

@@ -23,8 +23,9 @@ to one ``forward`` per item for a model without it (the oracles).
   deterministically. It models the chunk-boundary ambiguity that the
   fallback decoding strategies exist to repair.
 
-Both oracles reply with a window of one read-only logits vector rather
-than a fresh row, so callers must never write into the logits they get.
+Both oracles share one ``forward`` and reply with a window of one
+read-only logits vector rather than a fresh row, so callers must never
+write into the logits they get.
 
 Caches are append-only below their newest chunk mark. ``mark_chunk``
 seals the checksum of the prefix there, rollback below the mark raises,
@@ -689,7 +690,24 @@ def _one_hot_logits(rows: np.ndarray, token_id: int) -> np.ndarray:
     return rows[v - 1 - token_id : 2 * v - 1 - token_id]
 
 
-class TeacherOracle:
+class _ReplayOracle:
+    """The replay oracles' shared contract: a symbolic cache, and after the
+    items land, the one-hot logits of the token ``_reply`` reads off it."""
+
+    def __init__(self, sp: SpecialTokens, vocab_size: int):
+        self.sp = sp
+        self.vocab_size = vocab_size
+        self._rows = _one_hot_rows(vocab_size)
+
+    def new_cache(self) -> SymbolicCache:
+        return SymbolicCache(self.sp)
+
+    def forward(self, cache: SymbolicCache, items: Sequence[StreamItem]) -> np.ndarray:
+        cache.append_items(items)
+        return _one_hot_logits(self._rows, self._reply(cache))
+
+
+class TeacherOracle(_ReplayOracle):
     """Emits the layout target for the last appended position.
 
     Position-indexed: the engine may append values that differ from the
@@ -700,21 +718,15 @@ class TeacherOracle:
 
     def __init__(self, seq: MixedSequence, sp: SpecialTokens | None = None,
                  vocab_size: int = 32):
+        super().__init__(sp or SpecialTokens(), vocab_size)
         self.seq = seq
-        self.sp = sp or SpecialTokens()
-        self.vocab_size = vocab_size
-        self._rows = _one_hot_rows(vocab_size)
 
-    def new_cache(self) -> SymbolicCache:
-        return SymbolicCache(self.sp)
-
-    def forward(self, cache: SymbolicCache, items: Sequence[StreamItem]) -> np.ndarray:
-        cache.append_items(items)
+    def _reply(self, cache: SymbolicCache) -> int:
         idx = len(cache) - 1
         if idx >= len(self.seq.targets):
             raise StepBeyondSequence(f"position {idx} past layout end")
         t = self.seq.targets[idx]
-        return _one_hot_logits(self._rows, t if t is not None else self.sp.pad)
+        return t if t is not None else self.sp.pad
 
 
 def default_confusable_map(sp: SpecialTokens, vocab_size: int) -> Callable[[int], int]:
@@ -727,40 +739,29 @@ def default_confusable_map(sp: SpecialTokens, vocab_size: int) -> Callable[[int]
     return confuse
 
 
-class BoundaryOracle:
+class BoundaryOracle(_ReplayOracle):
     """Deterministic stand-in for a trained model with boundary ambiguity.
 
     State lives entirely in the symbolic cache: the count of real text
     tokens identifies the next occurrence to emit, the max speech frame
     identifies the context edge. With a positive confusion window, a token
     whose last frame is the context edge (no audio past it in context) comes
-    out wrong; re-decoded with later audio it comes out right. Every
-    positive window behaves the same; window 0 is an exact model. Stop symbols
-    follow the bound paradigm: pad for turn-stops, eos only where the
-    non-streaming and standard streaming layouts end an utterance.
+    out wrong, as ``default_confusable_map`` maps it; re-decoded with later
+    audio it comes out right. Every positive window behaves the same;
+    window 0 is an exact model. Stop symbols follow the bound paradigm: pad
+    for turn-stops, eos only where the non-streaming and standard streaming
+    layouts end an utterance.
     """
 
-    def __init__(
-        self,
-        utt: Utterance,
-        paradigm: str,
-        sp: SpecialTokens,
-        vocab_size: int,
-        confusion_window: int,
-        confusable: Callable[[int], int] | None = None,
-    ):
+    def __init__(self, utt: Utterance, paradigm: str, sp: SpecialTokens,
+                 vocab_size: int, confusion_window: int):
         if paradigm not in ("ns", "ss", "cs"):
             raise ValueError(f"unknown paradigm {paradigm!r}")
+        super().__init__(sp, vocab_size)
         self.utt = utt
         self.paradigm = paradigm
-        self.sp = sp
-        self.vocab_size = vocab_size
         self.window = confusion_window
-        self.confusable = confusable or default_confusable_map(sp, vocab_size)
-        self._rows = _one_hot_rows(vocab_size)
-
-    def new_cache(self) -> SymbolicCache:
-        return SymbolicCache(self.sp)
+        self._confuse = default_confusable_map(sp, vocab_size)
 
     def _stop_token(self, utterance_done: bool) -> int:
         if self.paradigm == "ns":
@@ -769,52 +770,37 @@ class BoundaryOracle:
             return self.sp.pad
         return self.sp.eos if utterance_done else self.sp.pad
 
-    def forward(self, cache: SymbolicCache, items: Sequence[StreamItem]) -> np.ndarray:
-        cache.append_items(items)
+    def _reply(self, cache: SymbolicCache) -> int:
         o = cache.real_count
         if o >= len(self.utt.tokens):
-            return _one_hot_logits(self._rows, self._stop_token(True))
+            return self._stop_token(True)
         end = self.utt.alignments[o].end_frame
         edge = cache.max_frame
         if end > edge:  # not yet audible: wait for more speech
-            return _one_hot_logits(self._rows, self._stop_token(False))
+            return self._stop_token(False)
         tok = self.utt.tokens[o]
         # end <= edge here, so no speech past the token means end == edge
         confused = self.window > 0 and end == edge
-        return _one_hot_logits(
-            self._rows, self.confusable(tok) if confused else tok
-        )
+        return self._confuse(tok) if confused else tok
 
 
 class BoundaryOracleSuite:
-    """Per-utterance factory for boundary oracles over one corpus."""
+    """Per-utterance factory for boundary oracles over one corpus. A
+    negative confusion window raises ``ValueError``."""
 
-    def __init__(
-        self,
-        utts: Sequence[Utterance],
-        confusion_window: int,
-        confusable: Callable[[int], int] | None = None,
-        sp: SpecialTokens | None = None,
-        vocab_size: int = 32,
-    ):
+    def __init__(self, utts: Sequence[Utterance], confusion_window: int,
+                 sp: SpecialTokens | None = None, vocab_size: int = 32):
+        if confusion_window < 0:
+            raise ValueError(
+                f"boundary confusion window must be >= 0, not {confusion_window}")
         self.by_id = {u.id: u for u in utts}
         self.window = confusion_window
-        self.confusable = confusable
         self.sp = sp or SpecialTokens()
         self.vocab_size = vocab_size
 
     def bind(self, utt: Utterance | str, paradigm: str) -> BoundaryOracle:
         u = self.by_id[utt] if isinstance(utt, str) else utt
-        return BoundaryOracle(
-            u, paradigm, self.sp, self.vocab_size, self.window, self.confusable
-        )
+        return BoundaryOracle(u, paradigm, self.sp, self.vocab_size, self.window)
 
 
-def make_boundary_oracle(
-    utts: Sequence[Utterance],
-    confusion_window: int,
-    confusable_map: Callable[[int], int] | None = None,
-    sp: SpecialTokens | None = None,
-    vocab_size: int = 32,
-) -> BoundaryOracleSuite:
-    return BoundaryOracleSuite(utts, confusion_window, confusable_map, sp, vocab_size)
+make_boundary_oracle = BoundaryOracleSuite

@@ -1,13 +1,18 @@
 """End-to-end subcommand runs against temp files, manifests included."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import streamasr.cli as cli
 from streamasr.cli import chunk_ms_to_frames, main
+from streamasr.engine import STRATEGIES
 
 
 @pytest.fixture
@@ -521,3 +526,135 @@ def test_config_full_is_a_boolean(tmp_path, monkeypatch, value, full):
     cfg.write_text(f"full = {value}\n")
     assert main(["verify", "--config", str(cfg)]) == 0
     assert seen == [full]
+
+
+# -----------------------------
+# --config lines are flags; bad inputs are usage errors
+# -----------------------------
+
+def _parsed(argv):
+    """The namespace ``main`` would run, or the usage error's exit code."""
+    parser, subcommands = cli.build_parser()
+    try:
+        ns = parser.parse_args(cli._config_args(subcommands, argv))
+    except SystemExit as exc:
+        return exc.code
+    # repr: a nan parses to a new float each time, never equal to itself
+    return {k: repr(v) for k, v in vars(ns).items() if k != "config"}
+
+
+def _configurable_options():
+    _, subcommands = cli.build_parser()
+    return [(name, action.option_strings[0])
+            for name, sub in subcommands.items() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            and action.dest != "config"]
+
+
+_WORD = st.text(st.sampled_from("abx09_-.,:/="), max_size=8)
+_NUMBER = st.one_of(st.integers(-10**6, 10**6).map(str),
+                    st.floats().map(repr), _WORD)
+
+
+def _value_of(action):
+    """Config-line values for ``action``: valid and invalid alike."""
+    if action.nargs == 0:
+        return st.sampled_from(["true", "Yes", "1", "false", "NO", "0"])
+    if action.choices:
+        return st.one_of(st.sampled_from(list(action.choices)), _WORD)
+    if action.type is cli._strategy_list:
+        names = st.sampled_from([*STRATEGIES, "bogus", ""])
+        return st.lists(names, max_size=3).map(",".join)
+    if action.type is cli._chunk_ms_list:
+        return st.lists(_NUMBER, min_size=1, max_size=3).map(",".join)
+    if action.type in (int, float, cli._positive):
+        return _NUMBER
+    return _WORD
+
+
+@pytest.mark.parametrize("command, flag", _configurable_options(),
+                         ids=lambda x: x)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_config_line_parses_as_its_flag(tmp_path_factory, command, flag,
+                                        data):
+    _, subcommands = cli.build_parser()
+    sub = subcommands[command]
+    action = sub._option_string_actions[flag]
+    base = []  # every other required option, with a valid value
+    for other in sub._actions:
+        if other.required and other is not action:
+            base += [other.option_strings[0],
+                     other.choices[0] if other.choices else "x"]
+    value = data.draw(_value_of(action), label="value")
+    key = data.draw(st.sampled_from(action.option_strings), label="key")
+    key = key.lstrip("-")
+    if data.draw(st.booleans(), label="underscores"):
+        key = key.replace("-", "_")
+    cfg = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    if action.nargs == 0:
+        typed = [flag] if value.lower() in ("true", "yes", "1") else []
+    else:
+        typed = [f"{flag}={value}"]
+    assert (_parsed([command, *base, "--config", str(cfg)])
+            == _parsed([command, *base, *typed]))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decode", "--strategy", "ss_greedy", "--fps", "0"],
+     "argument --fps/--frames-per-second: not a finite number above 0: '0'"),
+    (["decode", "--strategy", "ss_greedy", "--chunk-ms", "-640"],
+     "argument --chunk-ms: not a finite number above 0: '-640'"),
+    (["decode", "--strategy", "ss_greedy", "--chunk-ms", "inf"],
+     "argument --chunk-ms: not a finite number above 0: 'inf'"),
+    (["decode", "--strategy", "ss_greedy", "--config", "{cfg}"],
+     "argument --fps/--frames-per-second: not a finite number above 0: "
+     "'-25'"),
+    (["build-sequences", "--paradigm", "cs", "--fps", "-25"],
+     "argument --fps/--frames-per-second: not a finite number above 0: "
+     "'-25'"),
+    (["ablate", "--chunk-ms", "1000,nan"],
+     "argument --chunk-ms: not a finite number above 0: 'nan'"),
+    (["decode", "--strategy", "ss_greedy", "--model", "boundary:-1"],
+     "error: boundary confusion window must be >= 0, not -1"),
+], ids=["fps-0", "chunk-ms-negative", "chunk-ms-inf", "config-fps",
+        "build-sequences-fps", "ablate-chunk-ms-nan", "boundary-window"])
+def test_bad_input_is_a_usage_error(tmp_path, corpus, capsys, argv,
+                                    message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("fps = -25\n")
+    out = tmp_path / "out.jsonl"
+    try:
+        rc = main([*(a.format(cfg=cfg) for a in argv),
+                   "--corpus", str(corpus), "--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("out.jsonl*")) == []
+
+
+def test_gen_corpus_count_must_not_be_negative(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    rc = main(["gen-corpus", "--out", str(out), "--num-utterances", "-3"])
+    assert rc == 2
+    assert "error: num_utterances must be >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["gen-corpus", "--out", str(out),
+                 "--num-utterances", "0"]) == 0
+    assert len(out.read_text().splitlines()) == 0
+
+
+def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "seqs.cfg"
+    cfg.write_text("paradigm = xx\n")
+    out = tmp_path / "seqs.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        # the corpus does not exist: the config is checked before any read
+        main(["build-sequences", "--config", str(cfg), "--corpus",
+              str(tmp_path / "absent.jsonl"), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --paradigm: invalid choice: 'xx'" in \
+        capsys.readouterr().err
+    assert not out.exists()

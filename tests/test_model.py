@@ -918,3 +918,14 @@ def test_boundary_oracle_stop_tokens(edge_example, sp):
         fresh = oracle.new_cache()
         logits = oracle.forward(fresh, [StreamItem(text(sp.pad))])
         assert int(np.argmax(logits)) == wait_stop
+
+
+def test_replay_oracles_share_one_base_and_one_factory(edge_example):
+    from streamasr.model import BoundaryOracle, BoundaryOracleSuite
+
+    assert make_boundary_oracle is BoundaryOracleSuite
+    for oracle in (TeacherOracle, BoundaryOracle):
+        assert "forward" not in vars(oracle)
+        assert "new_cache" not in vars(oracle)
+    with pytest.raises(ValueError, match="window must be >= 0"):
+        make_boundary_oracle([edge_example], confusion_window=-1)
