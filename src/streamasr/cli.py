@@ -196,26 +196,35 @@ def _cmd_build_sequences(ns: argparse.Namespace) -> int:
 
 
 def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens):
-    """Returns model_for(utt, paradigm, chunking) for the --model spec."""
-    spec, vocab = ns.model, ns.vocab_size
+    """Returns model_for(utt, paradigm, chunking) for the --model spec.
+    Every corpus token must lie in the model's vocabulary, and a toy
+    model must take the corpus's frame_dim; both are checked here, once."""
+    spec, vocab, model = ns.model, ns.vocab_size, None
     if spec == "teacher":
-        return lambda u, paradigm, ck: TeacherOracle(
+        factory = lambda u, paradigm, ck: TeacherOracle(
             _layout(u, paradigm, ck, sp), sp, vocab)
-    if spec.startswith("boundary:"):
+    elif spec.startswith("boundary:"):
         window = int(spec.split(":", 1)[1])
         suite = make_boundary_oracle(utts, window, sp=sp, vocab_size=vocab)
-        return lambda u, paradigm, ck: suite.bind(u, paradigm)
-    if spec == "toy" or spec.startswith("toy:"):
-        seed = int(spec[4:]) if spec != "toy" else 0
-        model = ToyDecoder(ModelConfig(vocab_size=vocab, seed=seed))
+        factory = lambda u, paradigm, ck: suite.bind(u, paradigm)
     else:
-        model = ToyDecoder.load(spec)
+        if spec == "toy" or spec.startswith("toy:"):
+            seed = int(spec[4:]) if spec != "toy" else 0
+            model = ToyDecoder(ModelConfig(vocab_size=vocab, seed=seed))
+        else:
+            model = ToyDecoder.load(spec)
+        vocab = model.vocab_size
+        factory = lambda u, paradigm, ck: model
     for u in utts:
-        if u.frames.shape[1] != model.cfg.frame_dim:
+        outside = [t for t in u.tokens if t >= vocab]
+        if outside:
+            raise ValueError(f"{u.id}: token id {outside[0]} outside the "
+                             f"model's vocabulary of {vocab}")
+        if model is not None and u.frames.shape[1] != model.cfg.frame_dim:
             raise ValueError(
                 f"{u.id}: corpus frame_dim {u.frames.shape[1]} does not "
                 f"match the model's frame_dim {model.cfg.frame_dim}")
-    return lambda u, paradigm, ck: model
+    return factory
 
 
 def _decode_one(sess, u, fps: float, chunk_ms: float):

@@ -486,12 +486,25 @@ class ToyDecoder:
     the wiring analytically checkable. No final layer norm for the same
     reason. float64 throughout; chunked decoding with the KV cache matches
     a one-shot forward to float reassociation error.
+
+    The layer body reads its weights through views of ``params`` taken at
+    construction, so in-place edits to a block are seen; rebinding
+    ``params`` or one of its blocks afterwards is not supported.
+    Projections go through ``ndarray.dot``, the same BLAS call as ``@``.
     """
 
     def __init__(self, cfg: ModelConfig, params: ToyParams | None = None) -> None:
         self.cfg = cfg
         self.params = params if params is not None else _init_params(cfg)
         self.vocab_size = cfg.vocab_size
+        # Each layer's blocks in field order, which is the body's call
+        # order, each projection as its transposed view (a 1-D block's .T
+        # is itself): views, not copies, so in-place edits are seen.
+        self._weights = [tuple(b.T for b in _param_blocks(lp))
+                         for lp in self.params.layers]
+        self._out = (self.params.out_w.T, self.params.out_b)
+        dh = cfg.embed_dim // cfg.num_heads
+        self._heads = (cfg.embed_dim, cfg.num_heads, dh, math.sqrt(dh))
 
     def new_cache(self) -> KVCache:
         return KVCache(self.cfg.num_layers, self.cfg.embed_dim, self.cfg.max_context)
@@ -499,17 +512,17 @@ class ToyDecoder:
     # -- embedding
 
     def embed_items(self, items: Sequence[StreamItem], start: int) -> np.ndarray:
-        return self._embed(items, np.arange(start, start + len(items)))
+        return self._embed(items, slice(start, start + len(items)))
 
     def _embed(self, items: Sequence[StreamItem],
-               positions: np.ndarray) -> np.ndarray:
+               positions: slice | Sequence[int]) -> np.ndarray:
         """Input rows: each item's token or adapted frame embedding plus the
-        embedding of its absolute position. Every check runs before any row
-        reaches a cache."""
-        if len(items) and positions.max() >= self.cfg.max_context:
-            raise ContextOverflow(
-                f"{positions.max() + 1} > max_context {self.cfg.max_context}"
-            )
+        embedding of its absolute position, given as a slice or as one
+        index per item. Every check runs before any row reaches a cache."""
+        top = (positions.stop if isinstance(positions, slice)
+               else int(max(positions, default=-1)) + 1)
+        if len(items) and top > self.cfg.max_context:
+            raise ContextOverflow(f"{top} > max_context {self.cfg.max_context}")
         rows = np.empty((len(items), self.cfg.embed_dim))
         for i, it in enumerate(items):
             if it.pos.kind == "t":
@@ -543,11 +556,12 @@ class ToyDecoder:
         hidden = [None if s == 1 and mask_mode == "full" else
                   ~build_attention_mask(mask_mode, s, len(c) + s, chunk_size)
                   for c, s in ((c, r.stop - r.start) for c, r in spans)]
-        for li, lp in enumerate(self.params.layers):
-            h = _layer_norm(x, lp.ln1_g, lp.ln1_b)
-            q = h @ lp.wq.T + lp.bq
-            k = h @ lp.wk.T + lp.bk
-            v = h @ lp.wv.T + lp.bv
+        for li, (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo,
+                 g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
+            h = _layer_norm(x, g1, b1)
+            q = h.dot(wq) + bq
+            k = h.dot(wk) + bk
+            v = h.dot(wv) + bv
             if len(spans) == 1:
                 ctx = self._attend(spans[0][0], li, q, k, v, hidden[0])
             else:
@@ -555,30 +569,29 @@ class ToyDecoder:
                 for (cache, rows), mask in zip(spans, hidden):
                     ctx[rows] = self._attend(cache, li, q[rows], k[rows],
                                              v[rows], mask)
-            x = x + ctx @ lp.wo.T + lp.bo
-            f = _layer_norm(x, lp.ln2_g, lp.ln2_b) @ lp.ffn_w1.T
-            f += lp.ffn_b1
-            x = x + np.maximum(f, 0.0, out=f) @ lp.ffn_w2.T + lp.ffn_b2
+            x = x + ctx.dot(wo) + bo
+            f = _layer_norm(x, g2, b2).dot(w1)
+            f += fb1
+            x = x + np.maximum(f, 0.0, out=f).dot(w2) + fb2
         for cache, rows in spans:
             cache.advance(rows.stop - rows.start)
-        return (x @ self.params.out_w.T + self.params.out_b).reshape(n, -1)
+        out_w, out_b = self._out
+        return (x.dot(out_w) + out_b).reshape(n, -1)
 
     def _attend(self, cache: KVCache, li: int, q: np.ndarray, k: np.ndarray,
                 v: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
         """Append one span's keys and values to layer ``li`` of its cache and
         attend from its queries over everything the cache holds, except the
         keys ``hidden`` marks. A 1-D query is one row."""
-        d = self.cfg.embed_dim
+        d, h_count, dh, scale = self._heads
         s = k.size // d
-        h_count = self.cfg.num_heads
-        dh = d // h_count
         new_len = len(cache) + s
         cache.append(li, k.reshape(s, d), v.reshape(s, d))
-        kh = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+        kt = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 2, 0)
         vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
         qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1)
-        scores /= math.sqrt(dh)
+        scores = qh @ kt
+        scores /= scale
         if hidden is not None:
             np.copyto(scores, -np.inf, where=hidden)
         # softmax in place, through the loops ndarray.max and .sum run
@@ -616,7 +629,7 @@ class ToyDecoder:
             raise ValueError("forward_batch needs one item per cache")
         if len({id(c) for c in caches}) != len(caches):
             raise ValueError("forward_batch got the same cache twice")
-        x = self._embed(items, np.array([len(c) for c in caches], dtype=int))
+        x = self._embed(items, [len(c) for c in caches])
         return self._layers(x, [(c, slice(i, i + 1)) for i, c in enumerate(caches)])
 
     def forward_sequence(

@@ -365,6 +365,27 @@ def test_toy_model_rejects_a_corpus_of_another_frame_dim(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model", ["teacher", "boundary:1", "toy", "file"])
+def test_vocab_size_below_the_corpus_is_usage_error(tmp_path, corpus, capsys,
+                                                    model):
+    """Every --model kind rejects a corpus token outside its vocabulary
+    once, before any decode; a parameter file's vocabulary is its own."""
+    if model == "file":
+        from streamasr.model import ModelConfig, ToyDecoder
+
+        model = str(tmp_path / "vocab3.bin")
+        ToyDecoder(ModelConfig(vocab_size=3)).save(model)
+    out = tmp_path / "out.jsonl"
+    rc = main(["decode", "--corpus", str(corpus), "--strategy", "ss_greedy",
+               "--vocab-size", "3", "--model", model, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: utt00000: token id 28 outside the model's vocabulary " \
+           "of 3" in err
+    assert "Traceback" not in err and "warning:" not in err
+    assert not out.exists()
+
+
 def test_ablate_counts_failed_utterances(tmp_path, corpus):
     out = tmp_path / "ablate.json"
     rc = main(["ablate", "--corpus", str(corpus), "--strategies",

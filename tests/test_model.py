@@ -721,6 +721,49 @@ def test_lone_row_at_max_context_overflows_untouched(depth):
     assert (len(cache), cache.checksum()) == before
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(d=st.sampled_from([8, 12, 64]), shape=st.sampled_from(
+           ["d->d", "d->2d", "2d->d", "d->vocab"]),
+       vocab=st.sampled_from([16, 32]), rows=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_dot_on_a_transposed_view_is_matmul_bit_for_bit(d, shape, vocab,
+                                                        rows, seed):
+    """The layer body projects as ``a.dot(W.T)`` where the reference body
+    writes ``a @ W.T``: the same product bit for bit, for a lone 1-D row
+    (rows 0) and for 2-D blocks at the toy's projection shapes."""
+    width = {"d": d, "2d": 2 * d, "vocab": vocab}
+    n_in, n_out = (width[w] for w in shape.split("->"))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-0.1, 0.1, size=(n_out, n_in))
+    a = rng.standard_normal((rows, n_in) if rows else n_in)
+    assert np.array_equal(a.dot(w.T), a @ w.T)
+
+
+def test_in_place_parameter_edits_reach_the_forward():
+    """The layer body reads views of ``params``: an in-place edit of any
+    block gives ``forward`` the logits a decoder built afresh on the
+    edited parameters computes, on a span and on a lone row."""
+    from streamasr.model import _param_blocks
+
+    m = _exact_model(2, 2, 8)
+    span = [StreamItem(text(0))] + _random_span(m, 5, 3)
+
+    def run(model):
+        cache = model.new_cache()
+        return model.forward(cache, span), model.forward(cache, [StreamItem(text(5))])
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    before = run(m)
+    m.params.layers[0].wq[0, 0] += 0.5
+    assert same(run(m), run(ToyDecoder(m.cfg, m.params)))
+    assert not same(run(m), before)
+    for block in _param_blocks(m.params):
+        block += 0.5
+        assert same(run(m), run(ToyDecoder(m.cfg, m.params)))
+
+
 # -----------------------------
 # symbolic cache
 # -----------------------------
