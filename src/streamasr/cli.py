@@ -378,13 +378,40 @@ def _chunk_ms_list(value: str) -> list[float]:
     return [_positive(s) for s in value.split(",")]
 
 
+_MODEL_NUMBERS = {"toy": "toy seed", "boundary": "boundary confusion window"}
+
+
+def _model_spec(value: str) -> str:
+    """A --model spec, returned as given: 'teacher', 'toy[:seed]',
+    'boundary:<window>' (seed and window integers >= 0) or an existing
+    parameter file."""
+    if value in ("teacher", "toy"):
+        return value
+    name, colon, number = value.partition(":")
+    what = _MODEL_NUMBERS.get(name) if colon else None
+    if what is not None:
+        try:
+            n = int(number)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer, not {number!r}") from None
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"{what} must be >= 0, not {n}")
+        return value
+    if not Path(value).is_file():
+        raise argparse.ArgumentTypeError(
+            "not 'teacher', 'toy[:seed]', 'boundary:<window>' or an "
+            f"existing parameter file: {value!r}")
+    return value
+
+
 def _add_fps_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fps", "--frames-per-second", dest="frames_per_second",
                    default=25.0, type=_positive)
 
 
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="boundary:1",
+    p.add_argument("--model", default="boundary:1", type=_model_spec,
                    help="parameter file path, 'toy[:seed]', 'teacher', or "
                         "'boundary:<window>' (any window > 0 confuses the "
                         "token ending on the context edge; 0 is exact)")

@@ -401,64 +401,68 @@ class KVCache(_MarkedCache):
 class SymbolicCache(_MarkedCache):
     """Position history for replay oracles: no tensors, just identities.
 
-    Keeps prefix counts of real text tokens and a running max over speech
-    frame indices so an oracle can answer "which occurrence comes next" and
-    "how much audio is in context" at any rollback state. ``values`` is a
-    typed ``array("q")`` log: ``checksum`` hashes its prefix in place
-    through the buffer protocol, and ``branch`` and rollback copy and cut
-    it in C.
+    Two typed logs, ``kinds`` (a ``bytearray`` of ``b"s"``/``b"t"``) and
+    ``values`` (an ``array("q")``), hashed in place by ``checksum`` and
+    copied and cut in C. An oracle reads the running ``real_count`` (real
+    text tokens) and ``max_frame`` (highest speech frame, -1 before any);
+    ``mark_chunk`` saves both, so rollback rebuilds them from the mark.
     """
 
     def __init__(self, sp: SpecialTokens) -> None:
         super().__init__()
         self.sp = sp
-        self.kinds: list[str] = []
+        self.kinds = bytearray()
         self.values = array("q")
-        self._reals = [0]       # prefix count, len+1 entries
-        self._max_frame = [-1]  # prefix running max, len+1 entries
+        self.real_count = 0
+        self.max_frame = -1
+        self._at_mark = (0, -1)  # (real_count, max_frame) at the mark
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.values)
 
     def append_items(self, items: Sequence[StreamItem]) -> None:
+        kinds, values = self.kinds, self.values
+        real, edge, is_text = self.real_count, self.max_frame, self.sp.is_text
         for it in items:
             kind, value = it.pos.kind, it.pos.value
-            self.kinds.append(kind)
-            self.values.append(value)
-            real = kind == "t" and self.sp.is_text(value)
-            self._reals.append(self._reals[-1] + (1 if real else 0))
-            frame = value if kind == "s" else -1
-            self._max_frame.append(max(self._max_frame[-1], frame))
+            kinds += kind.encode()
+            values.append(value)
+            if kind == "s":
+                if value > edge:
+                    edge = value
+            elif is_text(value):
+                real += 1
+        self.real_count, self.max_frame = real, edge
 
-    @property
-    def real_count(self) -> int:
-        return self._reals[len(self.kinds)]
-
-    @property
-    def max_frame(self) -> int:
-        return self._max_frame[len(self.kinds)]
+    def mark_chunk(self) -> None:
+        super().mark_chunk()
+        self._at_mark = (self.real_count, self.max_frame)
 
     def _truncate(self, n: int) -> None:
-        del self.kinds[n:]
-        del self.values[n:]
-        del self._reals[n + 1 :]
-        del self._max_frame[n + 1 :]
+        # from the values saved at the mark, re-append what lies past it
+        kept = [StreamItem(Position(k, v)) for k, v in zip(
+            self.kinds[self.mark:n].decode(), self.values[self.mark:n])]
+        del self.kinds[self.mark:]
+        del self.values[self.mark:]
+        self.real_count, self.max_frame = self._at_mark
+        if kept:
+            self.append_items(kept)
 
     def branch(self) -> "SymbolicCache":
         other = SymbolicCache(self.sp)
         other.kinds = self.kinds[:]
         other.values = self.values[:]
-        other._reals = self._reals[:]
-        other._max_frame = self._max_frame[:]
-        other.mark, other.sealed = self.mark, self.sealed
+        other.real_count, other.max_frame = self.real_count, self.max_frame
+        other.mark, other.sealed, other._at_mark = (
+            self.mark, self.sealed, self._at_mark)
         return other
 
     def checksum(self, upto: int | None = None) -> int:
-        n = len(self.kinds) if upto is None else upto
+        n = len(self.values) if upto is None else upto
         self._check_target(n, "checksum upto")
-        # kinds are one character each and values fixed-width, so the
+        # the UTF-8 of the joined kinds, then the fixed-width values: the
         # hashed bytes determine the prefix; re-hashed on every call
-        kinds = zlib.crc32("".join(self.kinds[:n]).encode())
+        kinds = zlib.crc32(memoryview(self.kinds)[:n])
         return zlib.crc32(memoryview(self.values)[:n], kinds)
 
 

@@ -142,7 +142,7 @@ def check_round_trip(num_utterances: int = 200, seed: int = 0) -> CheckResult:
             model = TeacherOracle(seq, sp, cfg.vocab_size)
             sess = session_new(model, ck, StrategyConfig(strat), sp)
             hyp = run_stream(sess, u.frames)
-            got = list(zip(sess.cache.kinds, sess.cache.values))
+            got = list(zip(sess.cache.kinds.decode(), sess.cache.values))
             want = [(p.kind, p.value) for p in seq.positions]
             pairs += 1
             if hyp != list(u.tokens) or got != want:

@@ -5,6 +5,10 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -464,7 +468,15 @@ def test_ablate_usage_error_exits_2(tmp_path, corpus, capsys, args, message):
     (["ablate", "--corpus", "{corpus}", "--out", "{out}"],
      "chunk_ms = 1000,abc", "argument --chunk-ms: not a comma-separated "
      "list of numbers: '1000,abc'"),
-], ids=["verify", "gen-corpus", "decode", "ablate"])
+    # no --corpus: the model spec is rejected before the missing flag
+    (["decode", "--strategy", "ss_greedy", "--out", "{out}"],
+     "model = toy:abc", "argument --model: toy seed must be an integer, "
+     "not 'abc'"),
+    (["ablate", "--corpus", "{corpus}", "--out", "{out}"],
+     "model = boundry:1", "argument --model: not 'teacher', 'toy[:seed]', "
+     "'boundary:<window>' or an existing parameter file: 'boundry:1'"),
+], ids=["verify", "gen-corpus", "decode", "ablate", "decode-model",
+        "ablate-model"])
 def test_config_value_is_converted_by_the_option_type(
         tmp_path, corpus, capsys, monkeypatch, command, line, message):
     import streamasr.cli as cli
@@ -638,9 +650,31 @@ def test_config_line_parses_as_its_flag(tmp_path_factory, command, flag,
     (["ablate", "--chunk-ms", "1000,nan"],
      "argument --chunk-ms: not a finite number above 0: 'nan'"),
     (["decode", "--strategy", "ss_greedy", "--model", "boundary:-1"],
-     "error: boundary confusion window must be >= 0, not -1"),
+     "error: argument --model: boundary confusion window must be >= 0, "
+     "not -1"),
+    (["decode", "--strategy", "ss_greedy", "--model", "toy:abc"],
+     "error: argument --model: toy seed must be an integer, not 'abc'"),
+    (["decode", "--strategy", "ss_greedy", "--model", "toy:"],
+     "error: argument --model: toy seed must be an integer, not ''"),
+    (["decode", "--strategy", "ss_greedy", "--model", "toy:-2"],
+     "error: argument --model: toy seed must be >= 0, not -2"),
+    (["decode", "--strategy", "ss_greedy", "--model", "boundary:"],
+     "error: argument --model: boundary confusion window must be an "
+     "integer, not ''"),
+    (["ablate", "--model", "boundary:1.5"],
+     "error: argument --model: boundary confusion window must be an "
+     "integer, not '1.5'"),
+    (["decode", "--strategy", "ss_greedy", "--model", "boundry:1"],
+     "error: argument --model: not 'teacher', 'toy[:seed]', "
+     "'boundary:<window>' or an existing parameter file: 'boundry:1'"),
+    (["ablate", "--model", "teacher:1"],
+     "error: argument --model: not 'teacher', 'toy[:seed]', "
+     "'boundary:<window>' or an existing parameter file: 'teacher:1'"),
 ], ids=["fps-0", "chunk-ms-negative", "chunk-ms-inf", "config-fps",
-        "build-sequences-fps", "ablate-chunk-ms-nan", "boundary-window"])
+        "build-sequences-fps", "ablate-chunk-ms-nan", "boundary-window",
+        "toy-seed-word", "toy-seed-empty", "toy-seed-negative",
+        "boundary-window-empty", "boundary-window-float", "model-misspelt",
+        "teacher-with-window"])
 def test_bad_input_is_a_usage_error(tmp_path, corpus, capsys, argv,
                                     message):
     cfg = tmp_path / "bad.cfg"
@@ -679,3 +713,14 @@ def test_config_value_outside_choices_is_a_usage_error(tmp_path, capsys):
     assert "argument --paradigm: invalid choice: 'xx'" in \
         capsys.readouterr().err
     assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "streamasr", "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: streamasr")

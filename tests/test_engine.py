@@ -297,7 +297,7 @@ def test_teacher_decoding_regenerates_the_layout(u, chunk_frames, ratio):
         seq = build(u, ck, SP)
         s = session_new(TeacherOracle(seq, SP), ck, StrategyConfig(name), SP)
         assert run_stream(s, u.frames) == u.tokens
-        assert (list(zip(s.cache.kinds, s.cache.values))
+        assert (list(zip(s.cache.kinds.decode(), s.cache.values))
                 == [(p.kind, p.value) for p in seq.positions])
 
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 import zlib
+from array import array
 
 import numpy as np
 import pytest
@@ -309,7 +311,7 @@ def test_symbolic_rewind_catches_any_single_edit_below_the_mark():
     cache = _sealed_symbolic()
     assert cache.mark == 4 and cache.sealed == cache.checksum(4)
     for i in range(cache.mark):
-        other_kind = "t" if cache.kinds[i] == "s" else "s"
+        other_kind = ord("t") if cache.kinds[i] == ord("s") else ord("s")
         for log, edited in ((cache.values, cache.values[i] + 1),
                             (cache.kinds, other_kind)):
             saved, log[i] = log[i], edited
@@ -872,6 +874,65 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
             assert cache.checksum(mark) != sealed
             cache.values[i] -= 1
         assert cache.checksum(mark) == sealed
+
+
+def _joined_checksum(kinds, values, n):
+    """The symbolic checksum as first defined, over kinds as a list of
+    one-character strings: the joined kinds' UTF-8, then the values."""
+    return zlib.crc32(array("q", values[:n]),
+                      zlib.crc32("".join(kinds[:n]).encode()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 7), _SYM_OPS), max_size=40))
+def test_symbolic_checksum_hashes_the_same_bytes_as_the_joined_kinds(ops):
+    """Random append/mark/rollback/branch sequences: every seal, and the
+    checksum of every prefix of every live branch, equal the joined-kinds
+    formula over plain lists kept beside the caches."""
+    sp = SpecialTokens()
+    caches = [(SymbolicCache(sp), [], [])]  # (cache, kinds, values)
+    for which, (op, arg) in ops:
+        cache, kinds, values = caches[which % len(caches)]
+        if op == "append":
+            cache.append_items(arg)
+            kinds += [it.pos.kind for it in arg]
+            values += [it.pos.value for it in arg]
+        elif op == "mark":
+            cache.mark_chunk()
+            assert cache.sealed == _joined_checksum(kinds, values, len(kinds))
+        elif op == "rollback":
+            target = arg % (len(kinds) + 1)
+            if target >= cache.mark:
+                cache.rollback(target)
+                del kinds[target:], values[target:]
+        else:
+            caches.append((cache.branch(), list(kinds), list(values)))
+
+    for cache, kinds, values in caches:
+        assert cache.checksum() == _joined_checksum(kinds, values, len(kinds))
+        for n in range(len(kinds) + 1):
+            assert cache.checksum(n) == _joined_checksum(kinds, values, n)
+
+
+def test_symbolic_cache_footprint_per_position(sp):
+    """6,000 mixed positions, appended a chunk at a time as the engine
+    does, cost at most 16 bytes each: one byte of kind, eight of value,
+    and the logs' spare capacity."""
+    chunks = [[StreamItem(speech(8 * c + f)) for f in range(8)]
+              + [StreamItem(text(sp.first_text_id + c % 7)),
+                 StreamItem(text(sp.pad))] for c in range(600)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = SymbolicCache(sp)
+        for items in chunks:
+            cache.append_items(items)
+            cache.mark_chunk()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == 6000
+    assert held / len(cache) <= 16
 
 
 # -----------------------------
