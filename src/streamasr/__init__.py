@@ -13,13 +13,10 @@ __version__ = "0.1.0"
 
 from .corpus import (
     FIRST_TEXT_ID,
-    CharAlignment,
     CorpusConfig,
     TokenAlignment,
     Utterance,
-    aggregate_alignments,
     gen_synthetic_corpus,
-    normalize_text,
     read_corpus,
     write_corpus,
 )
@@ -68,13 +65,10 @@ from .verify import run_battery
 __all__ = [
     "__version__",
     "FIRST_TEXT_ID",
-    "CharAlignment",
     "CorpusConfig",
     "TokenAlignment",
     "Utterance",
-    "aggregate_alignments",
     "gen_synthetic_corpus",
-    "normalize_text",
     "read_corpus",
     "write_corpus",
     "ChunkingConfig",

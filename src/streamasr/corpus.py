@@ -1,10 +1,9 @@
-"""Synthetic corpus generation and alignment ingestion.
+"""Synthetic corpora with token-level frame alignments, as JSON Lines.
 
 Everything downstream (chunk assignment, interleaved layouts, latency
-accounting) reads the per-token frame spans produced here, so the rules are
-kept deliberately small: text is normalized to lowercase with punctuation
-stripped, character timings are aggregated to token level by min/max, and
-millisecond timings are converted to frame indices by flooring.
+accounting) reads the per-token frame spans kept here: each token owns one
+inclusive frame span, the spans are sorted, do not overlap, and end inside
+the stream. ``read_corpus`` checks that on every utterance it loads.
 
 Token ids below FIRST_TEXT_ID are reserved for layout specials (pad, sos,
 eos) and never appear in corpus token sequences.
@@ -13,12 +12,10 @@ eos) and never appear in corpus token sequences.
 from __future__ import annotations
 
 import json
-import math
 import operator
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,13 +27,9 @@ __all__ = [
     "FIRST_TEXT_ID",
     "AlignmentError",
     "OverlappingSpans",
-    "MultiCharCjkToken",
-    "CharAlignment",
     "TokenAlignment",
     "Utterance",
     "CorpusConfig",
-    "normalize_text",
-    "aggregate_alignments",
     "make_codebook",
     "gen_synthetic_corpus",
     "write_corpus",
@@ -50,22 +43,7 @@ class AlignmentError(ValueError):
 
 
 class OverlappingSpans(AlignmentError):
-    """Character spans overlap, leave gaps, or fall out of range."""
-
-
-class MultiCharCjkToken(AlignmentError):
-    """A token span covers more than one CJK character.
-
-    CJK text is kept at character granularity; a subword spanning several
-    characters has no usable character-level timing.
-    """
-
-
-@dataclass(frozen=True)
-class CharAlignment:
-    char: str
-    start_ms: int
-    end_ms: int
+    """Token spans are out of order or overlap."""
 
 
 @dataclass(frozen=True)
@@ -110,80 +88,6 @@ class CorpusConfig:
             raise ValueError("frames_per_token_mean must be >= 2")
         if self.frame_dim < 1:
             raise ValueError("frame_dim must be >= 1")
-
-
-def normalize_text(text: str) -> str:
-    """Lowercase, strip punctuation, collapse whitespace. Idempotent."""
-    lowered = text.lower()
-    kept = "".join(
-        ch for ch in lowered if not unicodedata.category(ch).startswith("P")
-    )
-    return " ".join(kept.split())
-
-
-_CJK_RANGES = (
-    (0x2E80, 0x2EFF),    # radicals
-    (0x3400, 0x4DBF),    # ext A
-    (0x4E00, 0x9FFF),    # unified
-    (0xF900, 0xFAFF),    # compatibility
-    (0x20000, 0x2FA1F),  # ext B..F + compat supplement
-)
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
-
-
-def _ms_to_frame(ms: float, fps: float) -> int:
-    # Floor: a frame is counted once its start time has been reached.
-    return int(math.floor(ms * fps / 1000.0))
-
-
-def aggregate_alignments(
-    chars: Sequence[CharAlignment],
-    token_char_spans: Sequence[tuple[int, int]],
-    frames_per_second: float,
-    token_ids: Sequence[int] | None = None,
-) -> list[TokenAlignment]:
-    """Aggregate character timings to token spans.
-
-    ``token_char_spans`` are inclusive (start, end) indices into ``chars``
-    and must partition the character sequence in order. Token frame spans
-    are min/max over the constituent characters, floored to frame indices.
-    ``token_ids`` defaults to the span ordinal; callers mapping to a real
-    vocabulary pass their own ids.
-    """
-    for i, ca in enumerate(chars):
-        if ca.start_ms > ca.end_ms:
-            raise AlignmentError(f"char {i}: start_ms > end_ms")
-        if i and ca.start_ms < chars[i - 1].end_ms:
-            raise OverlappingSpans(f"char {i} overlaps char {i - 1}")
-    if token_ids is not None and len(token_ids) != len(token_char_spans):
-        raise AlignmentError("token_ids and token_char_spans length mismatch")
-
-    out: list[TokenAlignment] = []
-    expect = 0
-    for j, (lo, hi) in enumerate(token_char_spans):
-        if lo != expect or hi < lo or hi >= len(chars):
-            raise OverlappingSpans(
-                f"token span {j} ({lo},{hi}) does not partition the chars"
-            )
-        expect = hi + 1
-        n_cjk = sum(1 for k in range(lo, hi + 1) if _is_cjk(chars[k].char))
-        if n_cjk > 1:
-            raise MultiCharCjkToken(
-                f"token span {j} covers {n_cjk} CJK characters"
-            )
-        start = _ms_to_frame(min(chars[k].start_ms for k in range(lo, hi + 1)),
-                             frames_per_second)
-        end = _ms_to_frame(max(chars[k].end_ms for k in range(lo, hi + 1)),
-                           frames_per_second)
-        tid = token_ids[j] if token_ids is not None else j
-        out.append(TokenAlignment(tid, start, end))
-    if expect != len(chars):
-        raise OverlappingSpans("token spans do not cover all characters")
-    return out
 
 
 def make_codebook(seed: int, vocab_size: int, frame_dim: int) -> np.ndarray:

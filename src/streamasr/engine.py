@@ -516,7 +516,8 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
     (for the context-aware layout, the blanked slot's, which regenerate the
     pending token). Scores the turn, flushes a final turn that ran into its
     limit, records the tokens and the stop in the turn record, and keeps
-    the logits for a later audio-less turn.
+    the logits for a later audio-less turn (a pad fill after it replaces
+    them with its own).
     """
     if budget == 0:
         res = _Hyp([], 0.0, logits, session.cache)
@@ -597,7 +598,8 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
         # pad out the remaining slot positions so chunk strides stay exact
         fill = turn.slots - len(res.tokens)
         if fill > 0:
-            session._fwd(session.cache, [_text_item(sp.pad)] * fill, "prefill")
+            session.last_logits = session._fwd(
+                session.cache, [_text_item(sp.pad)] * fill, "prefill")
     return touched
 
 
@@ -606,7 +608,8 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
     turns, st = session.turns, session.strategy
     turn, k = turns[-1], len(turns) - 1
     session.ns_items += session._speech_items(frames)
-    cache = session.model.new_cache()
+    cache = session.cache
+    cache.rollback(0)  # a fresh decode, not a fallback: rolled_back stays None
     logits = session._fwd(cache, session.ns_items + [_text_item(session.sp.sos)],
                           "prefill")
     hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]

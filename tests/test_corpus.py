@@ -1,4 +1,5 @@
-"""Text normalization, alignment aggregation, and synthetic corpus generation."""
+"""Synthetic corpus generation, JSON Lines round trips, and the checks
+``read_corpus`` runs on every record."""
 
 import json
 
@@ -8,95 +9,14 @@ import pytest
 from streamasr.corpus import (
     FIRST_TEXT_ID,
     AlignmentError,
-    CharAlignment,
     CorpusConfig,
-    MultiCharCjkToken,
     OverlappingSpans,
     Utterance,
-    aggregate_alignments,
     gen_synthetic_corpus,
-    normalize_text,
     read_corpus,
     validate_utterance,
     write_corpus,
 )
-
-
-# -----------------------------
-# normalize_text
-# -----------------------------
-
-def test_normalize_lowercases_and_strips_punctuation():
-    assert normalize_text("Hello, World!") == "hello world"
-
-
-def test_normalize_collapses_whitespace():
-    assert normalize_text("  a\t b\n\nc ") == "a b c"
-
-
-def test_normalize_idempotent():
-    samples = ["Already clean", "MIXED case, with; punct!", " spaced\tout "]
-    for s in samples:
-        once = normalize_text(s)
-        assert normalize_text(once) == once
-
-
-# -----------------------------
-# aggregate_alignments
-# -----------------------------
-
-def _chars(spans):
-    return [CharAlignment(ch, lo, hi) for ch, lo, hi in spans]
-
-
-def test_aggregate_floors_ms_to_frames():
-    # 25 fps: one frame every 40 ms; 39 ms is still frame 0, 40 ms is frame 1
-    chars = _chars([("a", 0, 39), ("b", 40, 119)])
-    out = aggregate_alignments(chars, [(0, 0), (1, 1)], 25.0)
-    assert (out[0].start_frame, out[0].end_frame) == (0, 0)
-    assert (out[1].start_frame, out[1].end_frame) == (1, 2)
-
-
-def test_aggregate_token_span_is_min_max_over_chars():
-    chars = _chars([("a", 0, 40), ("b", 40, 80), ("c", 80, 200)])
-    out = aggregate_alignments(chars, [(0, 2)], 25.0, token_ids=[7])
-    assert out == [type(out[0])(7, 0, 5)]
-
-
-def test_aggregate_default_ids_are_ordinals():
-    chars = _chars([("a", 0, 40), ("b", 40, 80)])
-    out = aggregate_alignments(chars, [(0, 0), (1, 1)], 25.0)
-    assert [t.token_id for t in out] == [0, 1]
-
-
-def test_aggregate_rejects_overlapping_chars():
-    chars = _chars([("a", 0, 50), ("b", 40, 80)])
-    with pytest.raises(OverlappingSpans):
-        aggregate_alignments(chars, [(0, 0), (1, 1)], 25.0)
-
-
-def test_aggregate_rejects_gapped_token_spans():
-    chars = _chars([("a", 0, 40), ("b", 40, 80), ("c", 80, 120)])
-    with pytest.raises(OverlappingSpans):
-        aggregate_alignments(chars, [(0, 0), (2, 2)], 25.0)
-
-
-def test_aggregate_rejects_uncovered_tail():
-    chars = _chars([("a", 0, 40), ("b", 40, 80)])
-    with pytest.raises(OverlappingSpans):
-        aggregate_alignments(chars, [(0, 0)], 25.0)
-
-
-def test_aggregate_rejects_multi_cjk_token():
-    chars = _chars([("今", 0, 100), ("天", 100, 200)])
-    with pytest.raises(MultiCharCjkToken):
-        aggregate_alignments(chars, [(0, 1)], 25.0)
-
-
-def test_aggregate_allows_single_cjk_token():
-    chars = _chars([("今", 0, 100), ("a", 100, 200)])
-    out = aggregate_alignments(chars, [(0, 0), (1, 1)], 25.0)
-    assert len(out) == 2
 
 
 # -----------------------------
@@ -187,6 +107,26 @@ def test_read_corpus_rejects_frames_without_columns(tmp_path, tiny_corpus):
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{rec['id']}: frames of shape"):
+        read_corpus(path)
+
+
+@pytest.mark.parametrize("tokens, spans, error, message", [
+    ([10, 11], [[0, 2], [5, 3]], AlignmentError, "empty span"),
+    ([10, 11], [[3, 5], [0, 2]], OverlappingSpans, "unsorted or overlapping"),
+    ([10, 11], [[0, 3], [3, 5]], OverlappingSpans, "unsorted or overlapping"),
+    ([10, 11], [[0, 2], [3, 8]], AlignmentError, "alignment past"),
+    ([10, FIRST_TEXT_ID - 1], [[0, 2], [3, 5]], AlignmentError, "reserved id"),
+], ids=["empty", "unsorted", "overlapping", "past-the-end", "reserved-id"])
+def test_read_corpus_rejects_a_bad_span_or_token(tmp_path, tokens, spans,
+                                                 error, message):
+    """Each span and token-id check of ``validate_utterance`` fires through
+    ``read_corpus`` and names the utterance; the record is otherwise valid
+    (8 frames, so frame 8 is past the last)."""
+    path = tmp_path / "c.jsonl"
+    rec = {"id": "bad7", "tokens": tokens, "alignments": spans,
+           "frames": [[0.0, 0.0]] * 8}
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(error, match=f"^bad7: {message}"):
         read_corpus(path)
 
 

@@ -1,11 +1,18 @@
 """Streaming sessions: turn traces, record lifecycle, accounting, guards."""
 
+import weakref
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from streamasr.corpus import (
     CorpusConfig,
@@ -962,8 +969,16 @@ def test_ns_commits_are_monotone(chunk4, sp):
 
 
 def test_ns_redecodes_from_scratch_each_turn(edge_example, chunk4, sp):
-    s = _ns_session(edge_example, "ns_redecode_hold_n", chunk4, sp, hold_n=1)
-    run_stream(s, edge_example.frames)
+    u = edge_example
+    s = _ns_session(u, "ns_redecode_hold_n", chunk4, sp, hold_n=1)
+    cache = s.cache
+    for lo, hi in chunk_bounds(u.num_frames, 4):
+        push_chunk(s, u.frames[lo:hi], is_last=hi == u.num_frames)
+        # each turn empties the session's one cache and prefills it again,
+        # which is not a fallback rewind
+        turn = s.turns[-1]
+        assert s.cache is cache and len(cache) == turn.prefill + turn.decode
+        assert turn.rolled_back is None
     st = s.stats
     # quadratic prefill: chunk 1 re-reads nothing, chunk 2 re-reads chunk 1
     assert st.cache_reused_positions == 0
@@ -1012,3 +1027,176 @@ def test_strategies_decode_from_shared_read_only_logits(name):
             assert all(r.base is model._rows and not r.flags.writeable
                        for r in replies)
             assert np.array_equal(model._rows, _one_hot_rows(32))
+
+
+# -----------------------------
+# the logits a turn starts from
+# -----------------------------
+
+class _LastLogits:
+    """Passes every call through to ``model`` and keeps, per cache, the
+    logits ``forward`` last returned for it."""
+
+    def __init__(self, model):
+        self.model, self.last = model, weakref.WeakKeyDictionary()
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def forward(self, cache, items):
+        self.last[cache] = self.model.forward(cache, items)
+        return self.last[cache]
+
+
+def _first_choice(turn):
+    return turn.tokens[0] if turn.tokens else turn.stop
+
+
+def test_a_pad_fill_leaves_its_logits_for_the_final_turn(sp):
+    """A standard streaming turn capped below its 4 slots pads the rest; an
+    audio-less final turn then decodes from the logits of that pad fill,
+    the ones the model last returned for the cache, not from the logits
+    the slot phase stopped on."""
+    stale = []
+    for seed in range(40):
+        model = _LastLogits(ToyDecoder(ModelConfig(seed=seed)))
+        frames = np.random.default_rng(seed).normal(size=(8, 8))
+        for cap in (1, 2, 3):
+            s = session_new(model, ChunkingConfig(8),
+                            StrategyConfig("ss_greedy", max_decode_per_turn=cap),
+                            sp)
+            push_chunk(s, frames)
+            before = model.last[s.cache]
+            push_chunk(s, frames[:0], is_last=True)
+            assert s.turns[-1].prefill == 0
+            if _first_choice(s.turns[-1]) != int(np.argmax(before)):
+                stale.append((seed, cap))
+    assert stale == []
+
+
+# -----------------------------
+# the session API as a state machine
+# -----------------------------
+
+@st.composite
+def _machine_setups(draw):
+    """An utterance, a model over it (a small toy decoder, depth 0
+    included, or a boundary oracle of window 0..2), a chunking, and a
+    strategy whose per-turn cap falls below or above the slot budget."""
+    u = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=1, min_tokens=1, max_tokens=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 10_000))))[0]
+    name = draw(st.sampled_from(STRATEGIES))
+    ck = ChunkingConfig(draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+    window = draw(st.sampled_from([None, 0, 1, 2]))
+    if window is None:
+        heads = draw(st.integers(1, 2))
+        model = ToyDecoder(ModelConfig(
+            embed_dim=heads * draw(st.sampled_from([2, 4])),
+            num_layers=draw(st.integers(0, 2)), num_heads=heads,
+            ffn_dim=draw(st.integers(1, 8)), adapter_hidden=4,
+            max_context=4096, seed=draw(st.integers(0, 100))))
+    else:
+        model = make_boundary_oracle([u], window).bind(u, PARADIGM_OF[name])
+    strategy = StrategyConfig(
+        name, beam_width=draw(st.integers(1, 3)) if name.endswith("_beam") else 1,
+        hold_n=draw(st.integers(0, 2)), wait_k=draw(st.integers(0, 2)),
+        max_decode_per_turn=draw(st.integers(1, 2 * ck.slots(ck.chunk_frames) + 1)))
+    return u, _LastLogits(model), window, ck, strategy
+
+
+class SessionMachine(RuleBasedStateMachine):
+    """Streams an utterance through a session in chunks of 0 to twice the
+    chunk size, forking it on the way and feeding every copy the same
+    chunks, and checks the session's invariants after every step: its
+    stats fold its turns, records finalize no earlier than they emit and
+    only a context-aware session's newest one is pending, the cache holds
+    what the turns forwarded and its seal verifies, the copies agree, and
+    a greedy streaming turn that forwards nothing first decodes from the
+    logits the model last returned for its cache. A finished stream on an
+    exact boundary oracle, with a cap of at least its token count, decodes
+    the reference."""
+
+    @initialize(setup=_machine_setups())
+    def start(self, setup):
+        self.u, self.model, self.window, ck, strategy = setup
+        self.sessions = [session_new(self.model, ck, strategy, SP)]
+        self.greedy = not strategy.name.endswith("_beam")
+
+    def _push(self, n, is_last):
+        lo = self.sessions[0].frames_seen
+        for s in self.sessions:
+            before = self.model.last.get(s.cache)
+            push_chunk(s, self.u.frames[lo:lo + n], is_last=is_last)
+            turn = s.turns[-1]
+            if (self.greedy and s.paradigm != "ns" and turn.prefill == 0
+                    and _first_choice(turn) is not None):
+                assert _first_choice(turn) == int(np.argmax(before))
+
+    def _left(self):
+        return self.u.num_frames - self.sessions[0].frames_seen
+
+    @rule(data=st.data())
+    def push(self, data):
+        most = min(2 * self.sessions[0].chunking.chunk_frames, self._left())
+        self._push(data.draw(st.integers(0, most)), False)
+
+    @rule()
+    def fork(self):
+        """Fork the stream, keeping at most two copies besides it."""
+        del self.sessions[2:]
+        s = self.sessions[0]
+        dup = s.fork()
+        if s.cache in self.model.last:
+            self.model.last[dup.cache] = self.model.last[s.cache]
+        self.sessions.append(dup)
+
+    @rule(setup=_machine_setups(), audio_less=st.booleans())
+    def push_last(self, setup, audio_less):
+        """Close the stream with the rest of its audio, or with that and
+        then an audio-less final chunk; check the result and start the
+        next stream."""
+        if audio_less:
+            self._push(self._left(), False)
+            self.consistent()
+        self._finish()
+        self.start(setup)
+
+    def _finish(self):
+        self._push(self._left(), True)
+        self.consistent()
+        if (self.window == 0 and self.sessions[0].strategy.max_decode_per_turn
+                >= len(self.u.tokens)):
+            for s in self.sessions:
+                assert final_hypothesis(s) == self.u.tokens
+
+    @invariant()
+    def consistent(self):
+        s = self.sessions[0]
+        _assert_folded(s)
+        assert all(r.emit_chunk <= r.finalize_chunk for r in s.records
+                   if r.finalize_chunk is not None)
+        pending = [i for i, r in enumerate(s.records) if r.finalize_chunk is None]
+        assert pending in ([], [len(s.records) - 1])
+        assert not pending or (s.paradigm == "cs" and not s.finished)
+        st_ = s.stats
+        if s.paradigm == "ns" and s.turns:
+            assert len(s.cache) == s.turns[-1].prefill + s.turns[-1].decode
+        elif s.paradigm != "ns" and self.greedy:
+            assert len(s.cache) == (st_.prefill_positions + st_.decode_positions
+                                    - st_.rollback_positions)
+        if s.paradigm == "cs" and s.turns:
+            assert s.cache.sealed is not None
+            assert s.cache.checksum(s.cache.mark) == s.cache.sealed
+        for dup in self.sessions[1:]:
+            assert (dup.turns, dup.records) == (s.turns, s.records)
+            assert len(dup.cache) == len(s.cache)
+
+    def teardown(self):
+        # a failed step may leave the stream finished; it reports itself
+        if hasattr(self, "sessions") and not self.sessions[0].finished:
+            self._finish()
+
+
+TestSessionMachine = SessionMachine.TestCase
+TestSessionMachine.settings = settings(deadline=None)
