@@ -12,7 +12,10 @@ guarantees to executable checks; `cli` fronts everything.
 __version__ = "0.1.0"
 
 from .corpus import (
+    EOS,
     FIRST_TEXT_ID,
+    PAD,
+    SOS,
     CorpusConfig,
     TokenAlignment,
     Utterance,
@@ -64,6 +67,9 @@ from .verify import run_battery
 
 __all__ = [
     "__version__",
+    "PAD",
+    "SOS",
+    "EOS",
     "FIRST_TEXT_ID",
     "CorpusConfig",
     "TokenAlignment",

@@ -41,7 +41,7 @@ from .engine import (
     run_stream,
     session_new,
 )
-from .layout import ChunkingConfig, SpecialTokens, build_cs, build_ns, build_ss
+from .layout import ChunkingConfig, build_cs, build_ns, build_ss
 from .metrics import (
     LatencyReport,
     edit_distance,
@@ -61,11 +61,11 @@ from .model import (
 from .verify import run_battery
 
 
-def _layout(u, paradigm: str, ck: ChunkingConfig, sp: SpecialTokens):
+def _layout(u, paradigm: str, ck: ChunkingConfig):
     """The training layout of ``u`` in ``paradigm``; ns has no chunking."""
     if paradigm == "ns":
-        return build_ns(u, sp)
-    return {"ss": build_ss, "cs": build_cs}[paradigm](u, ck, sp)
+        return build_ns(u)
+    return {"ss": build_ss, "cs": build_cs}[paradigm](u, ck)
 
 
 def chunk_ms_to_frames(chunk_ms: float, frames_per_second: float) -> int:
@@ -175,12 +175,11 @@ def _cmd_gen_corpus(ns: argparse.Namespace) -> int:
 
 def _cmd_build_sequences(ns: argparse.Namespace) -> int:
     utts = read_corpus(ns.corpus)
-    sp = SpecialTokens()
     frames = chunk_ms_to_frames(ns.chunk_ms, ns.frames_per_second)
     ck = ChunkingConfig(frames, ns.speech_text_ratio)
     with open(ns.out, "w", encoding="utf-8") as fh:
         for u in utts:
-            seq = _layout(u, ns.paradigm, ck, sp)
+            seq = _layout(u, ns.paradigm, ck)
             rec = {
                 "id": u.id,
                 "paradigm": ns.paradigm,
@@ -195,17 +194,17 @@ def _cmd_build_sequences(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _make_model_factory(ns: argparse.Namespace, utts, sp: SpecialTokens):
+def _make_model_factory(ns: argparse.Namespace, utts):
     """Returns model_for(utt, paradigm, chunking) for the --model spec.
     Every corpus token must lie in the model's vocabulary, and a toy
     model must take the corpus's frame_dim; both are checked here, once."""
     spec, vocab, model = ns.model, ns.vocab_size, None
     if spec == "teacher":
         factory = lambda u, paradigm, ck: TeacherOracle(
-            _layout(u, paradigm, ck, sp), sp, vocab)
+            _layout(u, paradigm, ck), vocab_size=vocab)
     elif spec.startswith("boundary:"):
         window = int(spec.split(":", 1)[1])
-        suite = make_boundary_oracle(utts, window, sp=sp, vocab_size=vocab)
+        suite = make_boundary_oracle(utts, window, vocab_size=vocab)
         factory = lambda u, paradigm, ck: suite.bind(u, paradigm)
     else:
         if spec == "toy" or spec.startswith("toy:"):
@@ -245,7 +244,7 @@ def _decode_one(sess, u, fps: float, chunk_ms: float):
 
 
 def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
-                  factory, sp: SpecialTokens, fps: float, chunk_ms: float):
+                  factory, fps: float, chunk_ms: float):
     """Decode and score every utterance. One that raises gets an
     ``{"id", "error"}`` entry, a warning on stderr (with the traceback
     unless it overflowed the context) and no score; the rest still runs.
@@ -258,7 +257,7 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     pooled_lat = LatencyReport()
     positions = 0
     for u in utts:
-        sess = session_new(factory(u, paradigm, ck), ck, strategy, sp)
+        sess = session_new(factory(u, paradigm, ck), ck, strategy)
         try:
             entry, c, lat = _decode_one(sess, u, fps, chunk_ms)
         except ContextOverflow as exc:
@@ -293,15 +292,14 @@ def _grid(ns: argparse.Namespace, chunk_sizes, names):
     """Decode the corpus at each chunk size with each strategy in turn,
     yielding each report row with its per-utterance entries."""
     utts = read_corpus(ns.corpus)
-    sp = SpecialTokens()
     fps = ns.frames_per_second
-    factory = _make_model_factory(ns, utts, sp)
+    factory = _make_model_factory(ns, utts)
     for chunk_ms in chunk_sizes:
         ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
                             ns.speech_text_ratio)
         for name in names:
             yield _run_strategy(utts, _strategy_from_ns(ns, name), ck,
-                                factory, sp, fps, chunk_ms)
+                                factory, fps, chunk_ms)
 
 
 def _cmd_decode(ns: argparse.Namespace) -> int:

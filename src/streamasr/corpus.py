@@ -5,8 +5,9 @@ accounting) reads the per-token frame spans kept here: each token owns one
 inclusive frame span, the spans are sorted, do not overlap, and end inside
 the stream. ``read_corpus`` checks that on every utterance it loads.
 
-Token ids below FIRST_TEXT_ID are reserved for layout specials (pad, sos,
-eos) and never appear in corpus token sequences.
+This module owns the reserved token ids: ``PAD``, ``SOS`` and ``EOS``
+(0, 1, 2) are the layout specials every other module reads from here, and
+text starts at ``FIRST_TEXT_ID``; no corpus token is below it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Reserved id prefix: 0 = pad, 1 = sos, 2 = eos. Kept here (not in layout)
-# so corpus generation does not depend on layout code.
+# The reserved ids, owned here so corpus generation does not depend on
+# layout code; layout, model, engine and verify all read these.
+PAD, SOS, EOS = 0, 1, 2
 FIRST_TEXT_ID = 3
 
 __all__ = [
+    "PAD",
+    "SOS",
+    "EOS",
     "FIRST_TEXT_ID",
     "AlignmentError",
     "OverlappingSpans",

@@ -49,7 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .layout import ChunkingConfig, SpecialTokens, chunk_bounds
+from .corpus import EOS, PAD, SOS
+from .layout import ChunkingConfig, chunk_bounds
 from .layout import speech as speech_pos
 from .layout import text as text_pos
 from .model import StreamItem
@@ -231,11 +232,10 @@ class StreamingSession:
     """Mutable state of one utterance being decoded chunk by chunk."""
 
     def __init__(self, model, chunking: ChunkingConfig,
-                 strategy: StrategyConfig, sp: SpecialTokens):
+                 strategy: StrategyConfig):
         self.model = model
         self.chunking = chunking
         self.strategy = strategy
-        self.sp = sp
         self.paradigm = PARADIGM_OF[strategy.name]
         self.cache = model.new_cache()
         self.records: list[EmissionRecord] = []
@@ -259,8 +259,7 @@ class StreamingSession:
             checksum_checks=sum(t.checksum_verified for t in turns),
             revised=sum(len(t.revised) for t in turns),
             retracted=sum(len(t.retracted) for t in turns),
-            early_eos=sum(t.stop == self.sp.eos and not t.is_last
-                          for t in turns),
+            early_eos=sum(t.stop == EOS and not t.is_last for t in turns),
             _turns=tuple(turns),
         )
 
@@ -342,15 +341,14 @@ def _check_strategy(strategy: StrategyConfig) -> None:
 
 
 def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
-                sp: SpecialTokens | None = None) -> StreamingSession:
-    sp = sp or SpecialTokens()
+                sp=None) -> StreamingSession:
     _check_strategy(strategy)
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
         raise ConfigMismatch("model must provide new_cache() and forward()")
     vocab = getattr(model, "vocab_size", None)
-    if vocab is not None and vocab <= max(sp.pad, sp.sos, sp.eos):
+    if vocab is not None and vocab <= max(PAD, SOS, EOS):
         raise ConfigMismatch("model vocabulary too small for special tokens")
-    return StreamingSession(model, chunking, strategy, sp)
+    return StreamingSession(model, chunking, strategy)
 
 
 # --------------------------------------------------------------------------
@@ -386,14 +384,13 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
     that reached the limit is not forwarded, so ``logits`` are then the ones
     that produced it.
     """
-    sp = session.sp
     tokens: list[int] = []
     lp = 0.0
     while len(tokens) < limit:
         lps = _lps(logits)
         t = int(lps.argmax())
         lp += float(lps[t])
-        if t == sp.pad or t == sp.eos:
+        if t == PAD or t == EOS:
             return tokens, lp, t, logits
         tokens.append(t)
         if len(tokens) < limit:
@@ -427,7 +424,6 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
     batch. Nothing bound here outlives the step, so pruned children free
     their caches before the next step branches.
     """
-    sp = session.sp
     width = session.strategy.beam_width
     children: list[_Hyp] = []
     grown: list[_Hyp] = []
@@ -435,7 +431,7 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
         lps = _lps(hyp.logits)
         for t in (int(x) for x in np.argsort(-lps, kind="stable")[:width]):
             lp = hyp.lp + float(lps[t])
-            if t == sp.pad or t == sp.eos:
+            if t == PAD or t == EOS:
                 pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.cache,
                                  stopped_via=t))
                 continue
@@ -486,13 +482,12 @@ def _flush_continue(session: StreamingSession, res: _Hyp) -> None:
     re-decodes the provisional token from it (same audio, so at worst a
     confirmation), and appends it for real before it continues.
     """
-    sp = session.sp
     cache = session.cache
     logits = res.logits
     if session.paradigm == "cs":
-        logits = session._fwd(cache, [_text_item(sp.pad)], "decode")
+        logits = session._fwd(cache, [_text_item(PAD)], "decode")
         t2 = int(np.argmax(logits))
-        if t2 == sp.pad or t2 == sp.eos:
+        if t2 == PAD or t2 == EOS:
             res.stopped_via, res.logits = t2, logits
             return
         res.first_values = list(res.tokens)
@@ -552,7 +547,6 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
     chunk mark, and its slot phase settles the pending record. A turn
     with nothing to prefill decodes from the logits the last turn left.
     """
-    sp = session.sp
     turns, records = session.turns, session.records
     turn, k = turns[-1], len(turns) - 1
     cs = session.paradigm == "cs"
@@ -562,7 +556,7 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
         fallback_rewind(session)
         prev = turns[-2]
         items = [_text_item(t) for t in prev.tokens[:-1]]
-        items += [_text_item(sp.pad)] * (prev.slots - len(items))
+        items += [_text_item(PAD)] * (prev.slots - len(items))
     turn.reused = len(cache)
     items += session._speech_items(frames)
     logits = (session._fwd(cache, items, "prefill") if items
@@ -599,7 +593,7 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
         fill = turn.slots - len(res.tokens)
         if fill > 0:
             session.last_logits = session._fwd(
-                session.cache, [_text_item(sp.pad)] * fill, "prefill")
+                session.cache, [_text_item(PAD)] * fill, "prefill")
     return touched
 
 
@@ -610,7 +604,7 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
     session.ns_items += session._speech_items(frames)
     cache = session.cache
     cache.rollback(0)  # a fresh decode, not a fallback: rolled_back stays None
-    logits = session._fwd(cache, session.ns_items + [_text_item(session.sp.sos)],
+    logits = session._fwd(cache, session.ns_items + [_text_item(SOS)],
                           "prefill")
     hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]
     turn.tokens = tuple(hyp)

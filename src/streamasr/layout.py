@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import FIRST_TEXT_ID, TokenAlignment, Utterance
+from .corpus import EOS, FIRST_TEXT_ID, PAD, SOS, TokenAlignment, Utterance
 
 __all__ = [
     "SpecialTokens",
@@ -58,22 +58,14 @@ __all__ = [
 PARADIGMS = ("ns", "ss", "cs")
 
 
-@dataclass(frozen=True)
 class SpecialTokens:
-    pad: int = 0
-    sos: int = 1
-    eos: int = 2
-    first_text_id: int = FIRST_TEXT_ID
+    """The reserved ids of ``corpus`` as one fixed value; it takes no
+    arguments. ``session_new``, ``build_ns``, ``build_ss``, ``build_cs`` and
+    ``make_boundary_oracle`` still accept one as ``sp``, and ignore it, for
+    callers of the old signatures."""
 
-    def __post_init__(self) -> None:
-        ids = (self.pad, self.sos, self.eos)
-        if len(set(ids)) != 3:
-            raise ValueError("special ids must be distinct")
-        if self.first_text_id <= max(ids):
-            raise ValueError("first_text_id must exceed every special id")
-
-    def is_text(self, token_id: int) -> bool:
-        return token_id >= self.first_text_id
+    __slots__ = ()
+    pad, sos, eos, first_text_id = PAD, SOS, EOS, FIRST_TEXT_ID
 
 
 @dataclass(frozen=True)
@@ -185,9 +177,7 @@ def assign_slots(
     return segments
 
 
-def _emit(
-    utt: Utterance, segments: list[Segment], sp: SpecialTokens, paradigm: str
-) -> MixedSequence:
+def _emit(utt: Utterance, segments: list[Segment], paradigm: str) -> MixedSequence:
     """Lay out positions and teacher-forcing targets from the segments."""
     positions: list[Position] = []
     ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
@@ -199,8 +189,8 @@ def _emit(
         positions.extend(speech(f) for f in range(*seg.frames))
         t_lo = len(positions)
         toks = [utt.tokens[o] for o in seg.tokens]
-        fill = [sp.pad] * (seg.slots - len(toks))
-        shown = toks[:-1] + [sp.pad] if seg.masked else toks
+        fill = [PAD] * (seg.slots - len(toks))
+        shown = toks[:-1] + [PAD] if seg.masked else toks
         positions.extend(text(t) for t in shown + fill)
         original.extend([None] * (t_lo - s_lo) + toks + fill)
         ranges.append(((s_lo, t_lo), (t_lo, len(positions))))
@@ -215,49 +205,41 @@ def _emit(
             targets[t_lo - 1] = original[t_lo]
         for p in range(t_lo, t_lo + len(seg.tokens)):
             nxt = original[p + 1]
-            targets[p] = sp.pad if nxt is None else nxt
+            targets[p] = PAD if nxt is None else nxt
 
     if paradigm == "ss" and segments:
         # Exactly one eos: on the final segment's last token, or on its last
         # speech frame when only silence remains.
         (_, s_hi), (t_lo, _) = ranges[-1]
         n = len(segments[-1].tokens)
-        targets[t_lo + n - 1 if n else s_hi - 1] = sp.eos
+        targets[t_lo + n - 1 if n else s_hi - 1] = EOS
     return MixedSequence(positions, targets, ranges, paradigm=paradigm)
 
 
-def build_ns(utt: Utterance, sp: SpecialTokens | None = None) -> MixedSequence:
-    """Non-streaming layout: speech, sos, transcript; eos as final target."""
-    sp = sp or SpecialTokens()
-    if not utt.tokens:
-        raise ValueError("empty utterance")
+def build_ns(utt: Utterance, sp=None) -> MixedSequence:
+    """Non-streaming layout: speech, sos, transcript; eos as final target.
+    An empty transcript lays out as its speech, then sos targeting eos."""
     positions = [speech(f) for f in range(utt.num_frames)]
     t_lo = len(positions)
-    positions.append(text(sp.sos))
+    positions.append(text(SOS))
     positions.extend(text(t) for t in utt.tokens)
     targets: list[int | None] = [None] * len(positions)
     for i, tok in enumerate(utt.tokens):
         targets[t_lo + i] = tok
-    targets[t_lo + len(utt.tokens)] = sp.eos
+    targets[t_lo + len(utt.tokens)] = EOS
     seg = ((0, t_lo), (t_lo, len(positions)))
     return MixedSequence(positions, targets, [seg], paradigm="ns")
 
 
-def build_ss(
-    utt: Utterance, cfg: ChunkingConfig, sp: SpecialTokens | None = None
-) -> MixedSequence:
+def build_ss(utt: Utterance, cfg: ChunkingConfig, sp=None) -> MixedSequence:
     """Standard streaming layout: interleaved chunks, pad turn-stops, one eos."""
-    sp = sp or SpecialTokens()
-    return _emit(utt, assign_slots(utt.alignments, cfg, utt.num_frames), sp, "ss")
+    return _emit(utt, assign_slots(utt.alignments, cfg, utt.num_frames), "ss")
 
 
-def build_cs(
-    utt: Utterance, cfg: ChunkingConfig, sp: SpecialTokens | None = None
-) -> MixedSequence:
+def build_cs(utt: Utterance, cfg: ChunkingConfig, sp=None) -> MixedSequence:
     """Context-aware streaming layout: masked carries, no eos anywhere."""
-    sp = sp or SpecialTokens()
     segments = assign_slots(utt.alignments, cfg, utt.num_frames, masked=True)
-    return _emit(utt, segments, sp, "cs")
+    return _emit(utt, segments, "cs")
 
 
 def sample_paradigm(step: int, chunk_attention_active: bool, seed: int) -> str:

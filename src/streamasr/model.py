@@ -47,8 +47,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Utterance
-from .layout import MixedSequence, Position, SpecialTokens
+from .corpus import EOS, FIRST_TEXT_ID, PAD, Utterance
+from .layout import MixedSequence, Position
 
 __all__ = [
     "ContextOverflow",
@@ -408,9 +408,8 @@ class SymbolicCache(_MarkedCache):
     ``mark_chunk`` saves both, so rollback rebuilds them from the mark.
     """
 
-    def __init__(self, sp: SpecialTokens) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.sp = sp
         self.kinds = bytearray()
         self.values = array("q")
         self.real_count = 0
@@ -422,7 +421,7 @@ class SymbolicCache(_MarkedCache):
 
     def append_items(self, items: Sequence[StreamItem]) -> None:
         kinds, values = self.kinds, self.values
-        real, edge, is_text = self.real_count, self.max_frame, self.sp.is_text
+        real, edge = self.real_count, self.max_frame
         for it in items:
             kind, value = it.pos.kind, it.pos.value
             kinds += kind.encode()
@@ -430,7 +429,7 @@ class SymbolicCache(_MarkedCache):
             if kind == "s":
                 if value > edge:
                     edge = value
-            elif is_text(value):
+            elif value >= FIRST_TEXT_ID:
                 real += 1
         self.real_count, self.max_frame = real, edge
 
@@ -449,7 +448,7 @@ class SymbolicCache(_MarkedCache):
             self.append_items(kept)
 
     def branch(self) -> "SymbolicCache":
-        other = SymbolicCache(self.sp)
+        other = SymbolicCache()
         other.kinds = self.kinds[:]
         other.values = self.values[:]
         other.real_count, other.max_frame = self.real_count, self.max_frame
@@ -711,13 +710,12 @@ class _ReplayOracle:
     """The replay oracles' shared contract: a symbolic cache, and after the
     items land, the one-hot logits of the token ``_reply`` reads off it."""
 
-    def __init__(self, sp: SpecialTokens, vocab_size: int):
-        self.sp = sp
+    def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
         self._rows = _one_hot_rows(vocab_size)
 
     def new_cache(self) -> SymbolicCache:
-        return SymbolicCache(self.sp)
+        return SymbolicCache()
 
     def forward(self, cache: SymbolicCache, items: Sequence[StreamItem]) -> np.ndarray:
         cache.append_items(items)
@@ -733,9 +731,8 @@ class TeacherOracle(_ReplayOracle):
     that slot. Stepping past the layout raises.
     """
 
-    def __init__(self, seq: MixedSequence, sp: SpecialTokens | None = None,
-                 vocab_size: int = 32):
-        super().__init__(sp or SpecialTokens(), vocab_size)
+    def __init__(self, seq: MixedSequence, *, vocab_size: int = 32):
+        super().__init__(vocab_size)
         self.seq = seq
 
     def _reply(self, cache: SymbolicCache) -> int:
@@ -743,15 +740,15 @@ class TeacherOracle(_ReplayOracle):
         if idx >= len(self.seq.targets):
             raise StepBeyondSequence(f"position {idx} past layout end")
         t = self.seq.targets[idx]
-        return t if t is not None else self.sp.pad
+        return t if t is not None else PAD
 
 
-def default_confusable_map(sp: SpecialTokens, vocab_size: int) -> Callable[[int], int]:
+def default_confusable_map(vocab_size: int) -> Callable[[int], int]:
     """Cyclic next-token map over the text vocabulary; never maps to self."""
-    span = vocab_size - sp.first_text_id
+    span = vocab_size - FIRST_TEXT_ID
 
     def confuse(t: int) -> int:
-        return sp.first_text_id + ((t - sp.first_text_id + 1) % span)
+        return FIRST_TEXT_ID + ((t - FIRST_TEXT_ID + 1) % span)
 
     return confuse
 
@@ -770,22 +767,22 @@ class BoundaryOracle(_ReplayOracle):
     layouts end an utterance.
     """
 
-    def __init__(self, utt: Utterance, paradigm: str, sp: SpecialTokens,
-                 vocab_size: int, confusion_window: int):
+    def __init__(self, utt: Utterance, paradigm: str, vocab_size: int,
+                 confusion_window: int):
         if paradigm not in ("ns", "ss", "cs"):
             raise ValueError(f"unknown paradigm {paradigm!r}")
-        super().__init__(sp, vocab_size)
+        super().__init__(vocab_size)
         self.utt = utt
         self.paradigm = paradigm
         self.window = confusion_window
-        self._confuse = default_confusable_map(sp, vocab_size)
+        self._confuse = default_confusable_map(vocab_size)
 
     def _stop_token(self, utterance_done: bool) -> int:
         if self.paradigm == "ns":
-            return self.sp.eos
+            return EOS
         if self.paradigm == "cs":
-            return self.sp.pad
-        return self.sp.eos if utterance_done else self.sp.pad
+            return PAD
+        return EOS if utterance_done else PAD
 
     def _reply(self, cache: SymbolicCache) -> int:
         o = cache.real_count
@@ -806,18 +803,17 @@ class BoundaryOracleSuite:
     negative confusion window raises ``ValueError``."""
 
     def __init__(self, utts: Sequence[Utterance], confusion_window: int,
-                 sp: SpecialTokens | None = None, vocab_size: int = 32):
+                 sp=None, vocab_size: int = 32):
         if confusion_window < 0:
             raise ValueError(
                 f"boundary confusion window must be >= 0, not {confusion_window}")
         self.by_id = {u.id: u for u in utts}
         self.window = confusion_window
-        self.sp = sp or SpecialTokens()
         self.vocab_size = vocab_size
 
     def bind(self, utt: Utterance | str, paradigm: str) -> BoundaryOracle:
         u = self.by_id[utt] if isinstance(utt, str) else utt
-        return BoundaryOracle(u, paradigm, self.sp, self.vocab_size, self.window)
+        return BoundaryOracle(u, paradigm, self.vocab_size, self.window)
 
 
 make_boundary_oracle = BoundaryOracleSuite

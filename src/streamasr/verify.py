@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusConfig, gen_synthetic_corpus
+from .corpus import EOS, FIRST_TEXT_ID, PAD, CorpusConfig, gen_synthetic_corpus
 from .engine import StrategyConfig, push_chunk, run_stream, session_new
 from .layout import (
     ChunkingConfig,
-    SpecialTokens,
     assign_slots,
     build_cs,
     build_ss,
@@ -56,6 +55,12 @@ __all__ = [
 ]
 
 _SIZES = (8, 16, 25)
+_CACHE_TOL = 1e-5  # relative error of chunked against one-shot forwards
+_CACHE_TIME_BUDGET_S = 60.0
+_BOUNDARY_WINDOW = 1
+_LATENCY_CHUNK_FRAMES = 16
+# 30000 draws put the +-5% band per paradigm about 6 standard deviations out
+_SAMPLER_STEPS = 30000
 
 
 @dataclass
@@ -81,10 +86,7 @@ def _random_items(rng, n: int, frame_dim: int, vocab: int) -> list[StreamItem]:
     return items
 
 
-def check_cache_equivalence(
-    num_models: int = 20, tol: float = 1e-5, seed: int = 0,
-    time_budget_s: float = 60.0,
-) -> CheckResult:
+def check_cache_equivalence(num_models: int = 20, seed: int = 0) -> CheckResult:
     """Chunked decoding with the cache must match a one-shot forward."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 10]))
     start = time.perf_counter()
@@ -118,12 +120,12 @@ def check_cache_equivalence(
                     / max(float(np.max(np.abs(whole))), 1e-12))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
-    ok = worst <= tol and elapsed < time_budget_s
+    ok = worst <= _CACHE_TOL and elapsed < _CACHE_TIME_BUDGET_S
     return CheckResult(
         "cache_equivalence",
         ok,
         f"{num_models} models, worst relative error {worst:.2e} "
-        f"(tol {tol:.0e}), {elapsed:.1f}s",
+        f"(tol {_CACHE_TOL:.0e}), {elapsed:.1f}s",
     )
 
 
@@ -131,16 +133,15 @@ def check_round_trip(num_utterances: int = 200, seed: int = 0) -> CheckResult:
     """Greedy decoding of a layout's own teacher regenerates the layout."""
     cfg = CorpusConfig(num_utterances=num_utterances, seed=seed)
     utts = gen_synthetic_corpus(cfg)
-    sp = SpecialTokens()
     mismatches = 0
     pairs = 0
     for i, u in enumerate(utts):
         ck = ChunkingConfig(_SIZES[i % len(_SIZES)])
         for builder, strat in ((build_ss, "ss_greedy"),
                                (build_cs, "cs_fallback_greedy")):
-            seq = builder(u, ck, sp)
-            model = TeacherOracle(seq, sp, cfg.vocab_size)
-            sess = session_new(model, ck, StrategyConfig(strat), sp)
+            seq = builder(u, ck)
+            model = TeacherOracle(seq, vocab_size=cfg.vocab_size)
+            sess = session_new(model, ck, StrategyConfig(strat))
             hyp = run_stream(sess, u.frames)
             got = list(zip(sess.cache.kinds.decode(), sess.cache.values))
             want = [(p.kind, p.value) for p in seq.positions]
@@ -156,7 +157,6 @@ def check_round_trip(num_utterances: int = 200, seed: int = 0) -> CheckResult:
 
 def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     """Sealed cache prefixes stay bit-identical across rollback cycles."""
-    sp = SpecialTokens()
     cfg = ModelConfig(embed_dim=16, num_layers=1, num_heads=2, ffn_dim=16,
                       max_context=64, seed=seed)
     model = ToyDecoder(cfg)
@@ -168,7 +168,7 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     verified = 0
     for _ in range(num_rollbacks):
         model.forward(cache, [StreamItem(text_pos(int(rng.integers(0, 32)))),
-                              StreamItem(text_pos(sp.pad))])
+                              StreamItem(text_pos(PAD))])
         if cache.checksum(mark) != sealed:
             return CheckResult("immutability_rollback", False,
                                "sealed prefix changed during normal use")
@@ -190,9 +190,8 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     # and through the engine: corrupt below the mark mid-stream
     u = gen_synthetic_corpus(CorpusConfig(num_utterances=1, seed=seed))[0]
     ck = ChunkingConfig(16)
-    seq = build_cs(u, ck, sp)
-    teacher = TeacherOracle(seq, sp, 32)
-    sess = session_new(teacher, ck, StrategyConfig("cs_fallback_greedy"), sp)
+    teacher = TeacherOracle(build_cs(u, ck))
+    sess = session_new(teacher, ck, StrategyConfig("cs_fallback_greedy"))
     bounds = chunk_bounds(u.num_frames, ck.chunk_frames)
     push_chunk(sess, u.frames[bounds[0][0]:bounds[0][1]],
                is_last=len(bounds) == 1)
@@ -213,12 +212,11 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     )
 
 
-def _boundary_run(utts, window, sizes, seed):
+def _boundary_run(utts):
     """Per chunk size: (ss errors, cs errors, analytic count, total tokens)."""
-    sp = SpecialTokens()
-    suite = make_boundary_oracle(utts, window, sp=sp, vocab_size=32)
+    suite = make_boundary_oracle(utts, _BOUNDARY_WINDOW, vocab_size=32)
     out = {}
-    for n_frames in sizes:
+    for n_frames in _SIZES:
         ck = ChunkingConfig(n_frames)
         ss_err = cs_err = analytic = total = 0
         for u in utts:
@@ -228,8 +226,7 @@ def _boundary_run(utts, window, sizes, seed):
             total += len(u.tokens)
             for strat, para in (("ss_greedy", "ss"),
                                 ("cs_fallback_greedy", "cs")):
-                sess = session_new(suite.bind(u, para), ck,
-                                   StrategyConfig(strat), sp)
+                sess = session_new(suite.bind(u, para), ck, StrategyConfig(strat))
                 hyp = run_stream(sess, u.frames)
                 errs = edit_distance(u.tokens, hyp).errors
                 if para == "ss":
@@ -240,13 +237,11 @@ def _boundary_run(utts, window, sizes, seed):
     return out
 
 
-def check_boundary_recovery(
-    num_utterances: int = 120, confusion_window: int = 1, seed: int = 0,
-) -> CheckResult:
+def check_boundary_recovery(num_utterances: int = 120, seed: int = 0) -> CheckResult:
     """Fallback re-decoding heals exactly the chunk-edge confusions."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=num_utterances,
                                              seed=seed))
-    runs = _boundary_run(utts, confusion_window, _SIZES, seed)
+    runs = _boundary_run(utts)
     problems = []
     for n, (ss_err, cs_err, analytic, total) in runs.items():
         if ss_err != analytic:
@@ -263,23 +258,20 @@ def check_boundary_recovery(
                        detail if not problems else "; ".join(problems))
 
 
-def check_zero_added_latency(
-    num_utterances: int = 120, seed: int = 0, chunk_frames: int = 16,
-) -> CheckResult:
+def check_zero_added_latency(num_utterances: int = 120, seed: int = 0) -> CheckResult:
     """Provisional fallback emits in the same chunk as commit-as-you-go,
     and finalizes exactly one chunk later."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=num_utterances,
                                              seed=seed))
-    sp = SpecialTokens()
-    suite = make_boundary_oracle(utts, 1, sp=sp, vocab_size=32)
-    ck = ChunkingConfig(chunk_frames)
+    suite = make_boundary_oracle(utts, 1, vocab_size=32)
+    ck = ChunkingConfig(_LATENCY_CHUNK_FRAMES)
     problems = []
     provisionals = 0
     tokens = 0
     for u in utts:
         recs = {}
         for strat, para in (("ss_greedy", "ss"), ("cs_fallback_greedy", "cs")):
-            sess = session_new(suite.bind(u, para), ck, StrategyConfig(strat), sp)
+            sess = session_new(suite.bind(u, para), ck, StrategyConfig(strat))
             run_stream(sess, u.frames)
             recs[para] = [r for r in sess.records if not r.retracted]
         if len(recs["ss"]) != len(u.tokens) or len(recs["cs"]) != len(u.tokens):
@@ -311,8 +303,7 @@ def check_beam_coherence(num_sessions: int = 30, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 12]))
     utts = gen_synthetic_corpus(
         CorpusConfig(num_utterances=num_sessions, seed=seed))
-    sp = SpecialTokens()
-    suite = make_boundary_oracle(utts, 1, sp=sp, vocab_size=32)
+    suite = make_boundary_oracle(utts, 1, vocab_size=32)
     problems = []
     compared = 0
     turns_compared = 0
@@ -330,11 +321,11 @@ def check_beam_coherence(num_sessions: int = 30, seed: int = 0) -> CheckResult:
                                  ("cs_fallback_greedy", "cs_fallback_beam", "cs")):
             cap = 24
             s_greedy = session_new(mk(para), ck, StrategyConfig(
-                base, max_decode_per_turn=cap), sp)
+                base, max_decode_per_turn=cap))
             s_w1 = session_new(mk(para), ck, StrategyConfig(
-                beam, beam_width=1, max_decode_per_turn=cap), sp)
+                beam, beam_width=1, max_decode_per_turn=cap))
             s_w3 = session_new(mk(para), ck, StrategyConfig(
-                beam, beam_width=3, max_decode_per_turn=cap), sp)
+                beam, beam_width=3, max_decode_per_turn=cap))
             h_greedy = run_stream(s_greedy, u.frames)
             h_w1 = run_stream(s_w1, u.frames)
             compared += 1
@@ -374,26 +365,23 @@ def check_compute_accounting(
     """Forward-position costs match their closed forms."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=num_utterances,
                                              seed=seed))
-    sp = SpecialTokens()
-    suite = make_boundary_oracle(utts, 0, sp=sp, vocab_size=32)
+    suite = make_boundary_oracle(utts, 0, vocab_size=32)
     problems = []
     for i, u in enumerate(utts):
         ck = ChunkingConfig(_SIZES[i % len(_SIZES)])
         bounds = chunk_bounds(u.num_frames, ck.chunk_frames)
         slots_total = sum(ck.slots(hi - lo) for lo, hi in bounds)
 
-        seq_ss = build_ss(u, ck, sp)
-        s_ss = session_new(TeacherOracle(seq_ss, sp, 32), ck,
-                           StrategyConfig("ss_greedy"), sp)
+        seq_ss = build_ss(u, ck)
+        s_ss = session_new(TeacherOracle(seq_ss), ck, StrategyConfig("ss_greedy"))
         run_stream(s_ss, u.frames)
         if s_ss.stats.forward_positions != len(seq_ss.positions):
             problems.append(
                 f"{u.id}: ss forwards {s_ss.stats.forward_positions} != "
                 f"layout {len(seq_ss.positions)}")
 
-        seq_cs = build_cs(u, ck, sp)
-        s_cs = session_new(TeacherOracle(seq_cs, sp, 32), ck,
-                           StrategyConfig("cs_fallback_greedy"), sp)
+        s_cs = session_new(TeacherOracle(build_cs(u, ck)), ck,
+                           StrategyConfig("cs_fallback_greedy"))
         run_stream(s_cs, u.frames)
         bound = s_ss.stats.forward_positions + slots_total
         if s_cs.stats.forward_positions > bound:
@@ -402,7 +390,7 @@ def check_compute_accounting(
                 f"ss + slots {bound}")
 
         s_ns = session_new(suite.bind(u, "ns"), ck,
-                           StrategyConfig("ns_redecode_hold_n", hold_n=1), sp)
+                           StrategyConfig("ns_redecode_hold_n", hold_n=1))
         run_stream(s_ns, u.frames)
         expected_prefill = sum(hi + 1 for _, hi in bounds)
         if s_ns.stats.prefill_positions != expected_prefill:
@@ -483,41 +471,38 @@ def check_metrics_oracle(num_pairs: int = 200, seed: int = 0) -> CheckResult:
     )
 
 
-def check_layout_structure(
-    num_utterances: int = 100, sampler_steps: int = 6000, seed: int = 0,
-) -> CheckResult:
+def check_layout_structure(num_utterances: int = 100, seed: int = 0) -> CheckResult:
     """Static layout invariants, paradigm sampling, and the training plan."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=num_utterances,
                                              seed=seed))
-    sp = SpecialTokens()
     problems = []
     for i, u in enumerate(utts):
         ck = ChunkingConfig(_SIZES[i % len(_SIZES)])
-        seq_ss = build_ss(u, ck, sp)
-        if sum(1 for t in seq_ss.targets if t == sp.eos) != 1:
+        seq_ss = build_ss(u, ck)
+        if sum(1 for t in seq_ss.targets if t == EOS) != 1:
             problems.append(f"{u.id}: ss eos count != 1")
-        if any(p.kind == "t" and p.value == sp.eos for p in seq_ss.positions):
+        if any(p.kind == "t" and p.value == EOS for p in seq_ss.positions):
             problems.append(f"{u.id}: eos appeared as an input")
-        seq_cs = build_cs(u, ck, sp)
-        if any(t == sp.eos for t in seq_cs.targets):
+        seq_cs = build_cs(u, ck)
+        if any(t == EOS for t in seq_cs.targets):
             problems.append(f"{u.id}: cs has an eos target")
         segments = assign_slots(u.alignments, ck, u.num_frames, masked=True)
         for (_, tseg), seg in zip(seq_cs.segments, segments):
             slot_vals = [seq_cs.positions[p].value for p in range(*tseg)]
             j = len(seg.tokens)
             if seg.masked:
-                if j == 0 or slot_vals[j - 1] != sp.pad:
+                if j == 0 or slot_vals[j - 1] != PAD:
                     problems.append(f"{u.id}: masked slot is not pad")
-                if any(v < sp.first_text_id for v in slot_vals[: j - 1]):
+                if any(v < FIRST_TEXT_ID for v in slot_vals[: j - 1]):
                     problems.append(f"{u.id}: committed slot not a real token")
-            if any(v != sp.pad for v in slot_vals[j:]):
+            if any(v != PAD for v in slot_vals[j:]):
                 problems.append(f"{u.id}: slot padding not pad")
 
     counts = {"ns": 0, "ss": 0, "cs": 0}
-    for step in range(sampler_steps):
+    for step in range(_SAMPLER_STEPS):
         counts[sample_paradigm(step, True, seed)] += 1
-    lo = round(sampler_steps * (9500 / 30000))
-    hi = round(sampler_steps * (10500 / 30000))
+    third = _SAMPLER_STEPS // 3
+    lo, hi = third - third // 20, third + third // 20
     for k, v in counts.items():
         if not (lo <= v <= hi):
             problems.append(f"paradigm {k} drawn {v} times outside [{lo},{hi}]")
@@ -566,7 +551,7 @@ _FULL_SCALE = {
     "check_beam_coherence": {"num_sessions": 100},
     "check_compute_accounting": {"num_utterances": 200},
     "check_metrics_oracle": {"num_pairs": 500},
-    "check_layout_structure": {"num_utterances": 200, "sampler_steps": 30000},
+    "check_layout_structure": {"num_utterances": 200},
 }
 
 

@@ -411,6 +411,46 @@ def test_decode_teacher_model_is_exact(tmp_path, corpus):
     assert all(r["hyp"] == r["ref"] for r in rows)
 
 
+@pytest.fixture
+def corpus_with_empty_transcript(tmp_path):
+    """Four inline-frame utterances; the second has no tokens."""
+    path = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--out", str(path), "--num-utterances", "4",
+                 "--seed", "0", "--inline-frames"]) == 0
+    recs = [json.loads(l) for l in path.read_text().splitlines()]
+    recs[1]["tokens"], recs[1]["alignments"] = [], []
+    path.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    return path
+
+
+@pytest.mark.parametrize("strategy", [s for s in STRATEGIES
+                                      if s.startswith("ns_")])
+def test_teacher_decodes_an_empty_transcript_with_ns(
+        tmp_path, corpus_with_empty_transcript, strategy):
+    out = tmp_path / "dec.jsonl"
+    rc = main(["decode", "--corpus", str(corpus_with_empty_transcript),
+               "--strategy", strategy, "--model", "teacher",
+               "--out", str(out)])
+    assert rc == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert [r["hyp"] == r["ref"] for r in rows] == [True] * 4
+    assert rows[1]["hyp"] == []
+
+
+def test_build_sequences_lays_out_an_empty_transcript_as_ns(
+        tmp_path, corpus_with_empty_transcript):
+    out = tmp_path / "seqs.jsonl"
+    rc = main(["build-sequences", "--corpus",
+               str(corpus_with_empty_transcript), "--out", str(out),
+               "--paradigm", "ns"])
+    assert rc == 0
+    rows = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(rows) == 4
+    n = len(rows[1]["positions"]) - 1  # speech frames, then sos
+    assert rows[1]["positions"][n - 1:] == [f"s:{n - 1}", "t:1"]
+    assert rows[1]["targets"] == [None] * n + [2]
+
+
 # -----------------------------
 # ablate
 # -----------------------------

@@ -70,7 +70,7 @@ class Scripted:
         self.default = default
 
     def new_cache(self):
-        return SymbolicCache(SP)
+        return SymbolicCache()
 
     def forward(self, cache, items):
         cache.append_items(items)
@@ -302,7 +302,7 @@ def test_teacher_decoding_regenerates_the_layout(u, chunk_frames, ratio):
     for build, name in ((build_ss, "ss_greedy"),
                         (build_cs, "cs_fallback_greedy")):
         seq = build(u, ck, SP)
-        s = session_new(TeacherOracle(seq, SP), ck, StrategyConfig(name), SP)
+        s = session_new(TeacherOracle(seq), ck, StrategyConfig(name), SP)
         assert run_stream(s, u.frames) == u.tokens
         assert (list(zip(s.cache.kinds.decode(), s.cache.values))
                 == [(p.kind, p.value) for p in seq.positions])
@@ -351,7 +351,7 @@ def test_resplit_stream_recovers_the_reference(stream):
 
 def test_ss_teacher_trace(running_example, chunk4, sp):
     seq = build_ss(running_example, chunk4)
-    model = TeacherOracle(seq, sp)
+    model = TeacherOracle(seq)
     s = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     r0 = push_chunk(s, running_example.frames[:4])
     r1 = push_chunk(s, running_example.frames[4:], is_last=True)
@@ -368,7 +368,7 @@ def test_ss_teacher_trace(running_example, chunk4, sp):
 
 def test_cs_teacher_trace(running_example, chunk4, sp):
     seq = build_cs(running_example, chunk4)
-    model = TeacherOracle(seq, sp)
+    model = TeacherOracle(seq)
     s = session_new(model, chunk4, StrategyConfig("cs_fallback_greedy"), sp)
     r0 = push_chunk(s, running_example.frames[:4])
     assert [r.token for r in r0] == [10]
@@ -387,7 +387,7 @@ def test_cs_teacher_trace(running_example, chunk4, sp):
 
 def test_two_sessions_share_model(running_example, chunk4, sp):
     seq = build_ss(running_example, chunk4)
-    model = TeacherOracle(seq, sp)
+    model = TeacherOracle(seq)
     a = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     b = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     push_chunk(a, running_example.frames[:4])
@@ -403,7 +403,7 @@ def test_two_sessions_share_model(running_example, chunk4, sp):
 
 def test_ss_commits_the_confused_token(edge_example, chunk4, sp):
     suite = make_boundary_oracle([edge_example], confusion_window=1, vocab_size=32)
-    confuse = default_confusable_map(sp, 32)
+    confuse = default_confusable_map(32)
     s = session_new(suite.bind("edge", "ss"), chunk4,
                     StrategyConfig("ss_greedy"), sp)
     hyp = run_stream(s, edge_example.frames)
@@ -412,7 +412,7 @@ def test_ss_commits_the_confused_token(edge_example, chunk4, sp):
 
 def test_cs_fallback_revises_the_confused_token(edge_example, chunk4, sp):
     suite = make_boundary_oracle([edge_example], confusion_window=1, vocab_size=32)
-    confuse = default_confusable_map(sp, 32)
+    confuse = default_confusable_map(32)
     s = session_new(suite.bind("edge", "cs"), chunk4,
                     StrategyConfig("cs_fallback_greedy"), sp)
     hyp = run_stream(s, edge_example.frames)
@@ -425,7 +425,7 @@ def test_cs_fallback_revises_the_confused_token(edge_example, chunk4, sp):
 
 
 def test_confirmed_token_has_no_retracted_value(running_example, chunk4, sp):
-    model = TeacherOracle(build_cs(running_example, chunk4), sp)
+    model = TeacherOracle(build_cs(running_example, chunk4))
     s = session_new(model, chunk4, StrategyConfig("cs_fallback_greedy"), sp)
     run_stream(s, running_example.frames)
     assert all(r.retracted_value is None for r in s.records)
@@ -545,7 +545,7 @@ def test_run_stream_equals_manual_pushes(edge_example, chunk4, sp):
 # -----------------------------
 
 def test_cache_reuse_counts_prior_context(running_example, chunk4, sp):
-    model = TeacherOracle(build_ss(running_example, chunk4), sp)
+    model = TeacherOracle(build_ss(running_example, chunk4))
     s = session_new(model, chunk4, StrategyConfig("ss_greedy"), sp)
     push_chunk(s, running_example.frames[:4])
     reused_at_entry = len(s.cache)
@@ -1014,7 +1014,7 @@ def test_strategies_decode_from_shared_read_only_logits(name):
     suite = make_boundary_oracle(utts, confusion_window=1)
     strategy = StrategyConfig(name, beam_width=3 if name.endswith("_beam") else 1)
     for u in utts:
-        for model in (TeacherOracle(layout_of(u), SP), suite.bind(u, paradigm)):
+        for model in (TeacherOracle(layout_of(u)), suite.bind(u, paradigm)):
             replies = []
 
             def forward(cache, items, inner=model.forward):
@@ -1027,6 +1027,32 @@ def test_strategies_decode_from_shared_read_only_logits(name):
             assert all(r.base is model._rows and not r.flags.writeable
                        for r in replies)
             assert np.array_equal(model._rows, _one_hot_rows(32))
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_the_ignored_sp_argument_changes_nothing(name):
+    """``SpecialTokens()`` passed as the trailing ``sp`` that
+    ``make_boundary_oracle``, the layout builders and ``session_new`` still
+    accept gives the same layouts, hypotheses, records and stats as leaving
+    it out."""
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=3, seed=2))
+    ck = ChunkingConfig(8)
+    paradigm = PARADIGM_OF[name]
+    strategy = StrategyConfig(name, beam_width=3 if name.endswith("_beam") else 1)
+
+    def run(**sp):
+        suite = make_boundary_oracle(utts, 1, vocab_size=32, **sp)
+        out = []
+        for u in utts:
+            seq = (build_ns(u, **sp) if paradigm == "ns" else
+                   {"ss": build_ss, "cs": build_cs}[paradigm](u, ck, **sp))
+            s = session_new(suite.bind(u, paradigm), ck, strategy, **sp)
+            hyp = run_stream(s, u.frames)
+            out.append((seq.positions, seq.targets, seq.segments, hyp,
+                        [asdict(r) for r in s.records], s.stats.as_dict()))
+        return out
+
+    assert run(sp=SpecialTokens()) == run()
 
 
 # -----------------------------

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamasr.layout import ChunkingConfig, SpecialTokens, build_ns, build_ss, speech, text
+from streamasr.layout import ChunkingConfig, build_ns, build_ss, speech, text
 from streamasr.model import (
     AdapterParams,
+    BoundaryOracle,
     ContextOverflow,
     ImmutabilityViolation,
     KVCache,
@@ -283,7 +284,7 @@ def _sealed_kv():
 
 
 def _sealed_symbolic():
-    cache = SymbolicCache(SpecialTokens())
+    cache = SymbolicCache()
     cache.append_items([StreamItem(speech(0)), StreamItem(speech(1)),
                         StreamItem(text(10)), StreamItem(text(0))])
     cache.mark_chunk()
@@ -334,7 +335,7 @@ def test_a_branch_carries_the_seal(sealed_cache):
 
 
 def test_an_unsealed_cache_rewinds_to_empty():
-    cache = SymbolicCache(SpecialTokens())
+    cache = SymbolicCache()
     cache.append_items([StreamItem(speech(0)), StreamItem(text(10))])
     assert (cache.mark, cache.sealed) == (0, None)
     assert cache.rewind() == 2 and len(cache) == 0
@@ -771,7 +772,7 @@ def test_in_place_parameter_edits_reach_the_forward():
 # -----------------------------
 
 def test_symbolic_cache_counts(sp):
-    c = SymbolicCache(sp)
+    c = SymbolicCache()
     c.append_items([StreamItem(speech(0)), StreamItem(speech(1)),
                     StreamItem(text(10)), StreamItem(text(sp.pad))])
     assert len(c) == 4
@@ -788,8 +789,8 @@ def test_symbolic_cache_counts(sp):
 
 
 def test_symbolic_checksum_tracks_content(sp):
-    a = SymbolicCache(sp)
-    b = SymbolicCache(sp)
+    a = SymbolicCache()
+    b = SymbolicCache()
     a.append_items([StreamItem(text(10))])
     b.append_items([StreamItem(text(11))])
     assert a.checksum() != b.checksum()
@@ -799,7 +800,7 @@ def test_symbolic_checksum_tracks_content(sp):
 
 
 def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
-    c = SymbolicCache(sp)
+    c = SymbolicCache()
     c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
     assert c.checksum(2) == c.checksum()
     with pytest.raises(ValueError, match="beyond length 2"):
@@ -807,7 +808,7 @@ def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
 
 
 def test_symbolic_cache_rejects_a_negative_target(sp):
-    c = SymbolicCache(sp)
+    c = SymbolicCache()
     c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
     with pytest.raises(ValueError, match="negative"):
         c.rollback(-1)
@@ -836,8 +837,7 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
     branches. Each cache then hashes and counts exactly like a fresh cache
     built from its surviving items, also cut at a random point, and bumping
     any value below its mark changes the sealed checksum."""
-    sp = SpecialTokens()
-    caches = [(SymbolicCache(sp), [])]  # (cache, surviving items)
+    caches = [(SymbolicCache(), [])]  # (cache, surviving items)
     for which, (op, arg) in ops:
         cache, items = caches[which % len(caches)]
         if op == "append":
@@ -857,14 +857,14 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
             caches.append((cache.branch(), list(items)))
 
     for cache, items in caches:
-        fresh = SymbolicCache(sp)
+        fresh = SymbolicCache()
         fresh.append_items(items)
         assert len(cache) == len(items)
         assert cache.checksum() == fresh.checksum()
         assert cache.real_count == fresh.real_count
         assert cache.max_frame == fresh.max_frame
         cut = data.draw(st.integers(0, len(items)))
-        prefix = SymbolicCache(sp)
+        prefix = SymbolicCache()
         prefix.append_items(items[:cut])
         assert cache.checksum(cut) == prefix.checksum()
         mark = cache.mark
@@ -889,8 +889,7 @@ def test_symbolic_checksum_hashes_the_same_bytes_as_the_joined_kinds(ops):
     """Random append/mark/rollback/branch sequences: every seal, and the
     checksum of every prefix of every live branch, equal the joined-kinds
     formula over plain lists kept beside the caches."""
-    sp = SpecialTokens()
-    caches = [(SymbolicCache(sp), [], [])]  # (cache, kinds, values)
+    caches = [(SymbolicCache(), [], [])]  # (cache, kinds, values)
     for which, (op, arg) in ops:
         cache, kinds, values = caches[which % len(caches)]
         if op == "append":
@@ -924,7 +923,7 @@ def test_symbolic_cache_footprint_per_position(sp):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cache = SymbolicCache(sp)
+        cache = SymbolicCache()
         for items in chunks:
             cache.append_items(items)
             cache.mark_chunk()
@@ -941,7 +940,7 @@ def test_symbolic_cache_footprint_per_position(sp):
 
 def test_teacher_oracle_replays_ns(running_example, sp):
     seq = build_ns(running_example)
-    oracle = TeacherOracle(seq, sp)
+    oracle = TeacherOracle(seq)
     cache = oracle.new_cache()
     items = [StreamItem(speech(i), running_example.frames[i]) for i in range(8)]
     items.append(StreamItem(text(sp.sos)))
@@ -975,17 +974,32 @@ def test_one_hot_windows_are_read_only_one_hot_rows():
 
 
 def test_confusable_map_never_identity(sp):
-    confuse = default_confusable_map(sp, 16)
+    confuse = default_confusable_map(16)
     for t in range(sp.first_text_id, 16):
         ct = confuse(t)
         assert ct != t
         assert sp.first_text_id <= ct < 16
 
 
+@pytest.mark.parametrize("old_call", [
+    lambda u, seq, sp: TeacherOracle(seq, sp, 32),
+    lambda u, seq, sp: TeacherOracle(seq, sp),
+    lambda u, seq, sp: SymbolicCache(sp),
+    lambda u, seq, sp: default_confusable_map(sp, 32),
+    lambda u, seq, sp: BoundaryOracle(u, "ss", sp, 32, 1),
+], ids=["teacher", "teacher-no-vocab", "symbolic-cache", "confusable-map",
+        "boundary"])
+def test_an_old_positional_sp_raises(running_example, chunk4, sp, old_call):
+    """The reserved ids are constants: a call written for the signatures
+    that took them raises instead of binding ``sp`` to another parameter."""
+    with pytest.raises(TypeError):
+        old_call(running_example, build_ss(running_example, chunk4), sp)
+
+
 def test_boundary_oracle_confuses_edge_token(edge_example, sp):
     suite = make_boundary_oracle([edge_example], confusion_window=1, vocab_size=32)
     oracle = suite.bind("edge", "ss")
-    confuse = default_confusable_map(sp, 32)
+    confuse = default_confusable_map(32)
     cache = oracle.new_cache()
     # token 13 ends at frame 3; with context up to frame 3 it reads confused
     frames = [StreamItem(speech(i), edge_example.frames[i]) for i in range(4)]
