@@ -54,6 +54,7 @@ from .metrics import ErrorCounts, edit_distance, emission_latency, summarize
 from .model import (
     KVCache,
     ModelConfig,
+    SpeechSpan,
     StreamItem,
     TeacherOracle,
     ToyDecoder,
@@ -90,6 +91,7 @@ __all__ = [
     "stage_plan",
     "KVCache",
     "ModelConfig",
+    "SpeechSpan",
     "StreamItem",
     "TeacherOracle",
     "ToyDecoder",

@@ -227,7 +227,8 @@ def _make_model_factory(ns: argparse.Namespace, utts):
 
 
 def _decode_one(sess, u, fps: float, chunk_ms: float):
-    """Decode and score one utterance: its entry, counts and latency."""
+    """Decode and score one utterance: its entry, counts and latency, with
+    ``chunk_ms`` the duration of the chunks the session decodes."""
     hyp = run_stream(sess, u.frames)
     c = edit_distance(u.tokens, hyp)
     lat = emission_latency(sess.records, u.alignments, chunk_ms, fps)
@@ -252,6 +253,8 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     outside that isolation, so it ends the command instead.
     Returns the report row and the per-utterance entries."""
     paradigm = PARADIGM_OF[strategy.name]
+    # latency counts whole decoded chunks; the row keeps the requested size
+    decoded_ms = ck.chunk_frames / fps * 1000.0
     per_utt = []
     counts = []
     pooled_lat = LatencyReport()
@@ -259,7 +262,7 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     for u in utts:
         sess = session_new(factory(u, paradigm, ck), ck, strategy)
         try:
-            entry, c, lat = _decode_one(sess, u, fps, chunk_ms)
+            entry, c, lat = _decode_one(sess, u, fps, decoded_ms)
         except ContextOverflow as exc:
             entry = {"id": u.id, "error": f"context overflow: {exc}"}
         except Exception as exc:  # one bad utterance must not end the run

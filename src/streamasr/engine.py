@@ -21,6 +21,8 @@ Cache discipline, which the accounting tests pin down exactly:
 * the first decode of a turn reads the logits its prefill already
   produced, so it costs nothing extra; a context-aware turn forwards its
   re-presented slot span and its chunk's speech in that one call;
+* a chunk's speech reaches the model as one ``SpeechSpan``, none for a
+  chunk without rows, and counts as its frames;
 * turn-stop pads and slot padding are appended wherever the training
   layouts materialize them as inputs (standard streaming pads every slot;
   the context-aware layout instead rewrites the whole slot span on the
@@ -51,9 +53,8 @@ import numpy as np
 
 from .corpus import EOS, PAD, SOS
 from .layout import ChunkingConfig, chunk_bounds
-from .layout import speech as speech_pos
 from .layout import text as text_pos
-from .model import StreamItem
+from .model import SpeechSpan, StreamItem
 
 __all__ = [
     "STRATEGIES", "PARADIGM_OF", "ConfigMismatch", "PushAfterFinish",
@@ -242,8 +243,8 @@ class StreamingSession:
         self.turns: list[TurnRecord] = []
         # logits left over at turn end, the seed for an audio-less flush
         self.last_logits: np.ndarray | None = None
-        # re-decoding baseline: every speech item so far
-        self.ns_items: list[StreamItem] = []
+        # re-decoding baseline: one speech span per chunk so far
+        self.ns_items: list[SpeechSpan] = []
 
     @property
     def stats(self) -> SessionStats:
@@ -273,12 +274,13 @@ class StreamingSession:
 
     # -- low-level forward with accounting
 
-    def _fwd(self, cache, items: Sequence[StreamItem], bucket: str) -> np.ndarray:
+    def _fwd(self, cache, items: Sequence[StreamItem | SpeechSpan],
+             bucket: str) -> np.ndarray:
         logits = self.model.forward(cache, items)
         turn = self.turns[-1]
         if bucket == "prefill":
-            turn.prefill += len(items)
-        else:
+            turn.prefill += sum(map(len, items))
+        else:  # decode rows are text items, one position each
             turn.decode += len(items)
         return logits
 
@@ -292,11 +294,6 @@ class StreamingSession:
                   [self.model.forward(c, [it]) for c, it in zip(caches, items)])
         self.turns[-1].decode += len(items)
         return logits
-
-    def _speech_items(self, frames: np.ndarray) -> list[StreamItem]:
-        base = self.turns[-1].frames[0]
-        return [StreamItem(speech_pos(base + i), row)
-                for i, row in enumerate(frames)]
 
     def fork(self, strategy: StrategyConfig | None = None) -> "StreamingSession":
         """Copy every piece of decoding state, sharing the model, so the
@@ -551,14 +548,15 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
     turn, k = turns[-1], len(turns) - 1
     cs = session.paradigm == "cs"
     cache = session.cache
-    items: list[StreamItem] = []
+    items: list[StreamItem | SpeechSpan] = []
     if cs and k > 0:
         fallback_rewind(session)
         prev = turns[-2]
         items = [_text_item(t) for t in prev.tokens[:-1]]
         items += [_text_item(PAD)] * (prev.slots - len(items))
     turn.reused = len(cache)
-    items += session._speech_items(frames)
+    if len(frames):
+        items.append(SpeechSpan(turn.frames[0], frames))
     logits = (session._fwd(cache, items, "prefill") if items
               else session.last_logits)
     if cs:
@@ -601,7 +599,8 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
              is_last: bool) -> list[EmissionRecord]:
     turns, st = session.turns, session.strategy
     turn, k = turns[-1], len(turns) - 1
-    session.ns_items += session._speech_items(frames)
+    if len(frames):
+        session.ns_items.append(SpeechSpan(turn.frames[0], frames))
     cache = session.cache
     cache.rollback(0)  # a fresh decode, not a fallback: rolled_back stays None
     logits = session._fwd(cache, session.ns_items + [_text_item(SOS)],

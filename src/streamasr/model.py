@@ -2,15 +2,18 @@
 
 Three interchangeable models drive the streaming engine, all sharing one
 contract: ``new_cache()`` plus ``forward(cache, items) -> logits`` for the
-last appended position. ``forward_batch(caches, items)`` is optional: it
-appends ``items[i]`` to ``caches[i]`` and returns one row of logits per
-cache. Beam search uses it to forward a whole step at once and falls back
-to one ``forward`` per item for a model without it (the oracles).
+last appended position. ``items`` mixes text ``StreamItem``s, one position
+each, with ``SpeechSpan``s, which stand for a run of consecutive speech
+frames; ``len(item)`` is the number of positions an item appends.
+``forward_batch(caches, items)`` is optional: it appends the text item
+``items[i]`` to ``caches[i]`` and returns one row of logits per cache. Beam
+search uses it to forward a whole step at once and falls back to one
+``forward`` per item for a model without it (the oracles).
 
 * ``ToyDecoder``: a small deterministic pre-norm transformer over mixed
-  speech/text positions. Speech frames enter through a two-linear-layer
-  ReLU adapter, text through an embedding table; absolute position
-  embeddings keep chunked and one-shot forwards equivalent. Depth 0
+  speech/text positions. A span's frames enter through a two-linear-layer
+  ReLU adapter as one matrix, text through an embedding table; absolute
+  position embeddings keep chunked and one-shot forwards equivalent. Depth 0
   degenerates to output-projected input embeddings. One layer body serves
   a span on one cache and a batch of one-row spans on many: layer norm,
   projections and FFN run over all rows, attention per cache. A lone row
@@ -56,6 +59,7 @@ __all__ = [
     "RollbackPastChunkBoundary",
     "ImmutabilityViolation",
     "StreamItem",
+    "SpeechSpan",
     "build_attention_mask",
     "masked_ce_loss",
     "AdapterParams",
@@ -91,14 +95,36 @@ class ImmutabilityViolation(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class StreamItem:
-    """One position pushed through a model: a text token or a speech frame.
-
-    ``pos`` carries the symbolic identity (frame index or token id); speech
-    items also carry the frame vector for models that embed audio.
-    """
+    """One text position pushed through a model; ``pos`` carries its token
+    id. Speech reaches a model only as a ``SpeechSpan``: a model raises
+    ``ValueError`` on a speech ``pos``, before any cache changes."""
 
     pos: Position
-    frame: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return 1
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class SpeechSpan:
+    """The ``len(frames)`` consecutive speech positions ``start``,
+    ``start + 1``, ...; ``frames`` is their ``[n, frame_dim]`` matrix.
+    Spans compare by identity, as their frame arrays do not compare to a
+    bool."""
+
+    start: int
+    frames: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.frames) != 2:
+            raise ValueError("a SpeechSpan's frames must be [n, frame_dim]")
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+
+def _not_speech(item: StreamItem) -> ValueError:
+    return ValueError(f"speech position {item.pos} must come as a SpeechSpan")
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +301,7 @@ def _param_blocks(p) -> list[np.ndarray]:
 # caches
 
 _KV_INITIAL_ROWS = 16  # rows a new KVCache reserves per layer before growing
+_SPEECH = ord("s")  # a speech position's byte in ``SymbolicCache.kinds``
 
 
 class _MarkedCache:
@@ -403,9 +430,10 @@ class SymbolicCache(_MarkedCache):
 
     Two typed logs, ``kinds`` (a ``bytearray`` of ``b"s"``/``b"t"``) and
     ``values`` (an ``array("q")``), hashed in place by ``checksum`` and
-    copied and cut in C. An oracle reads the running ``real_count`` (real
-    text tokens) and ``max_frame`` (highest speech frame, -1 before any);
-    ``mark_chunk`` saves both, so rollback rebuilds them from the mark.
+    copied and cut in C; a ``SpeechSpan`` lands in both in C too. An oracle
+    reads the running ``real_count`` (real text tokens) and ``max_frame``
+    (highest speech frame, -1 before any); ``mark_chunk`` saves both, so a
+    rollback recounts them from the mark.
     """
 
     def __init__(self) -> None:
@@ -419,17 +447,25 @@ class SymbolicCache(_MarkedCache):
     def __len__(self) -> int:
         return len(self.values)
 
-    def append_items(self, items: Sequence[StreamItem]) -> None:
+    def append_items(self, items: Sequence[StreamItem | SpeechSpan]) -> None:
         kinds, values = self.kinds, self.values
         real, edge = self.real_count, self.max_frame
+        base = len(values)
         for it in items:
-            kind, value = it.pos.kind, it.pos.value
-            kinds += kind.encode()
+            if isinstance(it, SpeechSpan):
+                start, n = it.start, len(it.frames)
+                if n:
+                    kinds += b"s" * n
+                    values.extend(range(start, start + n))
+                    edge = max(edge, start + n - 1)
+                continue
+            value = it.pos.value
+            if it.pos.kind != "t":
+                del kinds[base:], values[base:]
+                raise _not_speech(it)
+            kinds += b"t"
             values.append(value)
-            if kind == "s":
-                if value > edge:
-                    edge = value
-            elif value >= FIRST_TEXT_ID:
+            if value >= FIRST_TEXT_ID:
                 real += 1
         self.real_count, self.max_frame = real, edge
 
@@ -438,14 +474,15 @@ class SymbolicCache(_MarkedCache):
         self._at_mark = (self.real_count, self.max_frame)
 
     def _truncate(self, n: int) -> None:
-        # from the values saved at the mark, re-append what lies past it
-        kept = [StreamItem(Position(k, v)) for k, v in zip(
-            self.kinds[self.mark:n].decode(), self.values[self.mark:n])]
-        del self.kinds[self.mark:]
-        del self.values[self.mark:]
-        self.real_count, self.max_frame = self._at_mark
-        if kept:
-            self.append_items(kept)
+        del self.kinds[n:], self.values[n:]
+        # from the values saved at the mark, recount what lies past it
+        real, edge = self._at_mark
+        for kind, value in zip(self.kinds[self.mark:], self.values[self.mark:]):
+            if kind == _SPEECH:
+                edge = max(edge, value)
+            elif value >= FIRST_TEXT_ID:
+                real += 1
+        self.real_count, self.max_frame = real, edge
 
     def branch(self) -> "SymbolicCache":
         other = SymbolicCache()
@@ -514,28 +551,40 @@ class ToyDecoder:
 
     # -- embedding
 
-    def embed_items(self, items: Sequence[StreamItem], start: int) -> np.ndarray:
-        return self._embed(items, slice(start, start + len(items)))
+    def embed_items(self, items: Sequence[StreamItem | SpeechSpan],
+                    start: int) -> np.ndarray:
+        return self._embed(items, slice(start, start + sum(map(len, items))))
 
-    def _embed(self, items: Sequence[StreamItem],
+    def _embed(self, items: Sequence[StreamItem | SpeechSpan],
                positions: slice | Sequence[int]) -> np.ndarray:
-        """Input rows: each item's token or adapted frame embedding plus the
-        embedding of its absolute position, given as a slice or as one
-        index per item. Every check runs before any row reaches a cache."""
-        top = (positions.stop if isinstance(positions, slice)
-               else int(max(positions, default=-1)) + 1)
-        if len(items) and top > self.cfg.max_context:
+        """Input rows: each text item's token embedding and each span's
+        frames through the adapter as one matrix, plus the embedding of each
+        row's absolute position. ``positions`` is a slice over every row, or
+        one index per item for text items alone. Every check runs before
+        any row reaches a cache."""
+        if isinstance(positions, slice):
+            n, top = positions.stop - positions.start, positions.stop
+        else:
+            n, top = len(items), int(max(positions, default=-1)) + 1
+        if n and top > self.cfg.max_context:
             raise ContextOverflow(f"{top} > max_context {self.cfg.max_context}")
-        rows = np.empty((len(items), self.cfg.embed_dim))
-        for i, it in enumerate(items):
-            if it.pos.kind == "t":
-                if not (0 <= it.pos.value < self.cfg.vocab_size):
-                    raise ValueError(f"token id {it.pos.value} out of vocabulary")
-                rows[i] = self.params.embed[it.pos.value]
-            else:
-                if it.frame is None:
-                    raise ValueError("speech item without a frame vector")
-                rows[i] = adapter_forward(it.frame, self.params.adapter)
+        rows = np.empty((n, self.cfg.embed_dim))
+        r = 0
+        for it in items:
+            if isinstance(it, SpeechSpan):
+                if not isinstance(positions, slice):
+                    raise ValueError("a SpeechSpan needs a span of positions")
+                end = r + len(it.frames)
+                rows[r:end] = adapter_forward(it.frames, self.params.adapter)
+                r = end
+                continue
+            kind, value = it.pos.kind, it.pos.value
+            if kind != "t":
+                raise _not_speech(it)
+            if not (0 <= value < self.cfg.vocab_size):
+                raise ValueError(f"token id {value} out of vocabulary")
+            rows[r] = self.params.embed[value]
+            r += 1
         rows += self.params.pos[positions]
         return rows
 
@@ -614,7 +663,8 @@ class ToyDecoder:
         return self._layers(x, [(cache, slice(0, x.shape[0]))],
                             mask_mode, chunk_size)
 
-    def forward(self, cache: KVCache, items: Sequence[StreamItem]) -> np.ndarray:
+    def forward(self, cache: KVCache,
+                items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
         """Engine entry point: append items, return last-position logits."""
         x = self.embed_items(items, start=len(cache))
         logits = self.forward_embedded(x, cache)
@@ -625,8 +675,9 @@ class ToyDecoder:
         """Append ``items[i]`` to ``caches[i]`` for every i in one pass and
         return one row of logits per cache, as ``forward`` would for each.
 
-        All rows are embedded first, so a ``ContextOverflow`` (or a bad
-        item) leaves every cache untouched. The caches must be distinct.
+        Each item is one text position, so a ``SpeechSpan`` raises. All
+        rows are embedded first, so a ``ContextOverflow`` (or a bad item)
+        leaves every cache untouched. The caches must be distinct.
         """
         if len(caches) != len(items):
             raise ValueError("forward_batch needs one item per cache")
@@ -637,7 +688,7 @@ class ToyDecoder:
 
     def forward_sequence(
         self,
-        items: Sequence[StreamItem],
+        items: Sequence[StreamItem | SpeechSpan],
         mask_mode: str = "full",
         chunk_size: int | None = None,
     ) -> np.ndarray:
@@ -717,7 +768,8 @@ class _ReplayOracle:
     def new_cache(self) -> SymbolicCache:
         return SymbolicCache()
 
-    def forward(self, cache: SymbolicCache, items: Sequence[StreamItem]) -> np.ndarray:
+    def forward(self, cache: SymbolicCache,
+                items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
         cache.append_items(items)
         return _one_hot_logits(self._rows, self._reply(cache))
 

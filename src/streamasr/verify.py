@@ -24,13 +24,13 @@ from .layout import (
     sample_paradigm,
     stage_plan,
 )
-from .layout import speech as speech_pos
 from .layout import text as text_pos
 from .metrics import edit_distance
 from .model import (
     ImmutabilityViolation,
     ModelConfig,
     RollbackPastChunkBoundary,
+    SpeechSpan,
     StreamItem,
     TeacherOracle,
     ToyDecoder,
@@ -73,16 +73,21 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def _random_items(rng, n: int, frame_dim: int, vocab: int) -> list[StreamItem]:
-    items = []
-    fidx = 0
-    for _ in range(n):
-        if rng.random() < 0.6:
-            items.append(StreamItem(speech_pos(fidx),
-                                    rng.normal(size=frame_dim)))
-            fidx += 1
-        else:
+def _random_items(rng, n: int, frame_dim: int,
+                  vocab: int) -> list[StreamItem | SpeechSpan]:
+    """Items for ``n`` positions: text tokens and speech spans of 1-4
+    frames, the frame indices running on across spans."""
+    items: list[StreamItem | SpeechSpan] = []
+    fidx = left = 0
+    while left < n:
+        if rng.random() < 0.4:
             items.append(StreamItem(text_pos(int(rng.integers(0, vocab)))))
+            left += 1
+            continue
+        span = min(int(rng.integers(1, 5)), n - left)
+        items.append(SpeechSpan(fidx, rng.normal(size=(span, frame_dim))))
+        fidx += span
+        left += span
     return items
 
 
@@ -100,10 +105,12 @@ def check_cache_equivalence(num_models: int = 20, seed: int = 0) -> CheckResult:
             seed=int(rng.integers(1 << 30)),
         )
         model = ToyDecoder(cfg)
-        n = int(rng.integers(24, 64))
-        items = _random_items(rng, n, cfg.frame_dim, cfg.vocab_size)
+        items = _random_items(rng, int(rng.integers(24, 64)), cfg.frame_dim,
+                              cfg.vocab_size)
         whole = model.forward_sequence(items)
         cache = model.new_cache()
+        # cut between items, so a span is never split
+        n = len(items)
         n_cuts = int(rng.integers(1, 5))
         cuts = sorted(rng.choice(np.arange(1, n), size=n_cuts, replace=False))
         spans = []

@@ -577,6 +577,35 @@ def test_ablate_custom_sweep(tmp_path, corpus, capsys):
     assert "cs_fallback" not in table
 
 
+_LATENCY_COLUMNS = ("emit_latency_ms", "finalize_latency_ms", "max_spike_ms")
+
+
+def test_latency_is_scored_on_the_chunk_actually_decoded(tmp_path):
+    """``--chunk-ms`` is floored to whole frames (at 25 fps 10 and 40 ms
+    are both 1 frame, 650 and 640 ms both 16): two requests that decode the
+    same chunks score the same latency, and each row keeps its request."""
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-corpus", "--out", str(corpus), "--num-utterances", "4",
+                 "--seed", "1"]) == 0
+    common = ["--corpus", str(corpus), "--model", "boundary:1"]
+    rows = []
+    for ms in ("10", "40"):
+        out = tmp_path / f"decode{ms}.jsonl"
+        assert main(["decode", *common, "--strategy", "cs_fallback_greedy",
+                     "--chunk-ms", ms, "--out", str(out)]) == 0
+        rows.append(_manifest(out)["summary"])
+    out = tmp_path / "ablate.json"
+    assert main(["ablate", *common, "--strategies", "cs_fallback_greedy",
+                 "--chunk-ms", "650,640", "--out", str(out)]) == 0
+    rows += json.loads(out.read_text())["rows"]
+    assert [(r["chunk_ms"], r["chunk_frames"]) for r in rows] == [
+        (10.0, 1), (40.0, 1), (650.0, 16), (640.0, 16)]
+    for a, b in (rows[:2], rows[2:]):
+        assert a["forward_positions"] == b["forward_positions"]
+        assert [a[c] for c in _LATENCY_COLUMNS] == [
+            b[c] for c in _LATENCY_COLUMNS]
+
+
 # -----------------------------
 # verify
 # -----------------------------

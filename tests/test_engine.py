@@ -45,6 +45,7 @@ from streamasr.layout import (
 from streamasr.model import (
     ContextOverflow,
     ModelConfig,
+    SpeechSpan,
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
@@ -54,6 +55,13 @@ from streamasr.model import (
 )
 
 SP = SpecialTokens()
+
+
+def _positions(items):
+    """One ``Position`` per position the items stand for."""
+    return [p for it in items for p in (
+        [speech(it.start + i) for i in range(len(it))]
+        if isinstance(it, SpeechSpan) else [it.pos])]
 
 
 class Scripted:
@@ -205,7 +213,7 @@ class _Counting:
         return self.model.new_cache()
 
     def forward(self, cache, items):
-        self.positions += len(items)
+        self.positions += sum(map(len, items))
         self.calls.append(list(items))
         return self.model.forward(cache, items)
 
@@ -586,21 +594,46 @@ def test_any_positive_boundary_window_confuses_alike(chunk4, sp):
 # beam strategies
 # -----------------------------
 
+def _turn_outcomes(s):
+    return [(t.tokens, t.stop, t.emitted, t.revised, t.retracted)
+            for t in s.turns]
+
+
+# the toy decoder at depth 0 and at the benchmark's shape
+_BEAM_ONE_TOYS = (
+    ModelConfig(vocab_size=32, embed_dim=16, num_layers=0, num_heads=2,
+                ffn_dim=32, max_context=2048, seed=3),
+    ModelConfig(vocab_size=32, embed_dim=64, num_layers=4, num_heads=4,
+                ffn_dim=128, max_context=2048, seed=0),
+)
+
+
 def test_beam_width_one_equals_greedy(chunk4, sp):
+    """Width-1 beam search decodes what greedy does, turn for turn: the
+    same hypothesis and records, and in every turn the same tokens, stop,
+    and emitted, revised and retracted records. The oracle runs 4-frame
+    chunks with the default cap; the toys run chunks of 2, 5 and 8 frames
+    with caps of 2 and 24."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=4, seed=2))
     suite = make_boundary_oracle(utts, confusion_window=1)
+    runs = [(lambda u, p: suite.bind(u.id, p), chunk4, 256)]
+    for toy in map(ToyDecoder, _BEAM_ONE_TOYS):
+        runs += [(lambda u, p, toy=toy: toy,
+                  ChunkingConfig(n, speech_text_ratio=2), cap)
+                 for n in (2, 5, 8) for cap in (2, 24)]
     for u in utts:
-        for beam_name, greedy_name, paradigm in (
-            ("ss_beam", "ss_greedy", "ss"),
-            ("cs_fallback_beam", "cs_fallback_greedy", "cs"),
-        ):
-            a = session_new(suite.bind(u.id, paradigm), chunk4,
-                            StrategyConfig(beam_name, beam_width=1), sp)
-            b = session_new(suite.bind(u.id, paradigm), chunk4,
-                            StrategyConfig(greedy_name), sp)
-            assert run_stream(a, u.frames) == run_stream(b, u.frames)
-            assert ([r.emit_chunk for r in a.records]
-                    == [r.emit_chunk for r in b.records])
+        for model_of, ck, cap in runs:
+            for beam_name, greedy_name, paradigm in (
+                ("ss_beam", "ss_greedy", "ss"),
+                ("cs_fallback_beam", "cs_fallback_greedy", "cs"),
+            ):
+                a = session_new(model_of(u, paradigm), ck, StrategyConfig(
+                    beam_name, beam_width=1, max_decode_per_turn=cap), sp)
+                b = session_new(model_of(u, paradigm), ck, StrategyConfig(
+                    greedy_name, max_decode_per_turn=cap), sp)
+                assert run_stream(a, u.frames) == run_stream(b, u.frames)
+                assert a.records == b.records
+                assert _turn_outcomes(a) == _turn_outcomes(b)
 
 
 def test_beam_runs_wider(edge_example, chunk4, sp):
@@ -764,6 +797,82 @@ def test_toy_strategy_counters_are_pinned(name, sp):
         assert counters == dict(zip(TOY_STAT_FIELDS, want))
 
 
+# Every strategy on ``boundary:1`` (8-frame chunks, ratio 2, 24 decodes per
+# turn, width-3 beams) over the first three seed-0 utterances of 40-120
+# tokens, as the engine produced them while speech still reached a model as
+# one item per frame: each hypothesis as its length and the tokens where it
+# differs from the reference ({index: token}), then every top-level counter
+# of ``stats.as_dict()`` in TOY_STAT_FIELDS order.
+BOUNDARY_PINS = {
+    "ss_greedy": [
+        (82, {1: 3, 3: 12, 5: 10, 16: 25, 24: 7, 30: 7, 32: 20, 59: 29},
+         (43, 507, 425, 82, 10836, 0, 0, 0, 0, 0, 0)),
+        (94, {3: 3, 11: 8, 16: 29, 18: 30, 32: 25, 36: 7, 71: 11, 73: 15,
+              75: 10, 77: 20, 83: 22},
+         (47, 554, 460, 94, 12972, 0, 0, 0, 0, 0, 1)),
+        (84, {16: 7, 20: 24, 42: 16, 46: 30, 81: 20},
+         (44, 518, 434, 84, 11352, 0, 0, 0, 0, 0, 1)),
+    ],
+    "ss_beam": [
+        (82, {1: 3, 3: 12, 5: 10, 16: 25, 24: 7, 30: 7, 32: 20, 59: 29},
+         (43, 1093, 425, 668, 10836, 0, 0, 0, 0, 0, 0)),
+        (94, {3: 3, 11: 8, 16: 29, 18: 30, 32: 25, 36: 7, 71: 11, 73: 15,
+              75: 10, 77: 20, 83: 22},
+         (47, 1210, 460, 750, 12972, 0, 0, 0, 0, 0, 1)),
+        (84, {16: 7, 20: 24, 42: 16, 46: 30, 81: 20},
+         (44, 1119, 434, 685, 11352, 0, 0, 0, 0, 0, 1)),
+    ],
+    "cs_fallback_greedy": [
+        (82, {}, (43, 629, 506, 123, 10668, 42, 120, 42, 8, 0, 0)),
+        (94, {}, (47, 687, 553, 134, 12788, 46, 132, 46, 11, 0, 0)),
+        (84, {}, (44, 643, 517, 126, 11180, 43, 124, 43, 5, 0, 0)),
+    ],
+    "cs_fallback_beam": [
+        (82, {}, (43, 1127, 506, 621, 10668, 42, 120, 42, 8, 0, 0)),
+        (94, {}, (47, 1233, 553, 680, 12788, 46, 132, 46, 11, 0, 0)),
+        (84, {}, (44, 1153, 517, 636, 11180, 43, 124, 43, 5, 0, 0)),
+    ],
+    "ns_redecode_hold_n": [
+        (24, {}, (43, 8463, 7605, 858, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {}, (47, 10026, 9064, 962, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {}, (44, 8834, 7957, 877, 0, 0, 0, 0, 0, 0, 0)),
+    ],
+    "ns_redecode_local_agreement": [
+        (24, {}, (43, 8463, 7605, 858, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {}, (47, 10026, 9064, 962, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {}, (44, 8834, 7957, 877, 0, 0, 0, 0, 0, 0, 0)),
+    ],
+    "ns_redecode_wait_k": [
+        (24, {3: 12, 5: 10, 16: 25},
+         (43, 8463, 7605, 858, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {3: 3, 11: 8, 16: 29, 18: 30},
+         (47, 10026, 9064, 962, 0, 0, 0, 0, 0, 0, 0)),
+        (24, {16: 7, 20: 24}, (44, 8834, 7957, 877, 0, 0, 0, 0, 0, 0, 0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_PINS))
+def test_boundary_strategies_are_pinned(name):
+    utts = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=3, vocab_size=32, frames_per_second=25.0,
+        min_tokens=40, max_tokens=120, seed=0))
+    suite = make_boundary_oracle(utts, confusion_window=1)
+    width = 3 if name.endswith("_beam") else 1
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    for u, (length, diffs, want) in zip(utts, BOUNDARY_PINS[name]):
+        s = session_new(suite.bind(u.id, PARADIGM_OF[name]),
+                        ChunkingConfig(8, speech_text_ratio=2), strategy)
+        hyp = run_stream(s, u.frames)
+        ref = list(u.tokens)
+        assert len(hyp) == length
+        assert {i: t for i, t in enumerate(hyp)
+                if i >= len(ref) or t != ref[i]} == diffs
+        counters = s.stats.as_dict()
+        del counters["per_turn"]
+        assert counters == dict(zip(TOY_STAT_FIELDS, want))
+
+
 class _Unbatched:
     """A model seen through the bare ``new_cache``/``forward`` contract."""
 
@@ -821,9 +930,9 @@ def test_batched_beam_matches_unbatched(name, sp):
 
 class _SplitPrefill:
     """A model that forwards a text-then-speech item list as two calls,
-    the text and then the speech, as a context-aware turn prefilled before
-    its slot span and speech shared one forward. Everything else passes
-    through to the wrapped model."""
+    the text and then the speech span, as a context-aware turn prefilled
+    before its slot span and speech shared one forward. Everything else
+    passes through to the wrapped model."""
 
     def __init__(self, model):
         self.model, self.splits = model, 0
@@ -832,8 +941,8 @@ class _SplitPrefill:
         return getattr(self.model, name)
 
     def forward(self, cache, items):
-        cut = next((i for i, it in enumerate(items) if it.pos.kind == "s"),
-                   len(items))
+        cut = next((i for i, it in enumerate(items)
+                    if isinstance(it, SpeechSpan)), len(items))
         if 0 < cut < len(items):
             self.splits += 1
             self.model.forward(cache, items[:cut])
@@ -908,12 +1017,40 @@ def test_context_aware_turn_prefills_in_one_call(name, sp):
             prev = s.turns[-2]
             span = [text(t) for t in prev.tokens[:-1]]
             span += [text(sp.pad)] * (prev.slots - len(span))
-            assert [it.pos for it in calls[0]] == span + [
+            # the slot span's items, then the chunk's speech as one span
+            assert len(calls[0]) == len(span) + 1
+            assert _positions(calls[0]) == span + [
                 speech(f) for f in range(*turn.frames)]
-            assert turn.prefill == len(calls[0])
+            assert turn.prefill == len(_positions(calls[0]))
             assert [len(c) for c in calls[1:]] == [1] * turn.decode
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_a_chunk_reaches_the_model_as_one_span(name):
+    """Every turn forwards its chunk's speech as one ``SpeechSpan`` over
+    the chunk's frames, uncopied, and a chunk without rows forwards none;
+    a re-decoding session keeps one span per chunk with rows, and
+    re-prefills all of them each turn."""
+    u = gen_synthetic_corpus(CorpusConfig(num_utterances=1, seed=4))[0]
+    model = _Counting(_SMALL_TOY)
+    width = 3 if name.endswith("_beam") else 1
+    s = session_new(model, ChunkingConfig(4), StrategyConfig(
+        name, beam_width=width, max_decode_per_turn=6))
+    cuts = [(0, 4), (4, 4), (4, 9), (9, 12), (12, u.num_frames)]
+    for k, (lo, hi) in enumerate(cuts):
+        start = len(model.calls)
+        push_chunk(s, u.frames[lo:hi], is_last=k == len(cuts) - 1)
+        spans = [it for c in model.calls[start:] for it in c
+                 if isinstance(it, SpeechSpan)]
+        if PARADIGM_OF[name] == "ns":
+            assert spans == s.ns_items
+            assert len(spans) == sum(b > a for a, b in cuts[:k + 1])
+            spans = spans[-1:] if hi > lo else []
+        assert [(sp_.start, len(sp_)) for sp_ in spans] == (
+            [(lo, hi - lo)] if hi > lo else [])
+        assert all(np.shares_memory(sp_.frames, u.frames) for sp_ in spans)
 
 
 def test_context_aware_overflow_appends_nothing(sp):

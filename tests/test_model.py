@@ -20,6 +20,7 @@ from streamasr.model import (
     KVCache,
     ModelConfig,
     RollbackPastChunkBoundary,
+    SpeechSpan,
     StreamItem,
     SymbolicCache,
     TeacherOracle,
@@ -43,11 +44,24 @@ CFG = ModelConfig(vocab_size=16, embed_dim=8, num_layers=2, num_heads=2,
 def _items(model, n_frames, tokens):
     rng = np.random.default_rng(7)
     out = [
-        StreamItem(speech(i), rng.standard_normal(model.cfg.frame_dim))
+        SpeechSpan(i, rng.standard_normal((1, model.cfg.frame_dim)))
         for i in range(n_frames)
     ]
     out += [StreamItem(text(t)) for t in tokens]
     return out
+
+
+def _speech(start, n=1):
+    """``n`` speech positions from frame ``start``, as the symbolic cache
+    sees them: it reads no frame values."""
+    return SpeechSpan(start, np.zeros((n, 1)))
+
+
+def _positions(items):
+    """One ``Position`` per position the items stand for."""
+    return [p for it in items for p in (
+        [speech(it.start + i) for i in range(len(it))]
+        if isinstance(it, SpeechSpan) else [it.pos])]
 
 
 # -----------------------------
@@ -143,12 +157,13 @@ def test_param_count_matches_parameters():
 
 @pytest.mark.parametrize("obj, field", [
     (speech(3), "value"),
-    (StreamItem(speech(3), np.zeros(4)), "frame"),
+    (SpeechSpan(3, np.zeros((1, 4))), "frames"),
     (StreamItem(text(5)), "pos"),
 ])
 def test_positions_and_items_are_slotted_and_frozen(obj, field):
-    """One ``Position`` and one ``StreamItem`` exist per pushed position,
-    so they carry no per-instance dict, and they stay immutable."""
+    """One ``Position`` exists per laid-out position and one ``StreamItem``
+    per forwarded text position, so they and ``SpeechSpan`` carry no
+    per-instance dict, and they stay immutable."""
     assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(obj, field, None)
@@ -285,10 +300,10 @@ def _sealed_kv():
 
 def _sealed_symbolic():
     cache = SymbolicCache()
-    cache.append_items([StreamItem(speech(0)), StreamItem(speech(1)),
-                        StreamItem(text(10)), StreamItem(text(0))])
+    cache.append_items([_speech(0, 2), StreamItem(text(10)),
+                        StreamItem(text(0))])
     cache.mark_chunk()
-    cache.append_items([StreamItem(text(11)), StreamItem(speech(2))])
+    cache.append_items([StreamItem(text(11)), _speech(2)])
     return cache
 
 
@@ -336,7 +351,7 @@ def test_a_branch_carries_the_seal(sealed_cache):
 
 def test_an_unsealed_cache_rewinds_to_empty():
     cache = SymbolicCache()
-    cache.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    cache.append_items([_speech(0), StreamItem(text(10))])
     assert (cache.mark, cache.sealed) == (0, None)
     assert cache.rewind() == 2 and len(cache) == 0
 
@@ -438,11 +453,18 @@ def _random_span(model, n, seed):
     out = []
     for i in range(n):
         if rng.random() < 0.5:
-            out.append(StreamItem(speech(i),
-                                  rng.standard_normal(model.cfg.frame_dim)))
+            out.append(SpeechSpan(i, rng.standard_normal(
+                (1, model.cfg.frame_dim))))
         else:
             out.append(StreamItem(text(int(rng.integers(0, model.cfg.vocab_size)))))
     return out
+
+
+def _random_text(model, n, seed):
+    """``n`` random text items: ``forward_batch`` takes one per cache."""
+    rng = np.random.default_rng(seed)
+    return [StreamItem(text(int(t)))
+            for t in rng.integers(0, model.cfg.vocab_size, size=n)]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -525,7 +547,7 @@ def test_forward_batch_matches_per_cache_forward(plan, seed, full):
         if n:
             m.forward(cache, _random_span(m, n, seed + i))
         caches.append(cache)
-    items = _random_span(m, len(caches), seed)
+    items = _random_text(m, len(caches), seed)
     if full:
         victim = caches[seed % len(caches)]
         m.forward(victim, _random_span(m, limit - len(victim), seed + 1))
@@ -553,6 +575,63 @@ def test_forward_batch_rejects_a_repeated_cache():
     with pytest.raises(ValueError):
         m.forward_batch([cache, cache], _items(m, 0, [4, 5]))
     assert len(cache) == 0
+
+
+def _state(cache):
+    if isinstance(cache, SymbolicCache):
+        return (bytes(cache.kinds), cache.values.tobytes(), cache.real_count,
+                cache.max_frame)
+    return len(cache), cache.checksum()
+
+
+@pytest.mark.parametrize("kind", ["toy", "symbolic"])
+def test_speech_reaches_a_model_only_as_a_span(kind, edge_example):
+    """A speech ``StreamItem`` raises ``ValueError`` before the cache
+    changes, wherever it sits in the items; so does a ``SpeechSpan`` given
+    to ``forward_batch``, which appends one text position per cache."""
+    if kind == "toy":
+        m = ToyDecoder(CFG)
+        frames = np.ones((3, CFG.frame_dim))
+    else:
+        m = make_boundary_oracle([edge_example], confusion_window=1).bind(
+            "edge", "ss")
+        frames = np.zeros((3, 1))
+    cache = m.new_cache()
+    m.forward(cache, [SpeechSpan(0, frames), StreamItem(text(5))])
+    before = _state(cache)
+    for items in ([StreamItem(speech(3))],
+                  [StreamItem(text(4)), SpeechSpan(3, frames),
+                   StreamItem(speech(6)), StreamItem(text(5))]):
+        with pytest.raises(ValueError, match="SpeechSpan"):
+            m.forward(cache, items)
+        assert _state(cache) == before
+    if kind == "toy":
+        with pytest.raises(ValueError, match="SpeechSpan"):
+            m.forward_batch([cache], [SpeechSpan(4, frames[:1])])
+        assert _state(cache) == before
+
+
+def test_a_span_forwards_as_its_one_frame_spans():
+    """A span of n frames appends the n positions its one-frame spans do:
+    the toy's logits agree to float rounding (the adapter runs as one
+    matrix), and the symbolic cache holds the same logs and counts."""
+    m = ToyDecoder(CFG)
+    frames = np.random.default_rng(3).standard_normal((6, CFG.frame_dim))
+    whole = [StreamItem(text(4)), SpeechSpan(2, frames), StreamItem(text(5))]
+    split = [whole[0], *(SpeechSpan(2 + i, frames[i:i + 1]) for i in range(6)),
+             whole[-1]]
+    assert sum(map(len, whole)) == sum(map(len, split)) == 8
+    a, b = m.new_cache(), m.new_cache()
+    assert np.allclose(m.forward(a, whole), m.forward(b, split),
+                       rtol=1e-12, atol=1e-15)
+    assert len(a) == len(b) == 8
+    assert np.allclose(m.forward_sequence(whole), m.forward_sequence(split),
+                       rtol=1e-12, atol=1e-15)
+    a, b = SymbolicCache(), SymbolicCache()
+    a.append_items(whole)
+    b.append_items(split)
+    assert _state(a) == _state(b)
+    assert (a.max_frame, a.values.tolist()) == (7, [4, 2, 3, 4, 5, 6, 7, 5])
 
 
 def test_layer_norm_is_bit_identical_to_two_pass():
@@ -673,7 +752,7 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
     refs = [c.branch() for c in caches]
     rng = np.random.default_rng(seed)
     if how == "batch":
-        items = _random_span(m, len(caches), seed)
+        items = _random_text(m, len(caches), seed)
         got = m.forward_batch(caches, items)
         x = m._embed(items, np.array(lengths))
         want = _reference_layers(
@@ -682,7 +761,7 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
         if how == "text":
             items = [StreamItem(text(int(rng.integers(0, m.cfg.vocab_size))))]
         elif how == "speech":
-            items = [StreamItem(speech(0), rng.standard_normal(m.cfg.frame_dim))]
+            items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
         else:
             items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
         mode, size = ("chunk", 3) if how == "chunk_span" else ("full", None)
@@ -716,7 +795,7 @@ def test_lone_row_at_max_context_overflows_untouched(depth):
     cache = m.new_cache()
     m.forward(cache, _random_span(m, m.cfg.max_context, depth))
     before = (len(cache), cache.checksum())
-    for item in (StreamItem(text(3)), StreamItem(speech(0), np.zeros(4))):
+    for item in (StreamItem(text(3)), SpeechSpan(0, np.zeros((1, 4)))):
         with pytest.raises(ContextOverflow):
             m.forward(cache, [item])
         with pytest.raises(ContextOverflow):
@@ -773,8 +852,8 @@ def test_in_place_parameter_edits_reach_the_forward():
 
 def test_symbolic_cache_counts(sp):
     c = SymbolicCache()
-    c.append_items([StreamItem(speech(0)), StreamItem(speech(1)),
-                    StreamItem(text(10)), StreamItem(text(sp.pad))])
+    c.append_items([_speech(0, 2), StreamItem(text(10)),
+                    StreamItem(text(sp.pad))])
     assert len(c) == 4
     assert c.real_count == 1      # pad is not a real token
     assert c.max_frame == 1
@@ -784,7 +863,7 @@ def test_symbolic_cache_counts(sp):
     c.rollback(4)
     assert c.real_count == 1
     fork = c.branch()
-    fork.append_items([StreamItem(speech(5))])
+    fork.append_items([_speech(5)])
     assert fork.max_frame == 5 and c.max_frame == 1
 
 
@@ -801,7 +880,7 @@ def test_symbolic_checksum_tracks_content(sp):
 
 def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
     c = SymbolicCache()
-    c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    c.append_items([_speech(0), StreamItem(text(10))])
     assert c.checksum(2) == c.checksum()
     with pytest.raises(ValueError, match="beyond length 2"):
         c.checksum(3)
@@ -809,7 +888,7 @@ def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
 
 def test_symbolic_cache_rejects_a_negative_target(sp):
     c = SymbolicCache()
-    c.append_items([StreamItem(speech(0)), StreamItem(text(10))])
+    c.append_items([_speech(0), StreamItem(text(10))])
     with pytest.raises(ValueError, match="negative"):
         c.rollback(-1)
     with pytest.raises(ValueError, match="negative"):
@@ -818,7 +897,7 @@ def test_symbolic_cache_rejects_a_negative_target(sp):
 
 
 _SYM_ITEMS = st.one_of(
-    st.builds(lambda f: StreamItem(speech(f)), st.integers(0, 60)),
+    st.builds(_speech, st.integers(0, 60), st.integers(0, 4)),
     st.builds(lambda t: StreamItem(text(t)), st.integers(0, 12)),
 )
 _SYM_OPS = st.one_of(
@@ -842,7 +921,9 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
         cache, items = caches[which % len(caches)]
         if op == "append":
             cache.append_items(arg)
-            items.extend(arg)
+            # one item per position: a rebuild from one-frame spans
+            items.extend(_speech(p.value) if p.kind == "s" else StreamItem(p)
+                         for p in _positions(arg))
         elif op == "mark":
             cache.mark_chunk()
         elif op == "rollback":
@@ -894,8 +975,8 @@ def test_symbolic_checksum_hashes_the_same_bytes_as_the_joined_kinds(ops):
         cache, kinds, values = caches[which % len(caches)]
         if op == "append":
             cache.append_items(arg)
-            kinds += [it.pos.kind for it in arg]
-            values += [it.pos.value for it in arg]
+            kinds += [p.kind for p in _positions(arg)]
+            values += [p.value for p in _positions(arg)]
         elif op == "mark":
             cache.mark_chunk()
             assert cache.sealed == _joined_checksum(kinds, values, len(kinds))
@@ -917,8 +998,8 @@ def test_symbolic_cache_footprint_per_position(sp):
     """6,000 mixed positions, appended a chunk at a time as the engine
     does, cost at most 16 bytes each: one byte of kind, eight of value,
     and the logs' spare capacity."""
-    chunks = [[StreamItem(speech(8 * c + f)) for f in range(8)]
-              + [StreamItem(text(sp.first_text_id + c % 7)),
+    chunks = [[_speech(8 * c, 8),
+               StreamItem(text(sp.first_text_id + c % 7)),
                  StreamItem(text(sp.pad))] for c in range(600)]
     tracemalloc.start()
     try:
@@ -942,8 +1023,8 @@ def test_teacher_oracle_replays_ns(running_example, sp):
     seq = build_ns(running_example)
     oracle = TeacherOracle(seq)
     cache = oracle.new_cache()
-    items = [StreamItem(speech(i), running_example.frames[i]) for i in range(8)]
-    items.append(StreamItem(text(sp.sos)))
+    items = [SpeechSpan(0, running_example.frames[:8]),
+             StreamItem(text(sp.sos))]
     logits = oracle.forward(cache, items)
     hyp = []
     while True:
@@ -1002,12 +1083,12 @@ def test_boundary_oracle_confuses_edge_token(edge_example, sp):
     confuse = default_confusable_map(32)
     cache = oracle.new_cache()
     # token 13 ends at frame 3; with context up to frame 3 it reads confused
-    frames = [StreamItem(speech(i), edge_example.frames[i]) for i in range(4)]
+    frames = [SpeechSpan(0, edge_example.frames[:4])]
     logits = oracle.forward(cache, frames)
     assert int(np.argmax(logits)) == confuse(13)
     # one more frame of context resolves it
     cache2 = oracle.new_cache()
-    frames5 = [StreamItem(speech(i), edge_example.frames[i]) for i in range(5)]
+    frames5 = [SpeechSpan(0, edge_example.frames[:5])]
     assert int(np.argmax(oracle.forward(cache2, frames5))) == 13
 
 
@@ -1015,7 +1096,7 @@ def test_boundary_oracle_window_zero_is_perfect(edge_example):
     suite = make_boundary_oracle([edge_example], confusion_window=0, vocab_size=32)
     oracle = suite.bind("edge", "ss")
     cache = oracle.new_cache()
-    frames = [StreamItem(speech(i), edge_example.frames[i]) for i in range(4)]
+    frames = [SpeechSpan(0, edge_example.frames[:4])]
     assert int(np.argmax(oracle.forward(cache, frames))) == 13
 
 
@@ -1028,8 +1109,8 @@ def test_boundary_oracle_stop_tokens(edge_example, sp):
     ):
         oracle = suite.bind("edge", paradigm)
         cache = oracle.new_cache()
-        items = [StreamItem(speech(i), edge_example.frames[i]) for i in range(8)]
-        items += [StreamItem(text(13)), StreamItem(text(20))]
+        items = [SpeechSpan(0, edge_example.frames[:8]),
+                 StreamItem(text(13)), StreamItem(text(20))]
         logits = oracle.forward(cache, items)
         assert int(np.argmax(logits)) == done_stop
         # before any audio, nothing is audible yet
