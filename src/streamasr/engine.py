@@ -380,13 +380,16 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
     symbol's log probability, ``stop`` is None at the limit, and the token
     that reached the limit is not forwarded, so ``logits`` are then the ones
     that produced it.
+
+    A step picks the first maximum logit and computes only its log
+    probability. That equals ``_lps(logits)[t]`` bit for bit: the shifted
+    logit at the maximum is exactly 0, so the same sum is reduced.
     """
     tokens: list[int] = []
     lp = 0.0
     while len(tokens) < limit:
-        lps = _lps(logits)
-        t = int(lps.argmax())
-        lp += float(lps[t])
+        t = int(logits.argmax())
+        lp -= float(np.log(np.add.reduce(np.exp(logits - logits[t]))))
         if t == PAD or t == EOS:
             return tokens, lp, t, logits
         tokens.append(t)

@@ -29,6 +29,7 @@ eos at the utterance's final stop position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -97,8 +98,22 @@ def speech(frame_index: int) -> Position:
     return Position("s", frame_index)
 
 
+@functools.cache
 def text(token_id: int) -> Position:
+    """Token ``token_id``'s position, one shared frozen value per id."""
     return Position("t", token_id)
+
+
+# One shared speech position per frame index, grown on demand to the
+# longest stream laid out so far (about 90 B per index). Positions are
+# frozen, so every layout can hold the same objects.
+_SPEECH: list[Position] = []
+
+
+def _speech_run(lo: int, hi: int) -> list[Position]:
+    if hi > len(_SPEECH):
+        _SPEECH.extend(map(speech, range(len(_SPEECH), hi)))
+    return _SPEECH[lo:hi]
 
 
 @dataclass
@@ -178,7 +193,8 @@ def assign_slots(
 
 
 def _emit(utt: Utterance, segments: list[Segment], paradigm: str) -> MixedSequence:
-    """Lay out positions and teacher-forcing targets from the segments."""
+    """Lay out positions and teacher-forcing targets from the segments. The
+    positions are shared frozen values, in a list of the layout's own."""
     positions: list[Position] = []
     ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
     # Per position: the token a text slot stands for (a masked slot's hidden
@@ -186,12 +202,12 @@ def _emit(utt: Utterance, segments: list[Segment], paradigm: str) -> MixedSequen
     original: list[int | None] = []
     for seg in segments:
         s_lo = len(positions)
-        positions.extend(speech(f) for f in range(*seg.frames))
+        positions += _speech_run(*seg.frames)
         t_lo = len(positions)
         toks = [utt.tokens[o] for o in seg.tokens]
         fill = [PAD] * (seg.slots - len(toks))
         shown = toks[:-1] + [PAD] if seg.masked else toks
-        positions.extend(text(t) for t in shown + fill)
+        positions += map(text, shown + fill)
         original.extend([None] * (t_lo - s_lo) + toks + fill)
         ranges.append(((s_lo, t_lo), (t_lo, len(positions))))
     original.append(None)  # nothing follows the last position
@@ -219,10 +235,10 @@ def _emit(utt: Utterance, segments: list[Segment], paradigm: str) -> MixedSequen
 def build_ns(utt: Utterance, sp=None) -> MixedSequence:
     """Non-streaming layout: speech, sos, transcript; eos as final target.
     An empty transcript lays out as its speech, then sos targeting eos."""
-    positions = [speech(f) for f in range(utt.num_frames)]
+    positions = _speech_run(0, utt.num_frames)
     t_lo = len(positions)
     positions.append(text(SOS))
-    positions.extend(text(t) for t in utt.tokens)
+    positions += map(text, utt.tokens)
     targets: list[int | None] = [None] * len(positions)
     for i, tok in enumerate(utt.tokens):
         targets[t_lo + i] = tok

@@ -1,5 +1,6 @@
 """Streaming sessions: turn traces, record lifecycle, accounting, guards."""
 
+import struct
 import weakref
 from dataclasses import asdict
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -14,7 +16,10 @@ from hypothesis.stateful import (
     rule,
 )
 
+from streamasr import engine
 from streamasr.corpus import (
+    EOS,
+    PAD,
     CorpusConfig,
     TokenAlignment,
     Utterance,
@@ -26,6 +31,7 @@ from streamasr.engine import (
     ConfigMismatch,
     PushAfterFinish,
     StrategyConfig,
+    _greedy,
     _lps,
     final_hypothesis,
     push_chunk,
@@ -49,6 +55,7 @@ from streamasr.model import (
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
+    _one_hot_logits,
     _one_hot_rows,
     default_confusable_map,
     make_boundary_oracle,
@@ -1135,6 +1142,89 @@ def test_lps_matches_the_wrapped_reductions():
             * rng.uniform(0.01, 50.0)
         z = row - row.max()
         assert np.array_equal(_lps(row), z - np.log(np.exp(z).sum()))
+
+
+@st.composite
+def _step_rows(draw):
+    """Finite logit rows: scaled draws, some with a repeated maximum, and
+    the oracles' one-hot windows."""
+    kind = draw(st.sampled_from(["scaled", "repeated_max", "one_hot"]))
+    n = draw(st.integers(2, 64))
+    if kind == "one_hot":
+        return _one_hot_logits(_one_hot_rows(n), draw(st.integers(0, n - 1)))
+    row = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    row = row * draw(st.floats(0.01, 50.0))
+    if kind == "repeated_max":
+        at = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n,
+                           unique=True))
+        row[at] = row.max()
+    return row
+
+
+@settings(max_examples=500, deadline=None)
+@given(row=_step_rows())
+def test_a_greedy_step_is_the_first_argmax_and_its_lps_entry(row):
+    """One greedy step picks the first maximum logit and scores it with
+    ``_lps(row)[t]``, bit for bit."""
+    tokens, lp, stop, logits = _greedy(None, None, row, 1)
+    t = tokens[0] if tokens else stop
+    assert t == int(row.argmax())
+    assert (stop is not None) == (t in (PAD, EOS))
+    assert struct.pack("d", lp) == struct.pack("d", _lps(row)[t])
+    assert logits is row
+
+
+def _reference_greedy(session, cache, logits, limit):
+    """``_greedy`` as it read every step's token and score off ``_lps``."""
+    tokens, lp = [], 0.0
+    while len(tokens) < limit:
+        lps = _lps(logits)
+        t = int(lps.argmax())
+        lp += float(lps[t])
+        if t == PAD or t == EOS:
+            return tokens, lp, t, logits
+        tokens.append(t)
+        if len(tokens) < limit:
+            logits = session._fwd(cache, [engine._text_item(t)], "decode")
+    return tokens, lp, None, logits
+
+
+def _session_outcomes(name, model_of, utts, greedy):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_greedy", greedy)
+        out = []
+        width = 3 if name.endswith("_beam") else 1
+        for u in utts:
+            s = session_new(model_of(u), ChunkingConfig(8, speech_text_ratio=2),
+                            StrategyConfig(name, beam_width=width,
+                                           max_decode_per_turn=24))
+            hyp = run_stream(s, u.frames)
+            out.append((hyp, s.records, [asdict(t) for t in s.turns],
+                        [struct.pack("d", t.score) for t in s.turns]))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["toy", "boundary"])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_sessions_match_the_lps_greedy_reference(name, kind):
+    """Every strategy decodes the same tokens, stops, records and turn
+    scores, bit for bit, as with a greedy loop that scores from ``_lps``:
+    on the benchmark's toy decoder and on ``boundary:1``."""
+    if kind == "toy":
+        utts = gen_synthetic_corpus(CorpusConfig(
+            num_utterances=2, vocab_size=32, frames_per_second=25.0, seed=0))
+        toy = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
+                                     num_heads=4, ffn_dim=128,
+                                     max_context=2048, seed=0))
+        model_of = lambda u: toy
+    else:
+        utts = gen_synthetic_corpus(CorpusConfig(
+            num_utterances=2, vocab_size=32, frames_per_second=25.0,
+            min_tokens=40, max_tokens=120, seed=0))
+        suite = make_boundary_oracle(utts, confusion_window=1)
+        model_of = lambda u: suite.bind(u.id, PARADIGM_OF[name])
+    assert (_session_outcomes(name, model_of, utts, _greedy)
+            == _session_outcomes(name, model_of, utts, _reference_greedy))
 
 
 @pytest.mark.parametrize("name", STRATEGIES)

@@ -1,10 +1,13 @@
 """Sequence layouts pinned against hand-derived values for the running example."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamasr.corpus import (
     EOS,
@@ -18,6 +21,7 @@ from streamasr.corpus import (
 )
 from streamasr.layout import (
     ChunkingConfig,
+    Position,
     SpecialTokens,
     assign_slots,
     build_cs,
@@ -283,6 +287,81 @@ def test_cs_and_ss_share_chunk_geometry(tiny_corpus, chunk4):
         cs = build_cs(u, chunk4)
         # same speech spans; CS may append a flush segment
         assert [s for s, _ in cs.segments[:len(ss.segments)]] == [s for s, _ in ss.segments]
+
+
+# -----------------------------
+# shared positions
+# -----------------------------
+
+@st.composite
+def _layout_utterances(draw):
+    tokens, alignments = [], []
+    frame = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 12))):
+        tok = draw(st.integers(FIRST_TEXT_ID, 31))
+        length = draw(st.integers(1, 6))
+        tokens.append(tok)
+        alignments.append(TokenAlignment(tok, frame, frame + length - 1))
+        frame += length + draw(st.integers(0, 3))
+    total = frame + draw(st.integers(0, 40))
+    return Utterance("u", tokens, alignments, np.zeros((total, 2)))
+
+
+def _fresh_positions(u, ck, paradigm):
+    """The layout's positions as new objects, one per position."""
+    if paradigm == "ns":
+        return ([Position("s", f) for f in range(u.num_frames)]
+                + [Position("t", t) for t in [SOS] + u.tokens])
+    out = []
+    for seg in assign_slots(u.alignments, ck, u.num_frames,
+                            masked=paradigm == "cs"):
+        shown = [u.tokens[o] for o in seg.tokens]
+        if seg.masked:
+            shown[-1] = PAD
+        out += [Position("s", f) for f in range(*seg.frames)]
+        out += [Position("t", t)
+                for t in shown + [PAD] * (seg.slots - len(shown))]
+    return out
+
+
+_BUILDS = {"ns": lambda u, ck: build_ns(u), "ss": build_ss, "cs": build_cs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=_layout_utterances(), chunk_frames=st.integers(1, 12),
+       ratio=st.integers(1, 4), edit=st.sampled_from(["append", "set", "clear"]))
+def test_layouts_equal_fresh_positions_after_edits(u, chunk_frames, ratio, edit):
+    """Each layout equals one built from fresh positions, and editing one
+    layout's list leaves the next layout of the utterance unchanged."""
+    ck = ChunkingConfig(chunk_frames, ratio)
+    for paradigm, build in _BUILDS.items():
+        want = _fresh_positions(u, ck, paradigm)
+        first = build(u, ck)
+        assert first.positions == want
+        if edit == "append":
+            first.positions.append(Position("s", -1))
+        elif edit == "set" and first.positions:
+            first.positions[0] = Position("t", -1)
+        else:
+            first.positions.clear()
+        again = build(u, ck)
+        assert again.positions == want
+        assert all(type(p) is Position for p in again.positions)
+        if again.positions:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                again.positions[0].value = -1
+
+
+def test_layouts_share_one_position_per_frame_and_token(tiny_corpus, chunk4):
+    """One utterance's cs and ns layouts hold the same object for each
+    frame, and the same one for each token id."""
+    u = tiny_corpus[0]
+    by_value = {}
+    for seq in (build_cs(u, chunk4), build_ns(u), build_ss(u, chunk4)):
+        for p in seq.positions:
+            assert by_value.setdefault((p.kind, p.value), p) is p
+    assert sum(kind == "s" for kind, _ in by_value) == u.num_frames
+    assert {v for kind, v in by_value if kind == "t"} >= set(u.tokens)
 
 
 # -----------------------------
