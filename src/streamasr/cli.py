@@ -9,8 +9,8 @@ Subcommands:
 * ``verify``: run the self-check battery (``--full`` for full scale).
 
 Writing commands drop ``<out>.manifest.json`` beside their output: the
-resolved configuration, package version, and a sha256 per input file, so a
-run is reproducible from the manifest alone. Each line of a ``--config``
+resolved configuration, the package, Python and numpy versions, and a
+sha256 per input file, so a run is reproducible from the manifest alone. Each line of a ``--config``
 file of ``key=value`` lines (long option names, underscores) is parsed as
 the flag ``--key=value``, checked like one, ahead of the explicit flags,
 which win; a key the command has no option for is a usage error. On/off
@@ -31,6 +31,8 @@ import sys
 import traceback
 from dataclasses import asdict, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .corpus import CorpusConfig, gen_synthetic_corpus, read_corpus, write_corpus
@@ -90,6 +92,7 @@ def _write_manifest(out: str, command: str, ns: argparse.Namespace,
     manifest = {
         "command": command,
         "version": __version__,
+        "env": {"python": sys.version.split()[0], "numpy": np.__version__},
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": [out],

@@ -15,9 +15,9 @@ search uses it to forward a whole step at once and falls back to one
   ReLU adapter as one matrix, text through an embedding table; absolute
   position embeddings keep chunked and one-shot forwards equivalent. Depth 0
   degenerates to output-projected input embeddings. One layer body serves
-  a span on one cache and a batch of one-row spans on many: layer norm,
-  projections and FFN run over all rows, attention per cache. A lone row
-  runs through it as 1-D vectors, bit for bit as it would as a 2-D row.
+  a span on one cache and one row on each of many: layer norm, one fused
+  Q/K/V projection and FFN over all rows, attention per cache. A one-row
+  span attends in one lean step, as 1-D vectors when alone, bit for bit.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -287,6 +287,19 @@ def _init_params(cfg: ModelConfig) -> ToyParams:
                             for s in _shapes(cfg)])
 
 
+def _fused(lp: LayerParams, names: tuple[str, str, str]) -> np.ndarray:
+    """The block whose thirds are ``names``, copied and rebound if need be."""
+    parts = [getattr(lp, name) for name in names]
+    block = parts[0].base
+    thirds = np.array_split(block, 3) if isinstance(block, np.ndarray) else []
+    if [p.__array_interface__ for p in parts] != [
+            t.__array_interface__ for t in thirds]:
+        block = np.concatenate(parts)
+        for name, third in zip(names, np.split(block, 3)):
+            setattr(lp, name, third)
+    return block
+
+
 def _param_blocks(p) -> list[np.ndarray]:
     """Every array of a parameter dataclass, in field order."""
     blocks = []
@@ -368,24 +381,23 @@ class KVCache(_MarkedCache):
         return self.length
 
     def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        n = k_rows.shape[0]
-        end = self.length + n
-        if end > self.max_context:
-            raise ContextOverflow(f"{end} > max_context {self.max_context}")
-        if end > self.k[layer].shape[0]:
-            cap = self._capacity(end)
-            self.k[layer] = self._grown(self.k[layer], cap)
-            self.v[layer] = self._grown(self.v[layer], cap)
+        end = self.length + k_rows.shape[0]
+        self.reserve(layer, end)
         self.k[layer][self.length : end] = k_rows
         self.v[layer][self.length : end] = v_rows
 
-    def _capacity(self, need: int) -> int:
-        """Rows to reserve for ``need``: the initial size doubled as often
-        as needed, capped at max_context."""
-        cap = _KV_INITIAL_ROWS
-        while cap < need:
-            cap *= 2
-        return min(cap, self.max_context)
+    def reserve(self, layer: int, end: int) -> None:
+        """Grow layer ``layer``'s arrays, if need be, to hold ``end`` rows:
+        the initial size doubled as often as needed, capped at max_context."""
+        if end > self.max_context:
+            raise ContextOverflow(f"{end} > max_context {self.max_context}")
+        if end > self.k[layer].shape[0]:
+            cap = _KV_INITIAL_ROWS
+            while cap < end:
+                cap *= 2
+            cap = min(cap, self.max_context)
+            self.k[layer] = self._grown(self.k[layer], cap)
+            self.v[layer] = self._grown(self.v[layer], cap)
 
     def _grown(self, rows: np.ndarray, cap: int) -> np.ndarray:
         """A copy of the live rows in an array of ``cap`` rows."""
@@ -531,6 +543,10 @@ class ToyDecoder:
     construction, so in-place edits to a block are seen; rebinding
     ``params`` or one of its blocks afterwards is not supported.
     Projections go through ``ndarray.dot``, the same BLAS call as ``@``.
+    Construction fuses each layer's ``wq, wk, wv`` into the thirds of one
+    ``[3d, d]`` block and ``bq, bk, bv`` of one ``[3d]`` block, so one
+    projection gives Q, K and V; a caller's arrays are copied once and
+    rebound to those views unless they already are them.
     """
 
     def __init__(self, cfg: ModelConfig, params: ToyParams | None = None) -> None:
@@ -538,10 +554,12 @@ class ToyDecoder:
         self.params = params if params is not None else _init_params(cfg)
         self.vocab_size = cfg.vocab_size
         # Each layer's blocks in field order, which is the body's call
-        # order, each projection as its transposed view (a 1-D block's .T
-        # is itself): views, not copies, so in-place edits are seen.
-        self._weights = [tuple(b.T for b in _param_blocks(lp))
-                         for lp in self.params.layers]
+        # order, with Q/K/V fused; each projection as its transposed view (a
+        # 1-D block's .T is itself): views, not copies, so edits are seen.
+        self._weights = [tuple(b.T for b in [
+            lp.ln1_g, lp.ln1_b, _fused(lp, ("wq", "wk", "wv")),
+            _fused(lp, ("bq", "bk", "bv")), *_param_blocks(lp)[8:]])
+            for lp in self.params.layers]
         self._out = (self.params.out_w.T, self.params.out_b)
         dh = cfg.embed_dim // cfg.num_heads
         self._heads = (cfg.embed_dim, cfg.num_heads, dh, math.sqrt(dh))
@@ -595,32 +613,30 @@ class ToyDecoder:
                 chunk_size: int | None = None) -> np.ndarray:
         """Run every layer over the rows of ``x`` and return their logits.
 
-        ``spans`` gives each cache the slice of rows it appends. Layer norm,
-        projections and FFN run over all rows at once; attention runs per
-        cache, over that cache's own keys. A lone row on one cache runs as
-        a 1-D vector: the same arithmetic bit for bit, less numpy overhead.
+        ``spans`` pairs a cache with the rows it appends: one span on one
+        cache, or row i on cache i for several. Layer norm, projections and
+        FFN run over all rows at once, attention per cache over its own keys.
+        A one-row span is its cache's newest row and sees every key in either
+        mask mode, so it takes ``_step``, as a 1-D vector when it is alone:
+        the same arithmetic bit for bit, with less numpy overhead.
         """
         n = x.shape[0]
-        if n == 1 and len(spans) == 1:
+        if n == 1:
             x = x[0]
-        # True = hidden; every layer of a span sees the same keys. A lone
-        # full-mode query sees every key and needs none.
-        hidden = [None if s == 1 and mask_mode == "full" else
-                  ~build_attention_mask(mask_mode, s, len(c) + s, chunk_size)
-                  for c, s in ((c, r.stop - r.start) for c, r in spans)]
-        for li, (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo,
+        elif len(spans) == 1:  # True = hidden; every layer sees the same keys
+            hidden = ~build_attention_mask(mask_mode, n, len(spans[0][0]) + n,
+                                           chunk_size)
+        for li, (g1, b1, wqkv, bqkv, wo, bo,
                  g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
-            h = _layer_norm(x, g1, b1)
-            q = h.dot(wq) + bq
-            k = h.dot(wk) + bk
-            v = h.dot(wv) + bv
-            if len(spans) == 1:
-                ctx = self._attend(spans[0][0], li, q, k, v, hidden[0])
+            qkv = _layer_norm(x, g1, b1).dot(wqkv)
+            qkv += bqkv
+            if n == 1:
+                ctx = self._step(spans[0][0], li, qkv)
+            elif len(spans) == 1:
+                ctx = self._attend(spans[0][0], li, qkv, hidden)
             else:
-                ctx = np.empty_like(x)
-                for (cache, rows), mask in zip(spans, hidden):
-                    ctx[rows] = self._attend(cache, li, q[rows], k[rows],
-                                             v[rows], mask)
+                ctx = np.array([self._step(cache, li, row)
+                                for (cache, _), row in zip(spans, qkv)])
             x = x + ctx.dot(wo) + bo
             f = _layer_norm(x, g2, b2).dot(w1)
             f += fb1
@@ -630,27 +646,42 @@ class ToyDecoder:
         out_w, out_b = self._out
         return (x.dot(out_w) + out_b).reshape(n, -1)
 
-    def _attend(self, cache: KVCache, li: int, q: np.ndarray, k: np.ndarray,
-                v: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
-        """Append one span's keys and values to layer ``li`` of its cache and
+    def _step(self, cache: KVCache, li: int, qkv: np.ndarray) -> np.ndarray:
+        """Write one row's key and value straight into layer ``li`` of its
+        cache and attend from its query over every key there. ``qkv`` is the
+        row's 1-D projection, and the context comes back 1-D."""
+        d, h_count, dh, _ = self._heads
+        n = cache.length + 1
+        cache.reserve(li, n)
+        keys, values = cache.k[li][:n], cache.v[li][:n]
+        keys[-1], values[-1] = qkv[d:2 * d], qkv[2 * d:]
+        scores = qkv[:d].reshape(h_count, 1, dh) @ \
+            keys.reshape(n, h_count, dh).transpose(1, 2, 0)
+        vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
+        return self._softmax_times(scores, vh).reshape(d)
+
+    def _attend(self, cache: KVCache, li: int, qkv: np.ndarray,
+                hidden: np.ndarray) -> np.ndarray:
+        """Append a span's keys and values to layer ``li`` of its cache and
         attend from its queries over everything the cache holds, except the
-        keys ``hidden`` marks. A 1-D query is one row."""
-        d, h_count, dh, scale = self._heads
-        s = k.size // d
+        keys ``hidden`` marks. ``qkv`` is the span's ``[s, 3d]`` projection."""
+        d, h_count, dh, _ = self._heads
+        s = qkv.shape[0]
         new_len = len(cache) + s
-        cache.append(li, k.reshape(s, d), v.reshape(s, d))
+        cache.append(li, qkv[:, d:2 * d], qkv[:, 2 * d:])
         kt = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 2, 0)
         vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
-        qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
-        scores = qh @ kt
-        scores /= scale
-        if hidden is not None:
-            np.copyto(scores, -np.inf, where=hidden)
-        # softmax in place, through the loops ndarray.max and .sum run
+        scores = qkv[:, :d].reshape(s, h_count, dh).transpose(1, 0, 2) @ kt
+        np.copyto(scores, -np.inf, where=hidden)
+        return self._softmax_times(scores, vh).transpose(1, 0, 2).reshape(s, d)
+
+    def _softmax_times(self, scores: np.ndarray, vh: np.ndarray) -> np.ndarray:
+        # scale and softmax in place, through the loops ndarray.max and .sum run
+        scores /= self._heads[3]
         scores -= np.maximum.reduce(scores, -1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= np.add.reduce(scores, -1, keepdims=True)
-        return (scores @ vh).transpose(1, 0, 2).reshape(q.shape)
+        return scores @ vh
 
     def forward_embedded(
         self,

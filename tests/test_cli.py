@@ -6,10 +6,12 @@ import hashlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,16 @@ def test_decode_writes_jsonl_and_summary(tmp_path, corpus):
     # inputs are pinned by content hash
     digest = hashlib.sha256(corpus.read_bytes()).hexdigest()
     assert m["inputs"][str(corpus)] == digest
+
+
+def test_decode_manifest_records_the_python_and_numpy_versions(tmp_path,
+                                                               corpus):
+    """Versions only: wall times would break same-seed manifests."""
+    out = tmp_path / "dec.jsonl"
+    assert main(["decode", "--corpus", str(corpus), "--strategy", "ss_greedy",
+                 "--model", "boundary:1", "--out", str(out)]) == 0
+    assert _manifest(out)["env"] == {"python": platform.python_version(),
+                                     "numpy": np.__version__}
 
 
 def test_decode_ss_misses_boundary_tokens(tmp_path, corpus, capsys):

@@ -18,6 +18,7 @@ from streamasr.model import (
     ContextOverflow,
     ImmutabilityViolation,
     KVCache,
+    LayerParams,
     ModelConfig,
     RollbackPastChunkBoundary,
     SpeechSpan,
@@ -731,7 +732,7 @@ _EDGE_LENGTHS = st.sampled_from([0, 15, 16, 17, 31, 32, 33])
 
 @settings(max_examples=80, deadline=None, database=None)
 @given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
-       d=st.sampled_from([8, 12, 64]), how=st.sampled_from(
+       d=st.sampled_from([8, 12, 16, 32, 64]), how=st.sampled_from(
            ["text", "speech", "span", "chunk_span", "batch"]),
        lengths=st.lists(_EDGE_LENGTHS, min_size=1, max_size=4),
        seed=st.integers(0, 2**16))
@@ -844,6 +845,57 @@ def test_in_place_parameter_edits_reach_the_forward():
     for block in _param_blocks(m.params):
         block += 0.5
         assert same(run(m), run(ToyDecoder(m.cfg, m.params)))
+
+
+def _qkv_blocks(model):
+    """Each layer's fused Q/K/V weight and bias blocks, after checking that
+    ``wq, wk, wv`` and ``bq, bk, bv`` are their thirds and that the layer
+    body projects through them."""
+    d = model.cfg.embed_dim
+    blocks = []
+    for lp, weights in zip(model.params.layers, model._weights):
+        for names, shape in ((("wq", "wk", "wv"), (3 * d, d)),
+                             (("bq", "bk", "bv"), (3 * d,))):
+            parts = [getattr(lp, name) for name in names]
+            block = parts[0].base
+            assert block.shape == shape
+            for i, part in enumerate(parts):
+                assert part.base is block and part.shape == (d, *shape[1:])
+                assert part.ctypes.data == block.ctypes.data + i * part.nbytes
+            blocks.append(block)
+        assert all(w.base is b for w, b in zip(weights[2:4], blocks[-2:]))
+    return blocks
+
+
+def test_qkv_are_views_of_one_block_however_the_params_came(tmp_path):
+    """A fresh draw, a loaded file and a caller's ``ToyParams`` of separate
+    arrays all end up with each layer's Q/K/V as the thirds of one weight
+    block and one bias block; a second decoder on fused parameters keeps
+    their blocks, and saving then loading stays byte-exact."""
+    cfg = ModelConfig(vocab_size=16, embed_dim=8, num_layers=3, num_heads=2,
+                      ffn_dim=16, frame_dim=4, adapter_hidden=8,
+                      max_context=64, seed=5)
+    fresh = ToyDecoder(cfg)
+    path = tmp_path / "m.bin"
+    fresh.save(str(path))
+    raw = path.read_bytes()
+    loaded = ToyDecoder.load(str(path))
+    params = dataclasses.replace(fresh.params, layers=[
+        LayerParams(**{f.name: getattr(lp, f.name).copy()
+                       for f in dataclasses.fields(lp)})
+        for lp in fresh.params.layers])
+    assert all(lp.wq.base is None and lp.bq.base is None for lp in params.layers)
+    built = ToyDecoder(cfg, params)
+    items = _random_span(fresh, 9, 1)
+    want = fresh.forward_sequence(items)
+    for m in (fresh, loaded, built):
+        blocks = _qkv_blocks(m)
+        assert all(a is b for a, b in zip(_qkv_blocks(ToyDecoder(cfg, m.params)),
+                                          blocks))
+        assert np.array_equal(m.forward_sequence(items), want)
+        m.save(str(path))
+        assert path.read_bytes() == raw
+        assert ToyDecoder.load(str(path)).params.layers[0].wk.base is not None
 
 
 # -----------------------------
