@@ -294,13 +294,13 @@ def _strategy_from_ns(ns: argparse.Namespace, name: str) -> StrategyConfig:
                           max_decode_per_turn=ns.max_decode_per_turn)
 
 
-def _grid(ns: argparse.Namespace, chunk_sizes, names):
+def _grid(ns: argparse.Namespace, chunk_ms_values, names):
     """Decode the corpus at each chunk size with each strategy in turn,
     yielding each report row with its per-utterance entries."""
     utts = read_corpus(ns.corpus)
     fps = ns.frames_per_second
     factory = _make_model_factory(ns, utts)
-    for chunk_ms in chunk_sizes:
+    for chunk_ms in chunk_ms_values:
         ck = ChunkingConfig(chunk_ms_to_frames(chunk_ms, fps),
                             ns.speech_text_ratio)
         for name in names:

@@ -259,8 +259,10 @@ def build_cs(utt: Utterance, cfg: ChunkingConfig, sp=None) -> MixedSequence:
 
 
 def sample_paradigm(step: int, chunk_attention_active: bool, seed: int) -> str:
-    """Paradigm for a training step: uniform over ns/ss/cs when dynamic
-    chunk attention is active, ns otherwise. Deterministic in (seed, step)."""
+    """Paradigm for a training step: uniform over ns/ss/cs when
+    ``chunk_attention_active``, ns otherwise, deterministic in (seed, step).
+    The flag only chooses whether streaming layouts are sampled: the model
+    has one causal mask, and the interleaving enforces streaming."""
     if not chunk_attention_active:
         return "ns"
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3, step]))
@@ -269,6 +271,10 @@ def sample_paradigm(step: int, chunk_attention_active: bool, seed: int) -> str:
 
 @dataclass(frozen=True)
 class StageConfig:
+    """One fine-tuning stage. ``chunk_attention_active`` only chooses
+    whether streaming layouts are sampled: the model has one causal mask,
+    and the interleaving enforces streaming."""
+
     stage: int
     encoder_trainable: bool
     adapter_trainable: bool
@@ -280,8 +286,8 @@ class StageConfig:
 def stage_plan() -> list[StageConfig]:
     """The five-stage fine-tuning schedule.
 
-    Streaming paradigms join only in the final stage, which is also the
-    only one running dynamic chunk attention; earlier stages progressively
+    Streaming paradigms join only in the final stage, the only one with
+    ``chunk_attention_active``; earlier stages progressively
     unfreeze adapter, then encoder+adapter, then decoder, then everything.
     """
     return [

@@ -131,29 +131,15 @@ def _not_speech(item: StreamItem) -> ValueError:
 # attention masks and loss
 
 
-def build_attention_mask(
-    mode: str, query_len: int, key_len: int, chunk_size: int | None = None
-) -> np.ndarray:
-    """Boolean [query_len, key_len] mask, True = may attend.
-
-    ``full`` is plain causal attention; queries are the trailing
-    ``query_len`` rows of the key sequence. ``chunk`` is causal at chunk
-    granularity with full attention inside a chunk, so position i sees
-    everything up to the end of its own chunk; chunk(1) degenerates to the
-    causal mask and the mask tends to all-True as the chunk size grows.
-    """
+def build_attention_mask(query_len: int, key_len: int) -> np.ndarray:
+    """Boolean [query_len, key_len] causal mask, True = may attend; queries
+    are the trailing ``query_len`` rows of the key sequence."""
     if key_len < query_len:
         raise ValueError("key_len must cover the query span")
     offset = key_len - query_len
     qi = np.arange(query_len)[:, None] + offset
     kj = np.arange(key_len)[None, :]
-    if mode == "full":
-        return kj <= qi
-    if mode == "chunk":
-        if not chunk_size or chunk_size < 1:
-            raise ValueError("chunk mode needs chunk_size >= 1")
-        return (kj // chunk_size) <= (qi // chunk_size)
-    raise ValueError(f"unknown mask mode {mode!r}")
+    return kj <= qi
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -608,24 +594,22 @@ class ToyDecoder:
 
     # -- core forward
 
-    def _layers(self, x: np.ndarray, spans: list[tuple[KVCache, slice]],
-                mask_mode: str = "full",
-                chunk_size: int | None = None) -> np.ndarray:
+    def _layers(self, x: np.ndarray,
+                spans: list[tuple[KVCache, slice]]) -> np.ndarray:
         """Run every layer over the rows of ``x`` and return their logits.
 
         ``spans`` pairs a cache with the rows it appends: one span on one
         cache, or row i on cache i for several. Layer norm, projections and
         FFN run over all rows at once, attention per cache over its own keys.
-        A one-row span is its cache's newest row and sees every key in either
-        mask mode, so it takes ``_step``, as a 1-D vector when it is alone:
-        the same arithmetic bit for bit, with less numpy overhead.
+        A one-row span is its cache's newest row and sees every key, so it
+        takes ``_step``, as a 1-D vector when it is alone: the same
+        arithmetic bit for bit, with less numpy overhead.
         """
         n = x.shape[0]
         if n == 1:
             x = x[0]
         elif len(spans) == 1:  # True = hidden; every layer sees the same keys
-            hidden = ~build_attention_mask(mask_mode, n, len(spans[0][0]) + n,
-                                           chunk_size)
+            hidden = ~build_attention_mask(n, len(spans[0][0]) + n)
         for li, (g1, b1, wqkv, bqkv, wo, bo,
                  g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
             qkv = _layer_norm(x, g1, b1).dot(wqkv)
@@ -683,16 +667,9 @@ class ToyDecoder:
         scores /= np.add.reduce(scores, -1, keepdims=True)
         return scores @ vh
 
-    def forward_embedded(
-        self,
-        x: np.ndarray,
-        cache: KVCache,
-        mask_mode: str = "full",
-        chunk_size: int | None = None,
-    ) -> np.ndarray:
+    def forward_embedded(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Append the embedded span to the cache, return logits for each row."""
-        return self._layers(x, [(cache, slice(0, x.shape[0]))],
-                            mask_mode, chunk_size)
+        return self._layers(x, [(cache, slice(0, x.shape[0]))])
 
     def forward(self, cache: KVCache,
                 items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
@@ -712,21 +689,19 @@ class ToyDecoder:
         """
         if len(caches) != len(items):
             raise ValueError("forward_batch needs one item per cache")
+        if not caches:
+            return np.empty((0, self.vocab_size))
         if len({id(c) for c in caches}) != len(caches):
             raise ValueError("forward_batch got the same cache twice")
         x = self._embed(items, [len(c) for c in caches])
         return self._layers(x, [(c, slice(i, i + 1)) for i, c in enumerate(caches)])
 
     def forward_sequence(
-        self,
-        items: Sequence[StreamItem | SpeechSpan],
-        mask_mode: str = "full",
-        chunk_size: int | None = None,
-    ) -> np.ndarray:
+            self, items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
         """One-shot forward over a whole sequence with a fresh cache."""
         cache = self.new_cache()
         x = self.embed_items(items, start=0)
-        return self.forward_embedded(x, cache, mask_mode, chunk_size)
+        return self.forward_embedded(x, cache)
 
     # -- serialization
 

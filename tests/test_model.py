@@ -66,41 +66,24 @@ def _positions(items):
 
 
 # -----------------------------
-# attention masks
+# attention mask
 # -----------------------------
 
 def test_full_mask_is_causal():
-    m = build_attention_mask("full", 4, 4)
+    m = build_attention_mask(4, 4)
     assert np.array_equal(m, np.tril(np.ones((4, 4), dtype=bool)))
 
 
 def test_full_mask_offsets_trailing_queries():
-    m = build_attention_mask("full", 2, 5)
+    m = build_attention_mask(2, 5)
     assert m.shape == (2, 5)
     assert m[0].tolist() == [True, True, True, True, False]
     assert m[1].tolist() == [True] * 5
 
 
-def test_chunk_mask_degenerates_and_saturates():
-    causal = build_attention_mask("full", 6, 6)
-    assert np.array_equal(build_attention_mask("chunk", 6, 6, chunk_size=1), causal)
-    assert build_attention_mask("chunk", 6, 6, chunk_size=100).all()
-
-
-def test_chunk_mask_sees_own_chunk_end():
-    m = build_attention_mask("chunk", 4, 4, chunk_size=2)
-    # position 0 attends through position 1 (same chunk), not position 2
-    assert m[0].tolist() == [True, True, False, False]
-    assert m[2].tolist() == [True, True, True, True]
-
-
 def test_mask_errors():
     with pytest.raises(ValueError):
-        build_attention_mask("full", 5, 4)
-    with pytest.raises(ValueError):
-        build_attention_mask("chunk", 4, 4)
-    with pytest.raises(ValueError):
-        build_attention_mask("diag", 4, 4)
+        build_attention_mask(5, 4)
 
 
 # -----------------------------
@@ -578,6 +561,22 @@ def test_forward_batch_rejects_a_repeated_cache():
     assert len(cache) == 0
 
 
+def test_forward_batch_of_no_caches_is_an_empty_array():
+    """An empty batch gives ``(0, vocab_size)`` logits and leaves a
+    cache it was not given untouched; a length mismatch still raises."""
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    m.forward(cache, _items(m, 0, [4, 5]))
+    before = (len(cache), cache.checksum())
+    logits = m.forward_batch([], [])
+    assert logits.shape == (0, CFG.vocab_size)
+    assert logits.dtype == np.float64
+    assert (len(cache), cache.checksum()) == before
+    with pytest.raises(ValueError, match="one item per cache"):
+        m.forward_batch([cache], [])
+    assert (len(cache), cache.checksum()) == before
+
+
 def _state(cache):
     if isinstance(cache, SymbolicCache):
         return (bytes(cache.kinds), cache.values.tobytes(), cache.real_count,
@@ -675,7 +674,7 @@ def _reference_layer_norm(x, g, b):
     return d / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + 1e-5) * g + b
 
 
-def _reference_attend(model, cache, li, q, k, v, mask_mode, chunk_size):
+def _reference_attend(model, cache, li, q, k, v):
     s = q.shape[0]
     h_count = model.cfg.num_heads
     dh = model.cfg.embed_dim // h_count
@@ -685,15 +684,15 @@ def _reference_attend(model, cache, li, q, k, v, mask_mode, chunk_size):
     vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
     qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    if s > 1 or mask_mode != "full":
-        mask = build_attention_mask(mask_mode, s, new_len, chunk_size)
+    if s > 1:
+        mask = build_attention_mask(s, new_len)
         scores = np.where(mask[None, :, :], scores, -np.inf)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs /= probs.sum(axis=-1, keepdims=True)
     return (probs @ vh).transpose(1, 0, 2).reshape(s, model.cfg.embed_dim)
 
 
-def _reference_layers(model, x, spans, mask_mode="full", chunk_size=None):
+def _reference_layers(model, x, spans):
     """The former layer body, kept as the oracle: every row, a lone one
     too, runs as a 2-D array through a ``ctx`` buffer."""
     for li, lp in enumerate(model.params.layers):
@@ -704,7 +703,7 @@ def _reference_layers(model, x, spans, mask_mode="full", chunk_size=None):
         ctx = np.empty_like(x)
         for cache, rows in spans:
             ctx[rows] = _reference_attend(model, cache, li, q[rows], k[rows],
-                                          v[rows], mask_mode, chunk_size)
+                                          v[rows])
         x = x + ctx @ lp.wo.T + lp.bo
         h2 = _reference_layer_norm(x, lp.ln2_g, lp.ln2_b)
         ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
@@ -733,14 +732,14 @@ _EDGE_LENGTHS = st.sampled_from([0, 15, 16, 17, 31, 32, 33])
 @settings(max_examples=80, deadline=None, database=None)
 @given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
        d=st.sampled_from([8, 12, 16, 32, 64]), how=st.sampled_from(
-           ["text", "speech", "span", "chunk_span", "batch"]),
+           ["text", "speech", "span", "batch"]),
        lengths=st.lists(_EDGE_LENGTHS, min_size=1, max_size=4),
        seed=st.integers(0, 2**16))
 def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
                                                    lengths, seed):
-    """Lone text and speech rows (1-D inside the layer body), spans in
-    either mask mode and batches of any size give the logits and append
-    the K/V rows the all-2-D reference body does, bit for bit."""
+    """Lone text and speech rows (1-D inside the layer body), masked spans
+    and batches of any size give the logits and append the K/V rows the
+    all-2-D reference body does, bit for bit."""
     m = _exact_model(depth, heads, d)
     if how != "batch":
         lengths = lengths[:1]
@@ -765,11 +764,9 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
             items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
         else:
             items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
-        mode, size = ("chunk", 3) if how == "chunk_span" else ("full", None)
         x = m.embed_items(items, start=lengths[0])
-        got = m.forward_embedded(x, caches[0], mode, size)
-        want = _reference_layers(m, x, [(refs[0], slice(0, len(items)))],
-                                 mode, size)
+        got = m.forward_embedded(x, caches[0])
+        want = _reference_layers(m, x, [(refs[0], slice(0, len(items)))])
     assert got.shape == want.shape == (len(x), m.cfg.vocab_size)
     assert np.array_equal(got, want)
     assert all(_same_rows(c, r) for c, r in zip(caches, refs))
