@@ -55,7 +55,6 @@ from .model import (
     KVCache,
     ModelConfig,
     SpeechSpan,
-    StreamItem,
     TeacherOracle,
     ToyDecoder,
     adapter_forward,
@@ -92,7 +91,6 @@ __all__ = [
     "KVCache",
     "ModelConfig",
     "SpeechSpan",
-    "StreamItem",
     "TeacherOracle",
     "ToyDecoder",
     "adapter_forward",

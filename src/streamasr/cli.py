@@ -242,7 +242,8 @@ def _decode_one(sess, u, fps: float, chunk_ms: float):
         "errors": asdict(c),
         "records": [{**asdict(r), "retracted_value": r.retracted_value}
                     for r in sess.records],
-        "stats": sess.stats.as_dict(),
+        "stats": {**asdict(sess.stats),
+                  "per_turn": [asdict(t) for t in sess.turns]},
     }
     return entry, c, lat
 
@@ -252,8 +253,8 @@ def _run_strategy(utts, strategy: StrategyConfig, ck: ChunkingConfig,
     """Decode and score every utterance. One that raises gets an
     ``{"id", "error"}`` entry, a warning on stderr (with the traceback
     unless it overflowed the context) and no score; the rest still runs.
-    A configuration the engine rejects is raised from ``session_new``,
-    outside that isolation, so it ends the command instead.
+    A strategy the engine rejects raises as its ``StrategyConfig`` is
+    built, before any utterance, so it ends the command instead.
     Returns the report row and the per-utterance entries."""
     paradigm = PARADIGM_OF[strategy.name]
     # latency counts whole decoded chunks; the row keeps the requested size

@@ -13,6 +13,7 @@ text starts at ``FIRST_TEXT_ID``; no corpus token is below it.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -89,8 +90,11 @@ class CorpusConfig:
             raise ValueError("vocab_size must exceed the reserved special ids")
         if not (1 <= self.min_tokens <= self.max_tokens):
             raise ValueError("need 1 <= min_tokens <= max_tokens")
-        if self.frames_per_token_mean < 2:
-            raise ValueError("frames_per_token_mean must be >= 2")
+        if not (math.isfinite(self.frames_per_token_mean)
+                and self.frames_per_token_mean >= 2):
+            raise ValueError("frames_per_token_mean must be finite and >= 2")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError("noise_std must be finite and >= 0")
         if self.frame_dim < 1:
             raise ValueError("frame_dim must be >= 1")
 

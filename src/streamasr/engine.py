@@ -22,7 +22,8 @@ Cache discipline, which the accounting tests pin down exactly:
   produced, so it costs nothing extra; a context-aware turn forwards its
   re-presented slot span and its chunk's speech in that one call;
 * a chunk's speech reaches the model as one ``SpeechSpan``, none for a
-  chunk without rows, and counts as its frames;
+  chunk without rows, and counts as its frames; a text token as the
+  layout's own shared ``Position``, ``layout.text(t)``;
 * turn-stop pads and slot padding are appended wherever the training
   layouts materialize them as inputs (standard streaming pads every slot;
   the context-aware layout instead rewrites the whole slot span on the
@@ -36,25 +37,26 @@ token that reached the limit. A streaming turn's slot phase limits it to
 the chunk's slot budget or ``max_decode_per_turn``, whichever is smaller;
 the standard layout then forwards that last token into its slot and the
 context-aware one withholds it. Beam search has its own frontier loop
-with the same limit and always pools the greedy rollout. On the final
-chunk a turn that ran into its limit flushes on, still capped at
-``max_decode_per_turn`` tokens for the whole turn; the same cap bounds an
-audio-less final turn's drain and every non-streaming re-decode.
+with the same limit and always pools the greedy rollout; it scores each
+expansion with ``model._log_softmax``, the one log-softmax, which
+``masked_ce_loss`` uses too. On the final chunk a turn that ran into its
+limit flushes on, still capped at ``max_decode_per_turn`` tokens for the
+whole turn; the same cap bounds an audio-less final turn's drain and every
+non-streaming re-decode.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import EOS, PAD, SOS
-from .layout import ChunkingConfig, chunk_bounds
+from .layout import ChunkingConfig, Position, chunk_bounds
 from .layout import text as text_pos
-from .model import SpeechSpan, StreamItem
+from .model import SpeechSpan, _log_softmax
 
 __all__ = [
     "STRATEGIES", "PARADIGM_OF", "ConfigMismatch", "PushAfterFinish",
@@ -85,13 +87,29 @@ class PushAfterFinish(RuntimeError):
     """A chunk arrived after the final chunk was already processed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class StrategyConfig:
+    """A decoding strategy: checked as it is built, immutable after."""
+
     name: str
     beam_width: int = 1
     hold_n: int = 1
     wait_k: int = 1
     max_decode_per_turn: int = 256
+
+    def __post_init__(self) -> None:
+        if self.name not in STRATEGIES:
+            raise ConfigMismatch(f"unknown strategy {self.name!r}")
+        if self.beam_width < 1:
+            raise ConfigMismatch("beam_width must be >= 1")
+        if self.beam_width > 1 and not self.name.endswith("_beam"):
+            raise ConfigMismatch(f"{self.name} does not use a beam")
+        if self.hold_n < 0:
+            raise ConfigMismatch("hold_n must be >= 0")
+        if self.wait_k < 0:
+            raise ConfigMismatch("wait_k must be >= 0")
+        if self.max_decode_per_turn < 1:
+            raise ConfigMismatch("max_decode_per_turn must be >= 1")
 
 
 # slots: a session keeps one record per token and one per turn
@@ -165,8 +183,7 @@ class SessionStats:
     """Counters folded from a session's turn records, a fresh snapshot on
     every read of ``StreamingSession.stats``. ``revised`` and ``retracted``
     count events, not flagged records; ``early_eos`` counts streaming turns
-    that stopped on eos before the final chunk. ``per_turn`` is each turn
-    record as a dict, converted on first read."""
+    that stopped on eos before the final chunk."""
 
     turns: int = 0
     forward_positions: int = 0
@@ -179,26 +196,6 @@ class SessionStats:
     revised: int = 0
     retracted: int = 0
     early_eos: int = 0
-    _turns: tuple[TurnRecord, ...] = field(default=(), repr=False)
-
-    @functools.cached_property
-    def per_turn(self) -> list[dict]:
-        return [asdict(t) for t in self._turns]
-
-    def as_dict(self) -> dict:
-        counters = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
-        return {**counters, "per_turn": [dict(t) for t in self.per_turn]}
-
-
-@functools.cache
-def _text_item(token_id: int) -> StreamItem:
-    return StreamItem(text_pos(token_id))
-
-
-def _lps(logits: np.ndarray) -> np.ndarray:
-    # the reduction loops ndarray.max and .sum run, minus their wrappers
-    z = logits - np.maximum.reduce(logits)
-    return z - np.log(np.add.reduce(np.exp(z)))
 
 
 @dataclass
@@ -261,7 +258,6 @@ class StreamingSession:
             revised=sum(len(t.revised) for t in turns),
             retracted=sum(len(t.retracted) for t in turns),
             early_eos=sum(t.stop == EOS and not t.is_last for t in turns),
-            _turns=tuple(turns),
         )
 
     @property
@@ -274,7 +270,7 @@ class StreamingSession:
 
     # -- low-level forward with accounting
 
-    def _fwd(self, cache, items: Sequence[StreamItem | SpeechSpan],
+    def _fwd(self, cache, items: Sequence[Position | SpeechSpan],
              bucket: str) -> np.ndarray:
         logits = self.model.forward(cache, items)
         turn = self.turns[-1]
@@ -285,7 +281,7 @@ class StreamingSession:
         return logits
 
     def _fwd_batch(self, caches: list,
-                   items: list[StreamItem]) -> Sequence[np.ndarray]:
+                   items: list[Position]) -> Sequence[np.ndarray]:
         """Decode one item onto each cache in a single model call, looping
         over ``forward`` for a model without ``forward_batch``; returns one
         row of logits per cache."""
@@ -300,7 +296,6 @@ class StreamingSession:
         copy can continue the stream independently; ``strategy`` swaps in
         another configuration of the same paradigm."""
         strategy = strategy or self.strategy
-        _check_strategy(strategy)
         if PARADIGM_OF[strategy.name] != self.paradigm:
             raise ConfigMismatch(
                 f"cannot fork a {self.paradigm} session as {strategy.name}")
@@ -322,24 +317,8 @@ class StreamingSession:
         return rec
 
 
-def _check_strategy(strategy: StrategyConfig) -> None:
-    if strategy.name not in STRATEGIES:
-        raise ConfigMismatch(f"unknown strategy {strategy.name!r}")
-    if strategy.beam_width < 1:
-        raise ConfigMismatch("beam_width must be >= 1")
-    if strategy.beam_width > 1 and not strategy.name.endswith("_beam"):
-        raise ConfigMismatch(f"{strategy.name} does not use a beam")
-    if strategy.hold_n < 0:
-        raise ConfigMismatch("hold_n must be >= 0")
-    if strategy.wait_k < 0:
-        raise ConfigMismatch("wait_k must be >= 0")
-    if strategy.max_decode_per_turn < 1:
-        raise ConfigMismatch("max_decode_per_turn must be >= 1")
-
-
 def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
                 sp=None) -> StreamingSession:
-    _check_strategy(strategy)
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
         raise ConfigMismatch("model must provide new_cache() and forward()")
     vocab = getattr(model, "vocab_size", None)
@@ -382,7 +361,7 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
     that produced it.
 
     A step picks the first maximum logit and computes only its log
-    probability. That equals ``_lps(logits)[t]`` bit for bit: the shifted
+    probability. That equals ``_log_softmax(logits)[t]`` bit for bit: the shifted
     logit at the maximum is exactly 0, so the same sum is reduced.
     """
     tokens: list[int] = []
@@ -394,7 +373,7 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
             return tokens, lp, t, logits
         tokens.append(t)
         if len(tokens) < limit:
-            logits = session._fwd(cache, [_text_item(t)], "decode")
+            logits = session._fwd(cache, [text_pos(t)], "decode")
     return tokens, lp, None, logits
 
 
@@ -407,7 +386,7 @@ def _turn_rollout(session: StreamingSession, cache, logits: np.ndarray,
     limit = min(budget, session.strategy.max_decode_per_turn)
     tokens, lp, stop, logits = _greedy(session, cache, logits, limit)
     if stop is None:
-        logits = (session._fwd(cache, [_text_item(tokens[-1])], "decode")
+        logits = (session._fwd(cache, [text_pos(tokens[-1])], "decode")
                   if session.paradigm == "ss" else None)
     return _Hyp(tokens, lp, logits, cache, budget_full=stop is None,
                 stopped_via=stop)
@@ -428,7 +407,7 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
     children: list[_Hyp] = []
     grown: list[_Hyp] = []
     for hyp in frontier:
-        lps = _lps(hyp.logits)
+        lps = _log_softmax(hyp.logits)
         for t in (int(x) for x in np.argsort(-lps, kind="stable")[:width]):
             lp = hyp.lp + float(lps[t])
             if t == PAD or t == EOS:
@@ -443,7 +422,7 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
                 grown.append(child)
     if grown:
         logits = session._fwd_batch([h.cache for h in grown],
-                                    [_text_item(h.tokens[-1]) for h in grown])
+                                    [text_pos(h.tokens[-1]) for h in grown])
         for h, row in zip(grown, logits):
             h.logits = row
     return children
@@ -485,14 +464,14 @@ def _flush_continue(session: StreamingSession, res: _Hyp) -> None:
     cache = session.cache
     logits = res.logits
     if session.paradigm == "cs":
-        logits = session._fwd(cache, [_text_item(PAD)], "decode")
+        logits = session._fwd(cache, [text_pos(PAD)], "decode")
         t2 = int(np.argmax(logits))
         if t2 == PAD or t2 == EOS:
             res.stopped_via, res.logits = t2, logits
             return
         res.first_values = list(res.tokens)
         res.tokens[-1] = t2
-        logits = session._fwd(cache, [_text_item(t2)], "decode")
+        logits = session._fwd(cache, [text_pos(t2)], "decode")
     more, _, res.stopped_via, res.logits = _greedy(
         session, cache, logits,
         session.strategy.max_decode_per_turn - len(res.tokens))
@@ -551,12 +530,12 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
     turn, k = turns[-1], len(turns) - 1
     cs = session.paradigm == "cs"
     cache = session.cache
-    items: list[StreamItem | SpeechSpan] = []
+    items: list[Position | SpeechSpan] = []
     if cs and k > 0:
         fallback_rewind(session)
         prev = turns[-2]
-        items = [_text_item(t) for t in prev.tokens[:-1]]
-        items += [_text_item(PAD)] * (prev.slots - len(items))
+        items = [text_pos(t) for t in prev.tokens[:-1]]
+        items += [text_pos(PAD)] * (prev.slots - len(items))
     turn.reused = len(cache)
     if len(frames):
         items.append(SpeechSpan(turn.frames[0], frames))
@@ -594,7 +573,7 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
         fill = turn.slots - len(res.tokens)
         if fill > 0:
             session.last_logits = session._fwd(
-                session.cache, [_text_item(PAD)] * fill, "prefill")
+                session.cache, [text_pos(PAD)] * fill, "prefill")
     return touched
 
 
@@ -606,7 +585,7 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
         session.ns_items.append(SpeechSpan(turn.frames[0], frames))
     cache = session.cache
     cache.rollback(0)  # a fresh decode, not a fallback: rolled_back stays None
-    logits = session._fwd(cache, session.ns_items + [_text_item(SOS)],
+    logits = session._fwd(cache, session.ns_items + [text_pos(SOS)],
                           "prefill")
     hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]
     turn.tokens = tuple(hyp)

@@ -85,10 +85,14 @@ class ChunkingConfig:
 
 @dataclass(frozen=True, slots=True)
 class Position:
-    """One sequence position: a speech frame ("s") or a text token ("t")."""
+    """One sequence position: a speech frame ("s") or a text token ("t").
+    A model takes text positions as they are, one position each."""
 
     kind: str  # "s" | "t"
     value: int  # frame index or token id
+
+    def __len__(self) -> int:
+        return 1
 
     def __str__(self) -> str:
         return f"{self.kind}:{self.value}"

@@ -2,13 +2,16 @@
 
 Three interchangeable models drive the streaming engine, all sharing one
 contract: ``new_cache()`` plus ``forward(cache, items) -> logits`` for the
-last appended position. ``items`` mixes text ``StreamItem``s, one position
-each, with ``SpeechSpan``s, which stand for a run of consecutive speech
-frames; ``len(item)`` is the number of positions an item appends.
-``forward_batch(caches, items)`` is optional: it appends the text item
+last appended position. ``items`` mixes the layout's text ``Position``s,
+one position each, with ``SpeechSpan``s, which stand for a run of
+consecutive speech frames; ``len(item)`` is the number of positions an
+item appends. Speech comes only as a span: a model raises ``ValueError``
+on a speech ``Position``, before any cache changes.
+``forward_batch(caches, items)`` is optional: it appends the text position
 ``items[i]`` to ``caches[i]`` and returns one row of logits per cache. Beam
 search uses it to forward a whole step at once and falls back to one
-``forward`` per item for a model without it (the oracles).
+``forward`` per item for a model without it (the oracles). Beam search
+and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
 
 * ``ToyDecoder``: a small deterministic pre-norm transformer over mixed
   speech/text positions. A span's frames enter through a two-linear-layer
@@ -58,7 +61,6 @@ __all__ = [
     "StepBeyondSequence",
     "RollbackPastChunkBoundary",
     "ImmutabilityViolation",
-    "StreamItem",
     "SpeechSpan",
     "build_attention_mask",
     "masked_ce_loss",
@@ -93,18 +95,6 @@ class ImmutabilityViolation(RuntimeError):
     """Cache content below a chunk boundary changed since it was recorded."""
 
 
-@dataclass(frozen=True, slots=True)
-class StreamItem:
-    """One text position pushed through a model; ``pos`` carries its token
-    id. Speech reaches a model only as a ``SpeechSpan``: a model raises
-    ``ValueError`` on a speech ``pos``, before any cache changes."""
-
-    pos: Position
-
-    def __len__(self) -> int:
-        return 1
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class SpeechSpan:
     """The ``len(frames)`` consecutive speech positions ``start``,
@@ -123,8 +113,8 @@ class SpeechSpan:
         return len(self.frames)
 
 
-def _not_speech(item: StreamItem) -> ValueError:
-    return ValueError(f"speech position {item.pos} must come as a SpeechSpan")
+def _not_speech(pos: Position) -> ValueError:
+    return ValueError(f"speech position {pos} must come as a SpeechSpan")
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +133,10 @@ def build_attention_mask(query_len: int, key_len: int) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, through the reduction loops
+    ndarray.max and .sum run, minus their wrappers."""
+    z = logits - np.maximum.reduce(logits, -1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), -1, keepdims=True))
 
 
 def masked_ce_loss(logits: np.ndarray, targets: Sequence[int | None]) -> float:
@@ -445,7 +437,7 @@ class SymbolicCache(_MarkedCache):
     def __len__(self) -> int:
         return len(self.values)
 
-    def append_items(self, items: Sequence[StreamItem | SpeechSpan]) -> None:
+    def append_items(self, items: Sequence[Position | SpeechSpan]) -> None:
         kinds, values = self.kinds, self.values
         real, edge = self.real_count, self.max_frame
         base = len(values)
@@ -457,8 +449,8 @@ class SymbolicCache(_MarkedCache):
                     values.extend(range(start, start + n))
                     edge = max(edge, start + n - 1)
                 continue
-            value = it.pos.value
-            if it.pos.kind != "t":
+            value = it.value
+            if it.kind != "t":
                 del kinds[base:], values[base:]
                 raise _not_speech(it)
             kinds += b"t"
@@ -555,11 +547,11 @@ class ToyDecoder:
 
     # -- embedding
 
-    def embed_items(self, items: Sequence[StreamItem | SpeechSpan],
+    def embed_items(self, items: Sequence[Position | SpeechSpan],
                     start: int) -> np.ndarray:
         return self._embed(items, slice(start, start + sum(map(len, items))))
 
-    def _embed(self, items: Sequence[StreamItem | SpeechSpan],
+    def _embed(self, items: Sequence[Position | SpeechSpan],
                positions: slice | Sequence[int]) -> np.ndarray:
         """Input rows: each text item's token embedding and each span's
         frames through the adapter as one matrix, plus the embedding of each
@@ -582,7 +574,7 @@ class ToyDecoder:
                 rows[r:end] = adapter_forward(it.frames, self.params.adapter)
                 r = end
                 continue
-            kind, value = it.pos.kind, it.pos.value
+            kind, value = it.kind, it.value
             if kind != "t":
                 raise _not_speech(it)
             if not (0 <= value < self.cfg.vocab_size):
@@ -672,18 +664,18 @@ class ToyDecoder:
         return self._layers(x, [(cache, slice(0, x.shape[0]))])
 
     def forward(self, cache: KVCache,
-                items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
+                items: Sequence[Position | SpeechSpan]) -> np.ndarray:
         """Engine entry point: append items, return last-position logits."""
         x = self.embed_items(items, start=len(cache))
         logits = self.forward_embedded(x, cache)
         return logits[-1]
 
     def forward_batch(self, caches: Sequence[KVCache],
-                      items: Sequence[StreamItem]) -> np.ndarray:
+                      items: Sequence[Position]) -> np.ndarray:
         """Append ``items[i]`` to ``caches[i]`` for every i in one pass and
         return one row of logits per cache, as ``forward`` would for each.
 
-        Each item is one text position, so a ``SpeechSpan`` raises. All
+        Each item is one text ``Position``, so a ``SpeechSpan`` raises. All
         rows are embedded first, so a ``ContextOverflow`` (or a bad item)
         leaves every cache untouched. The caches must be distinct.
         """
@@ -697,7 +689,7 @@ class ToyDecoder:
         return self._layers(x, [(c, slice(i, i + 1)) for i, c in enumerate(caches)])
 
     def forward_sequence(
-            self, items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
+            self, items: Sequence[Position | SpeechSpan]) -> np.ndarray:
         """One-shot forward over a whole sequence with a fresh cache."""
         cache = self.new_cache()
         x = self.embed_items(items, start=0)
@@ -775,7 +767,7 @@ class _ReplayOracle:
         return SymbolicCache()
 
     def forward(self, cache: SymbolicCache,
-                items: Sequence[StreamItem | SpeechSpan]) -> np.ndarray:
+                items: Sequence[Position | SpeechSpan]) -> np.ndarray:
         cache.append_items(items)
         return _one_hot_logits(self._rows, self._reply(cache))
 

@@ -17,6 +17,7 @@ from .corpus import EOS, FIRST_TEXT_ID, PAD, CorpusConfig, gen_synthetic_corpus
 from .engine import StrategyConfig, push_chunk, run_stream, session_new
 from .layout import (
     ChunkingConfig,
+    Position,
     assign_slots,
     build_cs,
     build_ss,
@@ -31,7 +32,6 @@ from .model import (
     ModelConfig,
     RollbackPastChunkBoundary,
     SpeechSpan,
-    StreamItem,
     TeacherOracle,
     ToyDecoder,
     make_boundary_oracle,
@@ -73,14 +73,14 @@ class CheckResult:
 
 
 def _random_items(rng, n: int, frame_dim: int,
-                  vocab: int) -> list[StreamItem | SpeechSpan]:
+                  vocab: int) -> list[Position | SpeechSpan]:
     """Items for ``n`` positions: text tokens and speech spans of 1-4
     frames, the frame indices running on across spans."""
-    items: list[StreamItem | SpeechSpan] = []
+    items: list[Position | SpeechSpan] = []
     fidx = left = 0
     while left < n:
         if rng.random() < 0.4:
-            items.append(StreamItem(text_pos(int(rng.integers(0, vocab)))))
+            items.append(text_pos(int(rng.integers(0, vocab))))
             left += 1
             continue
         span = min(int(rng.integers(1, 5)), n - left)
@@ -173,8 +173,8 @@ def check_immutability(num_rollbacks: int = 2000, seed: int = 0) -> CheckResult:
     mark, sealed = cache.mark, cache.sealed
     verified = 0
     for _ in range(num_rollbacks):
-        model.forward(cache, [StreamItem(text_pos(int(rng.integers(0, 32)))),
-                              StreamItem(text_pos(PAD))])
+        model.forward(cache, [text_pos(int(rng.integers(0, 32))),
+                              text_pos(PAD)])
         if cache.checksum(mark) != sealed:
             return CheckResult("immutability_rollback", False,
                                "sealed prefix changed during normal use")
@@ -352,8 +352,7 @@ def check_beam_coherence(num_sessions: int = 30, seed: int = 0) -> CheckResult:
                 push_chunk(fork, u.frames[lo:hi], is_last=is_last)
                 push_chunk(s_w3, u.frames[lo:hi], is_last=is_last)
                 turns_compared += 1
-                if s_w3.stats.per_turn[-1]["score"] < \
-                        fork.stats.per_turn[-1]["score"] - 1e-9:
+                if s_w3.turns[-1].score < fork.turns[-1].score - 1e-9:
                     problems.append(
                         f"{u.id}/{beam} turn {t}: width-3 scored below width-1")
     return CheckResult(
@@ -404,7 +403,7 @@ def check_compute_accounting(
                 f"{u.id}: ns prefill {s_ns.stats.prefill_positions} != "
                 f"quadratic form {expected_prefill}")
         for r, (_, hi) in enumerate(bounds):
-            if s_ns.stats.per_turn[r]["prefill"] != hi + 1:
+            if s_ns.turns[r].prefill != hi + 1:
                 problems.append(f"{u.id}: ns round {r} prefill off")
                 break
     return CheckResult(

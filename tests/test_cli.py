@@ -63,6 +63,25 @@ def test_gen_corpus_invalid_vocab_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--frames-per-token-mean", "inf",
+     "frames_per_token_mean must be finite and >= 2"),
+    ("--frames-per-token-mean", "nan",
+     "frames_per_token_mean must be finite and >= 2"),
+    ("--noise-std", "-1", "noise_std must be finite and >= 0"),
+    ("--noise-std", "nan", "noise_std must be finite and >= 0"),
+    ("--noise-std", "inf", "noise_std must be finite and >= 0"),
+])
+def test_gen_corpus_rejects_an_unusable_float(tmp_path, capsys, flag, value,
+                                              message):
+    rc = main(["gen-corpus", "--out", str(tmp_path / "x.jsonl"),
+               f"{flag}={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_corpus_zero_frame_dim_is_usage_error(tmp_path, capsys):
     rc = main(["gen-corpus", "--out", str(tmp_path / "x.jsonl"),
                "--frame-dim", "0"])
@@ -255,7 +274,11 @@ def test_decode_rejects_a_corrupt_corpus(tmp_path, corpus, capsys, model):
       "frames": [[0.0] * 8] * 3}, "u3: malformed record"),
     ({"tokens": [5], "alignments": [[0, 1]], "frames": [[0.0] * 8] * 3},
      "line 1: no 'id' field"),
-], ids=["no-frames", "str-token", "triple-span", "no-id"])
+    ({"id": "u4", "tokens": [5], "alignments": [[0, 1]], "num_frames": 3,
+      "frames_seed": {"seed": 0, "index": 0, "noise_std": -1.0,
+                      "frame_dim": 8, "vocab_size": 32}},
+     "u4: malformed record: noise_std must be finite and >= 0"),
+], ids=["no-frames", "str-token", "triple-span", "no-id", "negative-noise"])
 def test_decode_rejects_a_malformed_record(tmp_path, capsys, record, where):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(record) + "\n")
@@ -351,12 +374,19 @@ def test_decode_isolates_any_utterance_error(tmp_path, corpus, capsys,
      "max_decode_per_turn must be >= 1"),
     (["ablate", "--strategies", "ss_greedy,ss_beam", "--chunk-ms", "640",
       "--beam-width", "0"], "beam_width must be >= 1"),
+    # no utterance, so no session: the strategy is checked as it is built
+    (["decode", "--strategy", "ss_greedy", "--max-decode-per-turn", "0",
+      "--corpus", "{empty}"], "max_decode_per_turn must be >= 1"),
 ])
 def test_invalid_strategy_config_is_an_error_not_a_failed_utterance(
         tmp_path, corpus, capsys, command, message):
     out = tmp_path / "out.json"
-    rc = main([*command, "--corpus", str(corpus), "--model", "teacher",
-               "--out", str(out)])
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    # a --corpus in ``command`` comes later, so it wins
+    rc = main([command[0], "--corpus", str(corpus), "--model", "teacher",
+               "--out", str(out),
+               *(a.format(empty=empty) for a in command[1:])])
     assert rc == 2
     err = capsys.readouterr().err
     assert f"error: {message}" in err

@@ -157,3 +157,18 @@ def test_config_rejects_bad_token_counts():
 def test_config_rejects_short_tokens():
     with pytest.raises(ValueError):
         CorpusConfig(frames_per_token_mean=1.5)
+
+
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+def test_read_corpus_rejects_a_lazy_record_with_unusable_noise(tmp_path,
+                                                               noise):
+    """A lazy record's regeneration settings go through the same check."""
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, gen_synthetic_corpus(CorpusConfig(num_utterances=1)),
+                 CorpusConfig(num_utterances=1))
+    rec = json.loads(path.read_text())
+    rec["frames_seed"]["noise_std"] = noise
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(AlignmentError, match=f"^{rec['id']}: malformed "
+                       "record: noise_std must be finite and >= 0"):
+        read_corpus(path)

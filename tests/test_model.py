@@ -22,11 +22,11 @@ from streamasr.model import (
     ModelConfig,
     RollbackPastChunkBoundary,
     SpeechSpan,
-    StreamItem,
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
     _layer_norm,
+    _log_softmax,
     _one_hot_logits,
     _one_hot_rows,
     adapter_forward,
@@ -48,7 +48,7 @@ def _items(model, n_frames, tokens):
         SpeechSpan(i, rng.standard_normal((1, model.cfg.frame_dim)))
         for i in range(n_frames)
     ]
-    out += [StreamItem(text(t)) for t in tokens]
+    out += [text(t) for t in tokens]
     return out
 
 
@@ -62,7 +62,7 @@ def _positions(items):
     """One ``Position`` per position the items stand for."""
     return [p for it in items for p in (
         [speech(it.start + i) for i in range(len(it))]
-        if isinstance(it, SpeechSpan) else [it.pos])]
+        if isinstance(it, SpeechSpan) else [it])]
 
 
 # -----------------------------
@@ -108,6 +108,32 @@ def test_masked_ce_length_mismatch():
         masked_ce_loss(np.zeros((2, 4)), [1])
 
 
+def _wrapped_log_softmax(logits):
+    """The former ``ndarray.max``/``.sum`` form, on any number of axes."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def test_log_softmax_matches_the_wrapped_reductions():
+    """``_log_softmax`` through the bare ufunc reductions equals the
+    wrapped form bit for bit: on the 1-D rows beam search scores, also
+    against the scalar-shift form beam search used before, and on the 2-D
+    blocks ``masked_ce_loss`` scores."""
+    rng = np.random.default_rng(0)
+    for _ in range(20_000):
+        row = rng.standard_normal(int(rng.integers(2, 65))) \
+            * rng.uniform(0.01, 50.0)
+        z = row - row.max()
+        assert np.array_equal(_log_softmax(row),
+                              z - np.log(np.exp(z).sum()))
+        assert np.array_equal(_log_softmax(row), _wrapped_log_softmax(row))
+    for _ in range(2_000):
+        shape = (int(rng.integers(1, 9)), int(rng.integers(2, 65)))
+        block = rng.standard_normal(shape) * rng.uniform(0.01, 50.0)
+        assert np.array_equal(_log_softmax(block),
+                              _wrapped_log_softmax(block))
+
+
 # -----------------------------
 # adapter and parameter count
 # -----------------------------
@@ -142,11 +168,10 @@ def test_param_count_matches_parameters():
 @pytest.mark.parametrize("obj, field", [
     (speech(3), "value"),
     (SpeechSpan(3, np.zeros((1, 4))), "frames"),
-    (StreamItem(text(5)), "pos"),
 ])
 def test_positions_and_items_are_slotted_and_frozen(obj, field):
-    """One ``Position`` exists per laid-out position and one ``StreamItem``
-    per forwarded text position, so they and ``SpeechSpan`` carry no
+    """One ``Position`` exists per laid-out position, and a model takes
+    the text ones as they are, so they and ``SpeechSpan`` carry no
     per-instance dict, and they stay immutable."""
     assert not hasattr(obj, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -192,7 +217,7 @@ def test_chunked_forward_matches_one_shot():
 def test_forward_rejects_out_of_vocab():
     m = ToyDecoder(CFG)
     with pytest.raises(ValueError):
-        m.forward(m.new_cache(), [StreamItem(text(CFG.vocab_size))])
+        m.forward(m.new_cache(), [text(CFG.vocab_size)])
 
 
 def test_save_load_round_trip(tmp_path):
@@ -284,10 +309,9 @@ def _sealed_kv():
 
 def _sealed_symbolic():
     cache = SymbolicCache()
-    cache.append_items([_speech(0, 2), StreamItem(text(10)),
-                        StreamItem(text(0))])
+    cache.append_items([_speech(0, 2), text(10), text(0)])
     cache.mark_chunk()
-    cache.append_items([StreamItem(text(11)), _speech(2)])
+    cache.append_items([text(11), _speech(2)])
     return cache
 
 
@@ -335,7 +359,7 @@ def test_a_branch_carries_the_seal(sealed_cache):
 
 def test_an_unsealed_cache_rewinds_to_empty():
     cache = SymbolicCache()
-    cache.append_items([_speech(0), StreamItem(text(10))])
+    cache.append_items([_speech(0), text(10)])
     assert (cache.mark, cache.sealed) == (0, None)
     assert cache.rewind() == 2 and len(cache) == 0
 
@@ -440,14 +464,14 @@ def _random_span(model, n, seed):
             out.append(SpeechSpan(i, rng.standard_normal(
                 (1, model.cfg.frame_dim))))
         else:
-            out.append(StreamItem(text(int(rng.integers(0, model.cfg.vocab_size)))))
+            out.append(text(int(rng.integers(0, model.cfg.vocab_size))))
     return out
 
 
 def _random_text(model, n, seed):
     """``n`` random text items: ``forward_batch`` takes one per cache."""
     rng = np.random.default_rng(seed)
-    return [StreamItem(text(int(t)))
+    return [text(int(t))
             for t in rng.integers(0, model.cfg.vocab_size, size=n)]
 
 
@@ -586,7 +610,7 @@ def _state(cache):
 
 @pytest.mark.parametrize("kind", ["toy", "symbolic"])
 def test_speech_reaches_a_model_only_as_a_span(kind, edge_example):
-    """A speech ``StreamItem`` raises ``ValueError`` before the cache
+    """A speech ``Position`` raises ``ValueError`` before the cache
     changes, wherever it sits in the items; so does a ``SpeechSpan`` given
     to ``forward_batch``, which appends one text position per cache."""
     if kind == "toy":
@@ -597,11 +621,10 @@ def test_speech_reaches_a_model_only_as_a_span(kind, edge_example):
             "edge", "ss")
         frames = np.zeros((3, 1))
     cache = m.new_cache()
-    m.forward(cache, [SpeechSpan(0, frames), StreamItem(text(5))])
+    m.forward(cache, [SpeechSpan(0, frames), text(5)])
     before = _state(cache)
-    for items in ([StreamItem(speech(3))],
-                  [StreamItem(text(4)), SpeechSpan(3, frames),
-                   StreamItem(speech(6)), StreamItem(text(5))]):
+    for items in ([speech(3)],
+                  [text(4), SpeechSpan(3, frames), speech(6), text(5)]):
         with pytest.raises(ValueError, match="SpeechSpan"):
             m.forward(cache, items)
         assert _state(cache) == before
@@ -617,7 +640,7 @@ def test_a_span_forwards_as_its_one_frame_spans():
     matrix), and the symbolic cache holds the same logs and counts."""
     m = ToyDecoder(CFG)
     frames = np.random.default_rng(3).standard_normal((6, CFG.frame_dim))
-    whole = [StreamItem(text(4)), SpeechSpan(2, frames), StreamItem(text(5))]
+    whole = [text(4), SpeechSpan(2, frames), text(5)]
     split = [whole[0], *(SpeechSpan(2 + i, frames[i:i + 1]) for i in range(6)),
              whole[-1]]
     assert sum(map(len, whole)) == sum(map(len, split)) == 8
@@ -759,7 +782,7 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
             m, x, [(c, slice(i, i + 1)) for i, c in enumerate(refs)])
     else:
         if how == "text":
-            items = [StreamItem(text(int(rng.integers(0, m.cfg.vocab_size))))]
+            items = [text(int(rng.integers(0, m.cfg.vocab_size)))]
         elif how == "speech":
             items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
         else:
@@ -793,7 +816,7 @@ def test_lone_row_at_max_context_overflows_untouched(depth):
     cache = m.new_cache()
     m.forward(cache, _random_span(m, m.cfg.max_context, depth))
     before = (len(cache), cache.checksum())
-    for item in (StreamItem(text(3)), SpeechSpan(0, np.zeros((1, 4)))):
+    for item in (text(3), SpeechSpan(0, np.zeros((1, 4)))):
         with pytest.raises(ContextOverflow):
             m.forward(cache, [item])
         with pytest.raises(ContextOverflow):
@@ -826,11 +849,11 @@ def test_in_place_parameter_edits_reach_the_forward():
     from streamasr.model import _param_blocks
 
     m = _exact_model(2, 2, 8)
-    span = [StreamItem(text(0))] + _random_span(m, 5, 3)
+    span = [text(0)] + _random_span(m, 5, 3)
 
     def run(model):
         cache = model.new_cache()
-        return model.forward(cache, span), model.forward(cache, [StreamItem(text(5))])
+        return model.forward(cache, span), model.forward(cache, [text(5)])
 
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -901,13 +924,12 @@ def test_qkv_are_views_of_one_block_however_the_params_came(tmp_path):
 
 def test_symbolic_cache_counts(sp):
     c = SymbolicCache()
-    c.append_items([_speech(0, 2), StreamItem(text(10)),
-                    StreamItem(text(sp.pad))])
+    c.append_items([_speech(0, 2), text(10), text(sp.pad)])
     assert len(c) == 4
     assert c.real_count == 1      # pad is not a real token
     assert c.max_frame == 1
     c.mark_chunk()
-    c.append_items([StreamItem(text(11))])
+    c.append_items([text(11)])
     assert c.real_count == 2
     c.rollback(4)
     assert c.real_count == 1
@@ -919,17 +941,17 @@ def test_symbolic_cache_counts(sp):
 def test_symbolic_checksum_tracks_content(sp):
     a = SymbolicCache()
     b = SymbolicCache()
-    a.append_items([StreamItem(text(10))])
-    b.append_items([StreamItem(text(11))])
+    a.append_items([text(10)])
+    b.append_items([text(11)])
     assert a.checksum() != b.checksum()
     b.rollback(0)
-    b.append_items([StreamItem(text(10))])
+    b.append_items([text(10)])
     assert a.checksum() == b.checksum()
 
 
 def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
     c = SymbolicCache()
-    c.append_items([_speech(0), StreamItem(text(10))])
+    c.append_items([_speech(0), text(10)])
     assert c.checksum(2) == c.checksum()
     with pytest.raises(ValueError, match="beyond length 2"):
         c.checksum(3)
@@ -937,7 +959,7 @@ def test_symbolic_checksum_rejects_a_cut_past_the_end(sp):
 
 def test_symbolic_cache_rejects_a_negative_target(sp):
     c = SymbolicCache()
-    c.append_items([_speech(0), StreamItem(text(10))])
+    c.append_items([_speech(0), text(10)])
     with pytest.raises(ValueError, match="negative"):
         c.rollback(-1)
     with pytest.raises(ValueError, match="negative"):
@@ -947,7 +969,7 @@ def test_symbolic_cache_rejects_a_negative_target(sp):
 
 _SYM_ITEMS = st.one_of(
     st.builds(_speech, st.integers(0, 60), st.integers(0, 4)),
-    st.builds(lambda t: StreamItem(text(t)), st.integers(0, 12)),
+    st.builds(text, st.integers(0, 12)),
 )
 _SYM_OPS = st.one_of(
     st.tuples(st.just("append"), st.lists(_SYM_ITEMS, max_size=5)),
@@ -971,7 +993,7 @@ def test_symbolic_cache_matches_a_fresh_rebuild(ops, data):
         if op == "append":
             cache.append_items(arg)
             # one item per position: a rebuild from one-frame spans
-            items.extend(_speech(p.value) if p.kind == "s" else StreamItem(p)
+            items.extend(_speech(p.value) if p.kind == "s" else p
                          for p in _positions(arg))
         elif op == "mark":
             cache.mark_chunk()
@@ -1047,9 +1069,8 @@ def test_symbolic_cache_footprint_per_position(sp):
     """6,000 mixed positions, appended a chunk at a time as the engine
     does, cost at most 16 bytes each: one byte of kind, eight of value,
     and the logs' spare capacity."""
-    chunks = [[_speech(8 * c, 8),
-               StreamItem(text(sp.first_text_id + c % 7)),
-                 StreamItem(text(sp.pad))] for c in range(600)]
+    chunks = [[_speech(8 * c, 8), text(sp.first_text_id + c % 7),
+               text(sp.pad)] for c in range(600)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -1072,8 +1093,7 @@ def test_teacher_oracle_replays_ns(running_example, sp):
     seq = build_ns(running_example)
     oracle = TeacherOracle(seq)
     cache = oracle.new_cache()
-    items = [SpeechSpan(0, running_example.frames[:8]),
-             StreamItem(text(sp.sos))]
+    items = [SpeechSpan(0, running_example.frames[:8]), text(sp.sos)]
     logits = oracle.forward(cache, items)
     hyp = []
     while True:
@@ -1081,7 +1101,7 @@ def test_teacher_oracle_replays_ns(running_example, sp):
         if t in (sp.pad, sp.eos):
             break
         hyp.append(t)
-        logits = oracle.forward(cache, [StreamItem(text(t))])
+        logits = oracle.forward(cache, [text(t)])
     assert hyp == running_example.tokens
 
 
@@ -1159,12 +1179,12 @@ def test_boundary_oracle_stop_tokens(edge_example, sp):
         oracle = suite.bind("edge", paradigm)
         cache = oracle.new_cache()
         items = [SpeechSpan(0, edge_example.frames[:8]),
-                 StreamItem(text(13)), StreamItem(text(20))]
+                 text(13), text(20)]
         logits = oracle.forward(cache, items)
         assert int(np.argmax(logits)) == done_stop
         # before any audio, nothing is audible yet
         fresh = oracle.new_cache()
-        logits = oracle.forward(fresh, [StreamItem(text(sp.pad))])
+        logits = oracle.forward(fresh, [text(sp.pad)])
         assert int(np.argmax(logits)) == wait_stop
 
 
