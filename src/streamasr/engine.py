@@ -39,10 +39,11 @@ the standard layout then forwards that last token into its slot and the
 context-aware one withholds it. Beam search has its own frontier loop
 with the same limit and always pools the greedy rollout; it scores each
 expansion with ``model._log_softmax``, the one log-softmax, which
-``masked_ce_loss`` uses too. On the final chunk a turn that ran into its
-limit flushes on, still capped at ``max_decode_per_turn`` tokens for the
-whole turn; the same cap bounds an audio-less final turn's drain and every
-non-streaming re-decode.
+``masked_ce_loss`` uses too. On the final chunk a turn that filled its slot
+budget flushes on, still capped at ``max_decode_per_turn`` tokens for the
+whole turn; a turn the cap stopped first emits its tokens as decoded. The
+same cap bounds an audio-less final turn's drain and every non-streaming
+re-decode.
 """
 
 from __future__ import annotations
@@ -454,7 +455,7 @@ def beam_turn_decode(session: StreamingSession, first_logits: np.ndarray,
 
 
 def _flush_continue(session: StreamingSession, res: _Hyp) -> None:
-    """Final-turn continuation past the slot limit, up to the turn's cap.
+    """Final-turn continuation past a full slot budget, up to the turn's cap.
 
     Standard streaming keeps decoding from the limit token's logits. The
     context-aware layout first materializes the masked last slot as pad,
@@ -488,10 +489,11 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
     chunk's ``budget`` slots. An audio-less turn (no slots) decodes only if
     it is the final one: it drains from the logits the last prefill left
     (for the context-aware layout, the blanked slot's, which regenerate the
-    pending token). Scores the turn, flushes a final turn that ran into its
-    limit, records the tokens and the stop in the turn record, and keeps
-    the logits for a later audio-less turn (a pad fill after it replaces
-    them with its own).
+    pending token). Scores the turn, flushes a final turn that filled its
+    slot budget (one the cap stopped first has nothing left to flush),
+    records the tokens and the stop in the turn record, and keeps the
+    logits for a later audio-less turn (a pad fill after it replaces them
+    with its own).
     """
     if budget == 0:
         res = _Hyp([], 0.0, logits, session.cache)
@@ -505,7 +507,8 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
         res = _turn_rollout(session, session.cache, logits, budget)
     turn = session.turns[-1]
     turn.score = _hyp_score(res)
-    if is_last and res.budget_full:
+    cap = session.strategy.max_decode_per_turn
+    if is_last and res.budget_full and budget <= cap:
         _flush_continue(session, res)
     turn.tokens, turn.stop = tuple(res.tokens), res.stopped_via
     session.last_logits = res.logits

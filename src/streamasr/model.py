@@ -37,15 +37,18 @@ Caches are append-only below their newest chunk mark. ``mark_chunk``
 seals the checksum of the prefix there, rollback below the mark raises,
 and ``rewind`` proves the prefix unchanged before it truncates to the
 mark. A ``KVCache`` grows its per-layer arrays on demand rather than
-reserving ``max_context`` rows up front, and a branch copies only the
-live rows into a reserve rounded up to 16, so beam search pays for what
-each hypothesis holds.
+reserving ``max_context`` rows up front. A branch borrows its parent's
+arrays: its first one-row append goes into the parent's spare row and is
+kept, and it copies the live rows, into a reserve rounded up to 16, only
+when it is used again. So a beam child pruned after its one forward
+copies nothing, and beam search pays for the hypotheses that go on.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import weakref
 import zlib
 from array import array
 from dataclasses import astuple, dataclass, fields
@@ -336,6 +339,17 @@ class _MarkedCache:
         return removed
 
 
+class _Loan:
+    """The length a ``KVCache`` lent its arrays at. Its borrowers hold it
+    and the lender only a weak reference, so the lender can tell whether a
+    borrower still reads its rows."""
+
+    __slots__ = ("length", "__weakref__")
+
+    def __init__(self, length: int) -> None:
+        self.length = length
+
+
 class KVCache(_MarkedCache):
     """Per-layer key/value history for the toy transformer.
 
@@ -344,7 +358,18 @@ class KVCache(_MarkedCache):
     Each layer's ``k`` and ``v`` array holds at least ``length`` rows (rows
     past ``length`` hold no data): it starts small and doubles on demand up
     to ``max_context``, so a cache costs memory in proportion to what it
-    holds. ``branch`` copies the live rows only.
+    holds.
+
+    ``branch`` copies nothing: the branch borrows this cache's arrays. A
+    borrower's first one-row append writes into its lender's spare row
+    ``length``, which holds no lender data, and keeps that row, so a beam
+    child that is pruned after its one forward never has arrays of its own.
+    Anything else (a second append, ``checksum``, ``rewind``, ``rollback``,
+    ``branch`` or reading ``k`` or ``v``) first copies the borrowed rows and
+    the kept one into arrays the borrower owns, with room for one more row
+    rounded up to 16. A lender copies its own arrays before it writes, or
+    lends at another length, while a borrower still reads them; ``k`` and
+    ``v`` are always the cache's own.
     """
 
     def __init__(self, num_layers: int, embed_dim: int, max_context: int) -> None:
@@ -352,36 +377,89 @@ class KVCache(_MarkedCache):
         self.max_context = max_context
         self.length = 0
         rows = min(_KV_INITIAL_ROWS, max_context)
-        self.k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
-        self.v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
+        self._k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
+        self._v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
+        # None while no other cache reads these arrays; a borrower's _Loan,
+        # or a weak reference to the last _Loan this cache lent
+        self._shared: _Loan | weakref.ref | None = None
+        self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self.length
 
+    @property
+    def k(self) -> list[np.ndarray]:
+        self._own()
+        return self._k
+
+    @property
+    def v(self) -> list[np.ndarray]:
+        self._own()
+        return self._v
+
     def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
+        self._own()
         end = self.length + k_rows.shape[0]
         self.reserve(layer, end)
-        self.k[layer][self.length : end] = k_rows
-        self.v[layer][self.length : end] = v_rows
+        self._k[layer][self.length : end] = k_rows
+        self._v[layer][self.length : end] = v_rows
 
     def reserve(self, layer: int, end: int) -> None:
         """Grow layer ``layer``'s arrays, if need be, to hold ``end`` rows:
         the initial size doubled as often as needed, capped at max_context."""
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
-        if end > self.k[layer].shape[0]:
+        if end > self._k[layer].shape[0]:
             cap = _KV_INITIAL_ROWS
             while cap < end:
                 cap *= 2
             cap = min(cap, self.max_context)
-            self.k[layer] = self._grown(self.k[layer], cap)
-            self.v[layer] = self._grown(self.v[layer], cap)
+            self._k[layer] = self._grown(self._k[layer], cap)
+            self._v[layer] = self._grown(self._v[layer], cap)
 
-    def _grown(self, rows: np.ndarray, cap: int) -> np.ndarray:
-        """A copy of the live rows in an array of ``cap`` rows."""
+    def _grown(self, rows: np.ndarray, cap: int,
+               n: int | None = None) -> np.ndarray:
+        """A copy of the first ``n`` rows (the live ones by default) in an
+        array of ``cap`` rows."""
+        n = self.length if n is None else n
         out = np.empty((cap, rows.shape[1]))
-        out[: self.length] = rows[: self.length]
+        out[:n] = rows[:n]
         return out
+
+    def _claim_row(self, layer: int, k_row: np.ndarray,
+                   v_row: np.ndarray) -> None:
+        """Ready layer ``layer`` for this cache's next row, which the caller
+        writes at ``length``. A borrower's first row goes into its lender's
+        spare row there and is kept; anything else makes the arrays this
+        cache's own first."""
+        loan = self._shared
+        spare = self._k[layer].shape[0]
+        if type(loan) is _Loan and self.length == loan.length < spare:
+            self._kept[layer] = (k_row, v_row)
+        else:
+            self._own()
+
+    def _own(self) -> None:
+        """Make the arrays this cache's alone. A borrower copies the rows
+        it borrowed and the ones it kept; a lender copies its own arrays
+        while a borrower still reads them."""
+        shared = self._shared
+        if shared is None:
+            return
+        self._shared = None
+        if type(shared) is _Loan:
+            # room for one more row, rounded up to 16: a doubled reserve
+            # costs more to allocate than it saves
+            cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
+            self._k = [self._grown(a, cap, shared.length) for a in self._k]
+            self._v = [self._grown(a, cap, shared.length) for a in self._v]
+            for layer, (k_row, v_row) in self._kept.items():
+                self._k[layer][shared.length] = k_row
+                self._v[layer][shared.length] = v_row
+            self._kept = {}
+        elif shared() is not None:
+            self._k = [self._grown(a, a.shape[0]) for a in self._k]
+            self._v = [self._grown(a, a.shape[0]) for a in self._v]
 
     def advance(self, n: int) -> None:
         if self.length + n > self.max_context:
@@ -391,27 +469,38 @@ class KVCache(_MarkedCache):
         self.length += n
 
     def _truncate(self, n: int) -> None:
+        if type(self._shared) is _Loan:
+            self._own()
         self.length = n
 
     def branch(self) -> "KVCache":
+        """A cache with this one's rows, mark and seal that borrows this
+        cache's arrays. Branches taken at one length share one ``_Loan``."""
+        if type(self._shared) is _Loan:
+            self._own()
+        loan = self._shared() if self._shared is not None else None
+        if loan is None or loan.length != self.length:
+            # a live loan at another length reads the row a new one would write
+            self._own()
+            loan = _Loan(self.length)
+            self._shared = weakref.ref(loan)
         other = KVCache(0, 0, self.max_context)
         other.length = self.length
-        # room for the one position a beam child forwards next, rounded up
-        # to 16 rows: a doubled reserve costs more to allocate than it saves
-        cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
-        other.k = [self._grown(a, cap) for a in self.k]
-        other.v = [self._grown(a, cap) for a in self.v]
+        other._k, other._v = list(self._k), list(self._v)
+        other._shared = loan
         other.mark, other.sealed = self.mark, self.sealed
         return other
 
     def checksum(self, upto: int | None = None) -> int:
         n = self.length if upto is None else upto
         self._check_target(n, "checksum upto")
+        if type(self._shared) is _Loan:
+            self._own()
         # the live prefix of a C-contiguous row block is read in place
         c = 0
-        for i in range(len(self.k)):
-            c = zlib.crc32(self.k[i][:n], c)
-            c = zlib.crc32(self.v[i][:n], c)
+        for i in range(len(self._k)):
+            c = zlib.crc32(self._k[i][:n], c)
+            c = zlib.crc32(self._v[i][:n], c)
         return c
 
 
@@ -625,11 +714,15 @@ class ToyDecoder:
     def _step(self, cache: KVCache, li: int, qkv: np.ndarray) -> np.ndarray:
         """Write one row's key and value straight into layer ``li`` of its
         cache and attend from its query over every key there. ``qkv`` is the
-        row's 1-D projection, and the context comes back 1-D."""
+        row's 1-D projection, and the context comes back 1-D. A cache that
+        shares its arrays claims the row first: a borrower's first row goes
+        into its lender's spare row."""
         d, h_count, dh, _ = self._heads
         n = cache.length + 1
+        if cache._shared is not None:
+            cache._claim_row(li, qkv[d:2 * d], qkv[2 * d:])
         cache.reserve(li, n)
-        keys, values = cache.k[li][:n], cache.v[li][:n]
+        keys, values = cache._k[li][:n], cache._v[li][:n]
         keys[-1], values[-1] = qkv[d:2 * d], qkv[2 * d:]
         scores = qkv[:d].reshape(h_count, 1, dh) @ \
             keys.reshape(n, h_count, dh).transpose(1, 2, 0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -637,6 +638,35 @@ def test_beam_width_one_equals_greedy(chunk4, sp):
                 assert run_stream(a, u.frames) == run_stream(b, u.frames)
                 assert a.records == b.records
                 assert _turn_outcomes(a) == _turn_outcomes(b)
+
+
+def test_a_pruned_beam_child_allocates_no_rows(sp):
+    """A beam step's children borrow their parent's KV arrays: forwarding
+    three of them over a 200-row cache and dropping them allocates less, at
+    the peak, than one layer's keys of that cache, where copying each
+    child's rows would take four such arrays per child."""
+    cfg = ModelConfig(vocab_size=32, embed_dim=64, num_layers=2, num_heads=4,
+                      ffn_dim=128, max_context=512, seed=0)
+    toy = ToyDecoder(cfg)
+    s = session_new(toy, ChunkingConfig(8), StrategyConfig(
+        "cs_fallback_beam", beam_width=3), sp)
+    s.turns.append(engine.TurnRecord((0, 200), False, 4))
+    frames = np.random.default_rng(0).normal(size=(200, cfg.frame_dim))
+    logits = toy.forward(s.cache, [SpeechSpan(0, frames)])
+    logits[[PAD, EOS]] = -np.inf  # every expansion is a child
+    sealed = s.cache.checksum()
+    frontier = [engine._Hyp([], 0.0, logits, s.cache)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        children = engine._beam_step(s, frontier, [], limit=4)
+        assert len(children) == 3 and s.turns[-1].decode == 3
+        del children
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < len(s.cache) * cfg.embed_dim * 8
+    assert s.cache.checksum() == sealed
 
 
 def test_beam_runs_wider(edge_example, chunk4, sp):
@@ -1351,6 +1381,32 @@ def test_a_pad_fill_leaves_its_logits_for_the_final_turn(sp):
             if _first_choice(s.turns[-1]) != int(np.argmax(before)):
                 stale.append((seed, cap))
     assert stale == []
+
+
+def test_a_final_turn_the_cap_stopped_emits_its_tokens_as_decoded(sp):
+    """A final turn that ``max_decode_per_turn`` stops below its slot
+    budget has nothing to flush: context-aware greedy and beam emit the
+    tokens they decoded, as standard streaming and an exact boundary oracle
+    do, and revise nothing. Tokens 18 and 19 end on frames 4 and 5 of 7,
+    so both fall due in the final chunk, which has 3 slots."""
+    u = Utterance("capped", [18, 19], [TokenAlignment(18, 0, 4),
+                                       TokenAlignment(19, 5, 5)],
+                  np.zeros((7, 8)))
+    ck = ChunkingConfig(4, speech_text_ratio=1)
+    cs_teacher = TeacherOracle(build_cs(u, ck))
+    runs = [("ss_greedy", 1, TeacherOracle(build_ss(u, ck))),
+            ("cs_fallback_greedy", 1, cs_teacher),
+            ("cs_fallback_beam", 1, cs_teacher),
+            ("cs_fallback_beam", 3, cs_teacher),
+            ("cs_fallback_greedy", 1,
+             make_boundary_oracle([u], confusion_window=0).bind(u, "cs"))]
+    for cap, want in ((1, [18]), (2, [18, 19])):
+        for name, width, model in runs:
+            s = session_new(model, ck, StrategyConfig(
+                name, beam_width=width, max_decode_per_turn=cap), sp)
+            assert run_stream(s, u.frames) == want, (name, width, cap)
+            assert s.turns[-1].tokens == tuple(want)
+            assert not any(r.revised for r in s.records)
 
 
 # -----------------------------

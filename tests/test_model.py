@@ -577,6 +577,89 @@ def test_forward_batch_matches_per_cache_forward(plan, seed, full):
             assert np.allclose(a[n], b[n], rtol=1e-9, atol=1e-12)
 
 
+def _eager_copy(cache):
+    """A cache with ``cache``'s rows, mark and seal in arrays of its own,
+    copied row by row through the public API rather than by ``branch``."""
+    n = len(cache)
+    copy = KVCache(len(cache.k), GROW_CFG.embed_dim, cache.max_context)
+    for li, (k, v) in enumerate(zip(cache.k, cache.v)):
+        copy.append(li, k[:n], v[:n])
+    copy.advance(n)
+    copy.mark, copy.sealed = cache.mark, cache.sealed
+    return copy
+
+
+_BORROW_OPS = st.lists(st.tuples(
+    st.sampled_from(["extend", "checksum", "rewind", "branch",
+                     "parent_append", "parent_rollback", "parent_branch"]),
+    st.integers(0, 7), st.integers(1, 3), st.integers(0, 2**16)),
+    max_size=12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 20), st.integers(0, 4), st.integers(1, 4),
+       st.lists(st.booleans(), min_size=4, max_size=4),
+       st.sampled_from(["parent_rollback", "parent_branch"]), _BORROW_OPS,
+       st.integers(0, 2**16))
+def test_borrowing_branches_match_eager_copies(n, above, width, keep, first,
+                                               ops, seed):
+    """One parent branched ``width`` times; the branches forwarded in one
+    ``forward_batch`` and some dropped; the rest extended, checksummed,
+    rewound and re-branched while the parent appends, rolls back and
+    branches again. Every logits row, checksum, rewind and K/V row equals
+    that of caches copied eagerly from a reference parent, bit for bit,
+    and the parent's sealed prefix never changes. The first ops roll the
+    parent back below the length it lent at and then write there, or lend
+    again there, while every surviving branch still borrows."""
+    m = ToyDecoder(GROW_CFG)
+    limit = GROW_CFG.max_context
+    parent, ref_parent = m.new_cache(), m.new_cache()
+    for cache in (parent, ref_parent):
+        m.forward(cache, _random_span(m, n, seed))
+        cache.mark_chunk()
+        if above:
+            m.forward(cache, _random_span(m, above, seed + 1))
+    sealed = parent.checksum(parent.mark)
+    pairs = [(parent.branch(), _eager_copy(ref_parent)) for _ in range(width)]
+    items = _random_text(m, width, seed)
+    got = m.forward_batch([b for b, _ in pairs], items)
+    want = m.forward_batch([r for _, r in pairs], items)
+    assert np.array_equal(got, want)
+    pairs = [p for p, k in zip(pairs, keep) if k] or pairs[:1]
+    assert parent.checksum() == ref_parent.checksum()
+    ops = [("parent_rollback", 0, 1, 0), (first, 0, 1, 0),
+           ("parent_append", 0, 1 + seed % 3, seed)
+           if first == "parent_rollback" else ("extend", -1, 1, seed)] + ops
+    for op, which, rows, op_seed in ops:
+        branch, ref = pairs[which % len(pairs)]
+        if op == "extend" and len(branch) + rows <= limit:
+            span = _random_span(m, rows, op_seed)
+            assert np.array_equal(m.forward(branch, span),
+                                  m.forward(ref, span))
+        elif op == "checksum":
+            assert branch.checksum() == ref.checksum()
+        elif op == "rewind":
+            assert branch.rewind() == ref.rewind()
+        elif op == "branch":
+            pairs.append((branch.branch(), _eager_copy(ref)))
+        elif op == "parent_append" and len(parent) + rows <= limit:
+            span = _random_span(m, rows, op_seed)
+            assert np.array_equal(m.forward(parent, span),
+                                  m.forward(ref_parent, span))
+        elif op == "parent_rollback":
+            parent.rollback(parent.mark)
+            ref_parent.rollback(ref_parent.mark)
+        elif op == "parent_branch":
+            pairs.append((parent.branch(), _eager_copy(ref_parent)))
+        assert parent.checksum(parent.mark) == sealed
+        assert parent.checksum() == ref_parent.checksum()
+    for branch, ref in pairs:
+        assert len(branch) == len(ref)
+        assert branch.checksum() == ref.checksum()
+        assert _same_rows(branch, ref)
+    assert _same_rows(parent, ref_parent)
+
+
 def test_forward_batch_rejects_a_repeated_cache():
     m = ToyDecoder(CFG)
     cache = m.new_cache()
