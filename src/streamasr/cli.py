@@ -418,8 +418,9 @@ def _add_fps_arg(p: argparse.ArgumentParser) -> None:
 def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="boundary:1", type=_model_spec,
                    help="parameter file path, 'toy[:seed]', 'teacher', or "
-                        "'boundary:<window>' (any window > 0 confuses the "
-                        "token ending on the context edge; 0 is exact)")
+                        "'boundary:<window>' (a token followed by fewer "
+                        "than <window> frames of context comes out "
+                        "confused; 0 is exact)")
     p.add_argument("--vocab-size", default=32, type=int)
     _add_fps_arg(p)
     p.add_argument("--speech-text-ratio", default=2, type=int)

@@ -216,6 +216,9 @@ def _utterance_of(rec: dict) -> Utterance:
     ]
     if "frames" in rec:
         frames = np.asarray(rec["frames"], dtype=np.float64)
+        # Python's json reads NaN and Infinity, which no frame may hold
+        if not np.isfinite(frames).all():
+            raise ValueError("frames must be finite")
         if not len(frames):  # rows without columns stay invalid
             frames = frames.reshape(0, rec.get("frame_dim", 0))
     else:

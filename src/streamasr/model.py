@@ -24,8 +24,8 @@ and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
-* ``BoundaryOracle``: emits ground truth except for tokens whose final
-  frame sits at the current context edge, which it confuses
+* ``BoundaryOracle``: emits ground truth except for tokens followed by
+  fewer than ``window`` frames of context, which it confuses
   deterministically. It models the chunk-boundary ambiguity that the
   fallback decoding strategies exist to repair.
 
@@ -355,6 +355,8 @@ class KVCache(_MarkedCache):
 
     Rows are written once when a position is first forwarded and never
     rewritten; ``checksum`` hashes the live prefix so tests can prove it.
+    ``append`` alone writes rows: it decides where a row goes, when arrays
+    are shared and when they grow, and returns the rows attention reads.
     Each layer's ``k`` and ``v`` array holds at least ``length`` rows (rows
     past ``length`` hold no data): it starts small and doubles on demand up
     to ``max_context``, so a cache costs memory in proportion to what it
@@ -397,18 +399,24 @@ class KVCache(_MarkedCache):
         self._own()
         return self._v
 
-    def append(self, layer: int, k_rows: np.ndarray, v_rows: np.ndarray) -> None:
-        self._own()
-        end = self.length + k_rows.shape[0]
-        self.reserve(layer, end)
-        self._k[layer][self.length : end] = k_rows
-        self._v[layer][self.length : end] = v_rows
-
-    def reserve(self, layer: int, end: int) -> None:
-        """Grow layer ``layer``'s arrays, if need be, to hold ``end`` rows:
-        the initial size doubled as often as needed, capped at max_context."""
+    def append(self, layer: int, k: np.ndarray,
+               v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write ``k`` and ``v`` at ``length`` in layer ``layer``, one row
+        as 1-D vectors or a span as ``[s, d]``, and return the layer's key
+        and value rows through the new ones; ``advance`` then counts them.
+        Past ``max_context`` it raises ``ContextOverflow`` and changes
+        nothing."""
+        start = self.length
+        end = start + (1 if k.ndim == 1 else k.shape[0])
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
+        loan = self._shared
+        if loan is not None:
+            if (k.ndim == 1 and type(loan) is _Loan
+                    and start == loan.length < self._k[layer].shape[0]):
+                self._kept[layer] = (k, v)
+            else:
+                self._own()
         if end > self._k[layer].shape[0]:
             cap = _KV_INITIAL_ROWS
             while cap < end:
@@ -416,6 +424,9 @@ class KVCache(_MarkedCache):
             cap = min(cap, self.max_context)
             self._k[layer] = self._grown(self._k[layer], cap)
             self._v[layer] = self._grown(self._v[layer], cap)
+        keys, values = self._k[layer][:end], self._v[layer][:end]
+        keys[start:], values[start:] = k, v
+        return keys, values
 
     def _grown(self, rows: np.ndarray, cap: int,
                n: int | None = None) -> np.ndarray:
@@ -425,19 +436,6 @@ class KVCache(_MarkedCache):
         out = np.empty((cap, rows.shape[1]))
         out[:n] = rows[:n]
         return out
-
-    def _claim_row(self, layer: int, k_row: np.ndarray,
-                   v_row: np.ndarray) -> None:
-        """Ready layer ``layer`` for this cache's next row, which the caller
-        writes at ``length``. A borrower's first row goes into its lender's
-        spare row there and is kept; anything else makes the arrays this
-        cache's own first."""
-        loan = self._shared
-        spare = self._k[layer].shape[0]
-        if type(loan) is _Loan and self.length == loan.length < spare:
-            self._kept[layer] = (k_row, v_row)
-        else:
-            self._own()
 
     def _own(self) -> None:
         """Make the arrays this cache's alone. A borrower copies the rows
@@ -675,55 +673,48 @@ class ToyDecoder:
 
     # -- core forward
 
-    def _layers(self, x: np.ndarray,
-                spans: list[tuple[KVCache, slice]]) -> np.ndarray:
+    def _layers(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
         """Run every layer over the rows of ``x`` and return their logits.
 
-        ``spans`` pairs a cache with the rows it appends: one span on one
-        cache, or row i on cache i for several. Layer norm, projections and
-        FFN run over all rows at once, attention per cache over its own keys.
-        A one-row span is its cache's newest row and sees every key, so it
-        takes ``_step``, as a 1-D vector when it is alone: the same
-        arithmetic bit for bit, with less numpy overhead.
+        One cache takes every row, or each of several caches takes one row,
+        row i on cache i. Layer norm, projections and FFN run over all rows
+        at once, attention per cache over the rows its ``append`` returns. A
+        lone row on a cache is its newest and sees every key, so it takes
+        ``_step``, as a 1-D vector when it is alone: the same arithmetic bit
+        for bit, with less numpy overhead.
         """
         n = x.shape[0]
         if n == 1:
             x = x[0]
-        elif len(spans) == 1:  # True = hidden; every layer sees the same keys
-            hidden = ~build_attention_mask(n, len(spans[0][0]) + n)
+        elif len(caches) == 1:  # True = hidden; every layer sees the same keys
+            hidden = ~build_attention_mask(n, len(caches[0]) + n)
         for li, (g1, b1, wqkv, bqkv, wo, bo,
                  g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
             qkv = _layer_norm(x, g1, b1).dot(wqkv)
             qkv += bqkv
             if n == 1:
-                ctx = self._step(spans[0][0], li, qkv)
-            elif len(spans) == 1:
-                ctx = self._attend(spans[0][0], li, qkv, hidden)
+                ctx = self._step(caches[0], li, qkv)
+            elif len(caches) == 1:
+                ctx = self._attend(caches[0], li, qkv, hidden)
             else:
                 ctx = np.array([self._step(cache, li, row)
-                                for (cache, _), row in zip(spans, qkv)])
+                                for cache, row in zip(caches, qkv)])
             x = x + ctx.dot(wo) + bo
             f = _layer_norm(x, g2, b2).dot(w1)
             f += fb1
             x = x + np.maximum(f, 0.0, out=f).dot(w2) + fb2
-        for cache, rows in spans:
-            cache.advance(rows.stop - rows.start)
+        for cache in caches:  # n rows on one cache, or one row on each of n
+            cache.advance(n // len(caches))
         out_w, out_b = self._out
         return (x.dot(out_w) + out_b).reshape(n, -1)
 
     def _step(self, cache: KVCache, li: int, qkv: np.ndarray) -> np.ndarray:
-        """Write one row's key and value straight into layer ``li`` of its
-        cache and attend from its query over every key there. ``qkv`` is the
-        row's 1-D projection, and the context comes back 1-D. A cache that
-        shares its arrays claims the row first: a borrower's first row goes
-        into its lender's spare row."""
+        """Append one row's key and value to layer ``li`` of its cache and
+        attend from its query over every key ``append`` returns. ``qkv`` is
+        the row's 1-D projection, and the context comes back 1-D."""
         d, h_count, dh, _ = self._heads
-        n = cache.length + 1
-        if cache._shared is not None:
-            cache._claim_row(li, qkv[d:2 * d], qkv[2 * d:])
-        cache.reserve(li, n)
-        keys, values = cache._k[li][:n], cache._v[li][:n]
-        keys[-1], values[-1] = qkv[d:2 * d], qkv[2 * d:]
+        keys, values = cache.append(li, qkv[d:2 * d], qkv[2 * d:])
+        n = keys.shape[0]
         scores = qkv[:d].reshape(h_count, 1, dh) @ \
             keys.reshape(n, h_count, dh).transpose(1, 2, 0)
         vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
@@ -732,14 +723,14 @@ class ToyDecoder:
     def _attend(self, cache: KVCache, li: int, qkv: np.ndarray,
                 hidden: np.ndarray) -> np.ndarray:
         """Append a span's keys and values to layer ``li`` of its cache and
-        attend from its queries over everything the cache holds, except the
-        keys ``hidden`` marks. ``qkv`` is the span's ``[s, 3d]`` projection."""
+        attend from its queries over every key ``append`` returns, except
+        those ``hidden`` marks. ``qkv`` is the span's ``[s, 3d]`` projection."""
         d, h_count, dh, _ = self._heads
         s = qkv.shape[0]
-        new_len = len(cache) + s
-        cache.append(li, qkv[:, d:2 * d], qkv[:, 2 * d:])
-        kt = cache.k[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 2, 0)
-        vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
+        keys, values = cache.append(li, qkv[:, d:2 * d], qkv[:, 2 * d:])
+        n = keys.shape[0]
+        kt = keys.reshape(n, h_count, dh).transpose(1, 2, 0)
+        vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
         scores = qkv[:, :d].reshape(s, h_count, dh).transpose(1, 0, 2) @ kt
         np.copyto(scores, -np.inf, where=hidden)
         return self._softmax_times(scores, vh).transpose(1, 0, 2).reshape(s, d)
@@ -754,7 +745,7 @@ class ToyDecoder:
 
     def forward_embedded(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Append the embedded span to the cache, return logits for each row."""
-        return self._layers(x, [(cache, slice(0, x.shape[0]))])
+        return self._layers(x, [cache])
 
     def forward(self, cache: KVCache,
                 items: Sequence[Position | SpeechSpan]) -> np.ndarray:
@@ -779,7 +770,7 @@ class ToyDecoder:
         if len({id(c) for c in caches}) != len(caches):
             raise ValueError("forward_batch got the same cache twice")
         x = self._embed(items, [len(c) for c in caches])
-        return self._layers(x, [(c, slice(i, i + 1)) for i, c in enumerate(caches)])
+        return self._layers(x, list(caches))
 
     def forward_sequence(
             self, items: Sequence[Position | SpeechSpan]) -> np.ndarray:
@@ -901,11 +892,13 @@ class BoundaryOracle(_ReplayOracle):
 
     State lives entirely in the symbolic cache: the count of real text
     tokens identifies the next occurrence to emit, the max speech frame
-    identifies the context edge. With a positive confusion window, a token
-    whose last frame is the context edge (no audio past it in context) comes
-    out wrong, as ``default_confusable_map`` maps it; re-decoded with later
-    audio it comes out right. Every positive window behaves the same;
-    window 0 is an exact model. Stop symbols follow the bound paradigm: pad
+    identifies the context edge. A token whose last frame lies within
+    ``window`` frames of the edge (fewer than ``window`` frames of speech
+    after it in context) comes out wrong, as ``default_confusable_map``
+    maps it; re-decoded with enough later audio it comes out right. Window
+    1 confuses the token ending on the edge, window 0 is an exact model.
+    The stream's end is an edge too, so a final token ending within the
+    window of it stays wrong. Stop symbols follow the bound paradigm: pad
     for turn-stops, eos only where the non-streaming and standard streaming
     layouts end an utterance.
     """
@@ -936,8 +929,9 @@ class BoundaryOracle(_ReplayOracle):
         if end > edge:  # not yet audible: wait for more speech
             return self._stop_token(False)
         tok = self.utt.tokens[o]
-        # end <= edge here, so no speech past the token means end == edge
-        confused = self.window > 0 and end == edge
+        # end <= edge here: confused while fewer than ``window`` frames of
+        # speech follow the token, the stream's end no exception
+        confused = end > edge - self.window
         return self._confuse(tok) if confused else tok
 
 

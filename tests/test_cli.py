@@ -265,6 +265,24 @@ def test_decode_rejects_a_corrupt_corpus(tmp_path, corpus, capsys, model):
     assert err.startswith("error:") and rec["id"] in err
 
 
+def test_decode_rejects_a_nan_frame(tmp_path, capsys):
+    """A ``NaN`` in an inline frame stops decode with an ``error:`` line
+    naming the utterance, where it once decoded as silent garbage."""
+    path = tmp_path / "c.jsonl"
+    assert main(["gen-corpus", "--out", str(path), "--num-utterances", "3",
+                 "--inline-frames"]) == 0
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["frames"][0][0] = float("nan")
+    lines[0] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["decode", "--corpus", str(path), "--model", "toy",
+               "--strategy", "cs_fallback_greedy"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {rec['id']}: malformed record: frames")
+
+
 @pytest.mark.parametrize("record, where", [
     ({"id": "u1", "tokens": [5], "alignments": [[0, 1]], "num_frames": 3},
      "u1: no 'frames_seed' field"),

@@ -98,6 +98,24 @@ def test_read_corpus_rejects_an_invalid_utterance(tmp_path, tiny_corpus):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_read_corpus_rejects_a_frame_that_is_not_finite(tmp_path, tiny_corpus,
+                                                        value):
+    """Python's json reads ``NaN`` and ``Infinity``; an inline frame holding
+    one is a malformed record named by its id, not silent garbage."""
+    path = tmp_path / "c.jsonl"
+    write_corpus(path, tiny_corpus, inline_frames=True)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["frames"][2][1] = value
+    lines[1] = json.dumps(rec)
+    assert "NaN" in lines[1] or "Infinity" in lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(AlignmentError, match=f"^{rec['id']}: malformed "
+                       "record: frames must be finite"):
+        read_corpus(path)
+
+
 def test_read_corpus_rejects_frames_without_columns(tmp_path, tiny_corpus):
     path = tmp_path / "c.jsonl"
     write_corpus(path, tiny_corpus, inline_frames=True)

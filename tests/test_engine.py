@@ -577,21 +577,30 @@ def test_per_turn_accounting_sums_to_totals(edge_example, chunk4, sp):
     assert st.prefill_positions + st.decode_positions == st.forward_positions
 
 
-def test_any_positive_boundary_window_confuses_alike(chunk4, sp):
-    # the oracle only confuses a token ending on the context edge, so the
-    # window's size past 0 changes nothing
-    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=8, seed=1))
-    runs = {}
-    for w in (0, 1, 3):
+def test_cs_boundary_errors_are_the_final_tokens_inside_the_window(sp):
+    """The boundary oracle confuses a token followed by fewer than
+    ``window`` frames of context. Fallback re-decoding heals every such
+    token mid-stream, so up to window 3 (the shortest token's frames) cs
+    errs only on an utterance whose final token ends after frame
+    ``num_frames - 1 - window``: no later audio comes to heal it. Windows 0
+    and 1 read 0, and 2 and 3 do not, at every chunk size."""
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=24, seed=0))
+    counts = []
+    for w in range(4):
         suite = make_boundary_oracle(utts, confusion_window=w)
-        runs[w] = []
-        for u in utts:
-            for name in ("ss_greedy", "cs_fallback_greedy"):
-                s = session_new(suite.bind(u.id, PARADIGM_OF[name]), chunk4,
-                                StrategyConfig(name), sp)
-                runs[w].append((run_stream(s, u.frames), s.records))
-    assert runs[1] == runs[3]
-    assert runs[1] != runs[0]  # window 1 does confuse something
+        analytic = sum(u.alignments[-1].end_frame > u.num_frames - 1 - w
+                       for u in utts)
+        for n in (4, 8, 25):
+            errors = 0
+            for u in utts:
+                s = session_new(suite.bind(u, "cs"), ChunkingConfig(n),
+                                StrategyConfig("cs_fallback_greedy"), sp)
+                hyp = run_stream(s, u.frames)
+                assert len(hyp) == len(u.tokens)
+                errors += sum(a != b for a, b in zip(hyp, u.tokens))
+            assert errors == analytic, (w, n)
+        counts.append(analytic)
+    assert counts[:2] == [0, 0] and 0 < counts[2] < counts[3] == len(utts)
 
 
 # -----------------------------

@@ -907,6 +907,87 @@ def test_lone_row_at_max_context_overflows_untouched(depth):
     assert (len(cache), cache.checksum()) == before
 
 
+# the kinds of cache ``KVCache.append`` serves: one that owns its arrays, a
+# branch before and after its first lone row (kept in the lender's spare
+# row), and a lender whose borrower is still alive
+_APPEND_KINDS = ["owned", "borrower", "borrower_kept", "lender"]
+
+
+def _cache_of_kind(kind, n, seed):
+    """A GROW_CFG-shaped cache of ``kind`` over ``n`` random rows, and the
+    other caches that share its arrays: the lender of a borrower, or the
+    borrower of a lender, which has kept its first row in the spare one
+    where there is room. The same arguments build a bit-identical twin."""
+    rng = np.random.default_rng(seed)
+    layers, d = GROW_CFG.num_layers, GROW_CFG.embed_dim
+    base = KVCache(layers, d, GROW_CFG.max_context)
+    for li in range(layers):
+        base.append(li, rng.standard_normal((n, d)), rng.standard_normal((n, d)))
+    base.advance(n)
+    if kind == "owned":
+        return base, []
+    fork = base.branch()
+    if kind != "borrower" and n < GROW_CFG.max_context:
+        for li in range(layers):
+            fork.append(li, rng.standard_normal(d), rng.standard_normal(d))
+        fork.advance(1)
+    return (base, [fork]) if kind == "lender" else (fork, [base])
+
+
+def _checksums(caches):
+    return [c.checksum() for c in caches]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(kind=st.sampled_from(_APPEND_KINDS),
+       n=st.sampled_from([0, 1, 14, 15, 16, 17, 31, 32, 33, 36]),
+       s=st.sampled_from([None, 1, 2, 3]), seed=st.integers(0, 2**16))
+def test_append_returns_the_rows_it_wrote(kind, n, s, seed):
+    """``append`` of a lone 1-D row (``s`` None) or an ``[s, d]`` span
+    writes at ``length`` and returns the layer's rows through the new ones,
+    bit for bit the cache's ``k`` and ``v`` there, for every kind of cache.
+    The rows below ``length``, and every row of the caches sharing its
+    arrays, stay as the untouched twin's."""
+    cache, others = _cache_of_kind(kind, n, seed)
+    twin, twin_others = _cache_of_kind(kind, n, seed)
+    start, d = len(cache), GROW_CFG.embed_dim
+    rng = np.random.default_rng(seed + 1)
+    shape = (d,) if s is None else (s, d)
+    got = []
+    for li in range(GROW_CFG.num_layers):
+        k, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        keys, values = cache.append(li, k, v)
+        assert keys.shape == values.shape == (start + len(np.atleast_2d(k)), d)
+        assert np.array_equal(keys[start:], np.atleast_2d(k))
+        assert np.array_equal(values[start:], np.atleast_2d(v))
+        got.append((keys, values))
+    for li, (keys, values) in enumerate(got):
+        assert np.array_equal(keys, cache.k[li][:len(keys)])
+        assert np.array_equal(values, cache.v[li][:len(values)])
+    assert _checksums(others) == _checksums(twin_others)
+    assert cache.checksum(start) == twin.checksum()
+
+
+@pytest.mark.parametrize("kind", _APPEND_KINDS)
+def test_append_past_max_context_changes_nothing(kind):
+    """A lone row at ``max_context`` raises ``ContextOverflow`` and leaves
+    the cache as its untouched twin is, in length, array shapes and
+    checksum, and so the caches sharing its arrays."""
+    n = GROW_CFG.max_context - (kind == "borrower_kept")
+    cache, others = _cache_of_kind(kind, n, 0)
+    twin, twin_others = _cache_of_kind(kind, n, 0)
+    assert len(cache) == GROW_CFG.max_context
+    row = np.ones(GROW_CFG.embed_dim)
+    for li in range(GROW_CFG.num_layers):
+        with pytest.raises(ContextOverflow):
+            cache.append(li, row, row)
+    assert _checksums(others) == _checksums(twin_others)
+    assert len(cache) == len(twin)
+    assert [a.shape for a in cache.k + cache.v] == [
+        a.shape for a in twin.k + twin.v]
+    assert cache.checksum() == twin.checksum()
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(d=st.sampled_from([8, 12, 64]), shape=st.sampled_from(
            ["d->d", "d->2d", "2d->d", "d->vocab"]),
