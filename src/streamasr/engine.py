@@ -273,12 +273,16 @@ class StreamingSession:
 
     def _fwd(self, cache, items: Sequence[Position | SpeechSpan],
              bucket: str) -> np.ndarray:
-        logits = self.model.forward(cache, items)
-        turn = self.turns[-1]
+        """Forward ``items`` onto ``cache`` and count them in the turn: a
+        prefill the positions its items appended, ``len(item)`` each, and
+        a decode its rows, one text item each."""
         if bucket == "prefill":
-            turn.prefill += sum(map(len, items))
-        else:  # decode rows are text items, one position each
-            turn.decode += len(items)
+            before = len(cache)
+            logits = self.model.forward(cache, items)
+            self.turns[-1].prefill += len(cache) - before
+        else:
+            logits = self.model.forward(cache, items)
+            self.turns[-1].decode += len(items)
         return logits
 
     def _fwd_batch(self, caches: list,
@@ -312,8 +316,7 @@ class StreamingSession:
         turn.emitted += (len(self.records),)
         if token != first:
             turn.revised += (len(self.records),)
-        rec = EmissionRecord(token=token, first_token=first, emit_chunk=k,
-                             finalize_chunk=k, revised=token != first)
+        rec = EmissionRecord(token, first, k, k, revised=token != first)
         self.records.append(rec)
         return rec
 

@@ -176,56 +176,71 @@ def assign_slots(
     """
     bounds = chunk_bounds(total_frames, cfg.chunk_frames)
     segments: list[Segment] = []
-    pending: list[int] = []
-    i = 0
+    pending: list[int] = []  # every due token; the queue is pending[head:]
+    head = i = 0
     for k, (lo, hi) in enumerate(bounds):
         while i < len(alignments) and alignments[i].end_frame < hi:
             pending.append(i)
             i += 1
         m = cfg.slots(hi - lo)
-        take, pending = pending[:m], pending[m:]
+        take = pending[head:head + m]
+        head += len(take)
         mask = masked and bool(take) and (k < len(bounds) - 1 or len(take) == m)
         if mask:
-            pending.insert(0, take[-1])
+            head -= 1  # the masked token heads the queue again
         segments.append(Segment((lo, hi), take, m, mask))
     if i < len(alignments):
         raise ValueError(
             f"token {i} ends past the stream ({alignments[i].end_frame})")
-    if pending:
-        segments.append(Segment((total_frames, total_frames), pending, len(pending)))
+    if head < len(pending):
+        segments.append(Segment((total_frames, total_frames), pending[head:],
+                                len(pending) - head))
     return segments
 
 
 def _emit(utt: Utterance, segments: list[Segment], paradigm: str) -> MixedSequence:
-    """Lay out positions and teacher-forcing targets from the segments. The
-    positions are shared frozen values, in a list of the layout's own."""
-    positions: list[Position] = []
-    ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    # Per position: the token a text slot stands for (a masked slot's hidden
-    # token, pad for filler); None for speech.
-    original: list[int | None] = []
-    for seg in segments:
-        s_lo = len(positions)
-        positions += _speech_run(*seg.frames)
-        t_lo = len(positions)
-        toks = [utt.tokens[o] for o in seg.tokens]
-        fill = [PAD] * (seg.slots - len(toks))
-        shown = toks[:-1] + [PAD] if seg.masked else toks
-        positions += map(text, shown + fill)
-        original.extend([None] * (t_lo - s_lo) + toks + fill)
-        ranges.append(((s_lo, t_lo), (t_lo, len(positions))))
-    original.append(None)  # nothing follows the last position
+    """Lay out positions and teacher-forcing targets from the segments, one
+    segment at a time. The positions are shared frozen values, in a list of
+    the layout's own.
 
-    # A chunk's last speech predicts its first slot. A token slot predicts
-    # the slot after it, or pad (the turn-stop) before speech and at the
-    # end. Filler, the slots past a segment's tokens, carries no loss.
-    targets: list[int | None] = [None] * len(positions)
-    for seg, ((s_lo, t_lo), _) in zip(segments, ranges):
-        if t_lo > s_lo:
-            targets[t_lo - 1] = original[t_lo]
-        for p in range(t_lo, t_lo + len(seg.tokens)):
-            nxt = original[p + 1]
-            targets[p] = PAD if nxt is None else nxt
+    A chunk's last speech predicts its first slot: its first token (a
+    masked one's hidden token), or pad. A token slot predicts the token
+    after it; the last one predicts pad (the turn-stop) before filler,
+    speech and at the end, and the flush's first token before the flush.
+    Filler, the slots past a segment's tokens, carries no loss.
+    """
+    positions: list[Position] = []
+    targets: list[int | None] = []
+    ranges: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    tokens, pad = utt.tokens, text(PAD)
+    end = 0  # the positions laid out so far
+    for k, seg in enumerate(segments):
+        lo, hi = seg.frames
+        s_lo, t_lo = end, end + hi - lo
+        end = t_lo + seg.slots
+        ranges.append(((s_lo, t_lo), (t_lo, end)))
+        toks = [tokens[o] for o in seg.tokens]
+        fill = seg.slots - len(toks)
+        if hi > lo:
+            positions += _speech_run(lo, hi)
+            targets += [None] * (hi - lo - 1)
+            targets.append(toks[0] if toks else PAD)
+        if toks:
+            if seg.masked:
+                positions += map(text, toks[:-1])
+                positions.append(pad)
+            else:
+                positions += map(text, toks)
+            after = PAD
+            if not fill and k + 1 < len(segments):
+                nxt = segments[k + 1]
+                if nxt.frames[0] == nxt.frames[1]:  # the flush
+                    after = tokens[nxt.tokens[0]]
+            targets += toks[1:]
+            targets.append(after)
+        if fill:
+            positions += [pad] * fill
+            targets += [None] * fill
 
     if paradigm == "ss" and segments:
         # Exactly one eos: on the final segment's last token, or on its last

@@ -31,7 +31,9 @@ and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
 
 Both oracles share one ``forward`` and reply with a window of one
 read-only logits vector rather than a fresh row, so callers must never
-write into the logits they get.
+write into the logits they get. The vector and its V reply windows are
+built once per vocabulary (by a ``BoundaryOracleSuite`` as it is built)
+and shared by every oracle of that vocabulary.
 
 Caches are append-only below their newest chunk mark. ``mark_chunk``
 seals the checksum of the prefix there, rollback below the mark raises,
@@ -46,6 +48,7 @@ copies nothing, and beam search pays for the hypotheses that go on.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import weakref
@@ -109,7 +112,7 @@ class SpeechSpan:
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.ndim(self.frames) != 2:
+        if getattr(self.frames, "ndim", None) != 2:
             raise ValueError("a SpeechSpan's frames must be [n, frame_dim]")
 
     def __len__(self) -> int:
@@ -167,12 +170,16 @@ class AdapterParams:
 
 
 def adapter_forward(frame: np.ndarray, params: AdapterParams) -> np.ndarray:
-    """Two linear layers with a ReLU between: frame vectors to embedding space."""
+    """Two linear layers with a ReLU between: frame vectors to embedding
+    space. A frame of the wrong dimension, or with a value that is NaN or
+    infinite, raises ``ValueError``."""
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] != params.w1.shape[1]:
         raise ValueError(
             f"frame dim {frame.shape[-1]} != adapter input {params.w1.shape[1]}"
         )
+    if not np.isfinite(frame).all():
+        raise ValueError("frames must be finite")
     h = np.maximum(frame @ params.w1.T + params.b1, 0.0)
     return h @ params.w2.T + params.b2
 
@@ -309,7 +316,7 @@ class _MarkedCache:
     def mark_chunk(self) -> None:
         """Seal the current length: nothing below it may change again."""
         self.mark = len(self)
-        self.sealed = self.checksum(self.mark)
+        self.sealed = self.checksum()
 
     def _check_target(self, n: int, what: str) -> None:
         """A rollback or checksum target must lie within 0..len(self)."""
@@ -507,10 +514,13 @@ class SymbolicCache(_MarkedCache):
 
     Two typed logs, ``kinds`` (a ``bytearray`` of ``b"s"``/``b"t"``) and
     ``values`` (an ``array("q")``), hashed in place by ``checksum`` and
-    copied and cut in C; a ``SpeechSpan`` lands in both in C too. An oracle
-    reads the running ``real_count`` (real text tokens) and ``max_frame``
-    (highest speech frame, -1 before any); ``mark_chunk`` saves both, so a
-    rollback recounts them from the mark.
+    copied and cut in C; a ``SpeechSpan`` lands in both in C too, and a
+    lone text ``Position``, a decode step's whole call, without the item
+    loop. ``checksum()`` of the whole log, the one ``mark_chunk`` seals,
+    hashes both logs without slicing them. An oracle reads the running
+    ``real_count`` (real text tokens) and ``max_frame`` (highest speech
+    frame, -1 before any); ``mark_chunk`` saves both, so a rollback
+    recounts them from the mark.
     """
 
     def __init__(self) -> None:
@@ -525,6 +535,16 @@ class SymbolicCache(_MarkedCache):
         return len(self.values)
 
     def append_items(self, items: Sequence[Position | SpeechSpan]) -> None:
+        if len(items) == 1 and type(items[0]) is Position:
+            # a lone text row, every decode step's call, skips the loop
+            pos = items[0]
+            if pos.kind != "t":
+                raise _not_speech(pos)
+            self.kinds += b"t"
+            self.values.append(pos.value)
+            if pos.value >= FIRST_TEXT_ID:
+                self.real_count += 1
+            return
         kinds, values = self.kinds, self.values
         real, edge = self.real_count, self.max_frame
         base = len(values)
@@ -552,13 +572,15 @@ class SymbolicCache(_MarkedCache):
 
     def _truncate(self, n: int) -> None:
         del self.kinds[n:], self.values[n:]
-        # from the values saved at the mark, recount what lies past it
+        # from the values saved at the mark, recount what lies past it:
+        # nothing after a rewind, which cuts to the mark
         real, edge = self._at_mark
-        for kind, value in zip(self.kinds[self.mark:], self.values[self.mark:]):
-            if kind == _SPEECH:
-                edge = max(edge, value)
-            elif value >= FIRST_TEXT_ID:
-                real += 1
+        if n > self.mark:
+            for kind, value in zip(self.kinds[self.mark:], self.values[self.mark:]):
+                if kind == _SPEECH:
+                    edge = max(edge, value)
+                elif value >= FIRST_TEXT_ID:
+                    real += 1
         self.real_count, self.max_frame = real, edge
 
     def branch(self) -> "SymbolicCache":
@@ -571,12 +593,14 @@ class SymbolicCache(_MarkedCache):
         return other
 
     def checksum(self, upto: int | None = None) -> int:
-        n = len(self.values) if upto is None else upto
-        self._check_target(n, "checksum upto")
         # the UTF-8 of the joined kinds, then the fixed-width values: the
-        # hashed bytes determine the prefix; re-hashed on every call
-        kinds = zlib.crc32(memoryview(self.kinds)[:n])
-        return zlib.crc32(memoryview(self.values)[:n], kinds)
+        # hashed bytes determine the prefix; re-hashed on every call, and
+        # the whole log, which every mark_chunk seals, in place
+        if upto is None:
+            return zlib.crc32(self.values, zlib.crc32(self.kinds))
+        self._check_target(upto, "checksum upto")
+        kinds = zlib.crc32(memoryview(self.kinds)[:upto])
+        return zlib.crc32(memoryview(self.values)[:upto], kinds)
 
 
 # --------------------------------------------------------------------------
@@ -839,13 +863,22 @@ def _one_hot_logits(rows: np.ndarray, token_id: int) -> np.ndarray:
     return rows[v - 1 - token_id : 2 * v - 1 - token_id]
 
 
+@functools.cache
+def _reply_table(vocab_size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The ``_one_hot_rows`` vector of a vocabulary and its reply windows,
+    token t's at index t: built once per vocabulary, shared by every
+    replay oracle of it."""
+    rows = _one_hot_rows(vocab_size)
+    return rows, tuple(_one_hot_logits(rows, t) for t in range(vocab_size))
+
+
 class _ReplayOracle:
     """The replay oracles' shared contract: a symbolic cache, and after the
     items land, the one-hot logits of the token ``_reply`` reads off it."""
 
     def __init__(self, vocab_size: int):
         self.vocab_size = vocab_size
-        self._rows = _one_hot_rows(vocab_size)
+        self._rows, self._windows = _reply_table(vocab_size)
 
     def new_cache(self) -> SymbolicCache:
         return SymbolicCache()
@@ -853,7 +886,11 @@ class _ReplayOracle:
     def forward(self, cache: SymbolicCache,
                 items: Sequence[Position | SpeechSpan]) -> np.ndarray:
         cache.append_items(items)
-        return _one_hot_logits(self._rows, self._reply(cache))
+        t = self._reply(cache)
+        if not 0 <= t < self.vocab_size:  # a negative id must not wrap
+            raise IndexError(
+                f"token id {t} outside a vocabulary of {self.vocab_size}")
+        return self._windows[t]
 
 
 class TeacherOracle(_ReplayOracle):
@@ -912,22 +949,19 @@ class BoundaryOracle(_ReplayOracle):
         self.paradigm = paradigm
         self.window = confusion_window
         self._confuse = default_confusable_map(vocab_size)
-
-    def _stop_token(self, utterance_done: bool) -> int:
-        if self.paradigm == "ns":
-            return EOS
-        if self.paradigm == "cs":
-            return PAD
-        return EOS if utterance_done else PAD
+        # the stop while the next token is not yet audible, and once the
+        # utterance is done
+        self._wait_stop = EOS if paradigm == "ns" else PAD
+        self._done_stop = PAD if paradigm == "cs" else EOS
 
     def _reply(self, cache: SymbolicCache) -> int:
         o = cache.real_count
         if o >= len(self.utt.tokens):
-            return self._stop_token(True)
+            return self._done_stop
         end = self.utt.alignments[o].end_frame
         edge = cache.max_frame
         if end > edge:  # not yet audible: wait for more speech
-            return self._stop_token(False)
+            return self._wait_stop
         tok = self.utt.tokens[o]
         # end <= edge here: confused while fewer than ``window`` frames of
         # speech follow the token, the stream's end no exception
@@ -947,6 +981,7 @@ class BoundaryOracleSuite:
         self.by_id = {u.id: u for u in utts}
         self.window = confusion_window
         self.vocab_size = vocab_size
+        _reply_table(vocab_size)  # every bind shares the table built here
 
     def bind(self, utt: Utterance | str, paradigm: str) -> BoundaryOracle:
         u = self.by_id[utt] if isinstance(utt, str) else utt

@@ -159,6 +159,29 @@ def test_rows_without_columns_are_rejected(name, chunk4):
     assert s.finished and s.turns[0].frames == (0, 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_a_non_finite_frame_raises_on_the_toy(name, bad):
+    """A NaN or infinite frame raises in the toy's forward before it
+    appends anything, on a stream's first chunk and on a later one; it used
+    to reach the logits and decode an empty hypothesis without a word."""
+    width = 3 if name.endswith("_beam") else 1
+    model = ToyDecoder(ModelConfig())
+    frames = _frames(4)
+    frames[1, 2] = bad
+    for good_chunks in (0, 1):
+        s = session_new(model, ChunkingConfig(4),
+                        StrategyConfig(name, beam_width=width), SP)
+        for _ in range(good_chunks):
+            push_chunk(s, _frames(4))
+        cached = len(s.cache)
+        with pytest.raises(ValueError, match="frames must be finite"):
+            push_chunk(s, frames, is_last=True)
+        # a context-aware turn has rewound, a re-decoding one emptied the cache
+        assert len(s.cache) <= cached
+        assert s.turns[-1].prefill == 0
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_final_turn_stops_at_the_cap(name, cap):

@@ -149,6 +149,26 @@ def test_adapter_maps_frame_to_embed_dim():
     assert np.isfinite(out).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_adapter_rejects_a_non_finite_frame(bad):
+    """A NaN or infinite frame value raises where the toy first reads frame
+    values; past the adapter it would turn every logit NaN."""
+    rng = np.random.default_rng(0)
+    p = AdapterParams(
+        w1=rng.standard_normal((8, 4)), b1=np.zeros(8),
+        w2=rng.standard_normal((6, 8)), b2=np.zeros(6),
+    )
+    frames = rng.standard_normal((3, 4))
+    frames[1, 2] = bad
+    with pytest.raises(ValueError, match="frames must be finite"):
+        adapter_forward(frames, p)
+    m = ToyDecoder(CFG)
+    cache = m.new_cache()
+    with pytest.raises(ValueError, match="frames must be finite"):
+        m.forward(cache, [text(4), SpeechSpan(0, frames)])
+    assert len(cache) == 0
+
+
 def test_param_count_matches_parameters():
     from streamasr.model import _param_blocks
 
@@ -1229,6 +1249,42 @@ def test_symbolic_checksum_hashes_the_same_bytes_as_the_joined_kinds(ops):
             assert cache.checksum(n) == _joined_checksum(kinds, values, n)
 
 
+def _symbolic_state(cache):
+    return (bytes(cache.kinds), cache.values.tolist(), cache.real_count,
+            cache.max_frame)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.builds(text, st.integers(0, 12)),
+                          st.builds(_speech, st.integers(0, 60),
+                                    st.integers(0, 4))), max_size=12),
+       st.integers(0, 60), st.data())
+def test_a_lone_text_row_lands_as_the_item_loop_lands_it(items, frame, data):
+    """Text ids (the specials included) and spans (empty ones included),
+    given one per call, which sends a lone text row past the item loop,
+    or all in one call: both caches end with the same logs, counts and
+    prefix checksums. A stray speech ``Position`` raises on both paths and
+    leaves the cache as it was."""
+    lone, loop = SymbolicCache(), SymbolicCache()
+    for it in items:
+        lone.append_items([it])
+    loop.append_items(items)
+    assert _symbolic_state(lone) == _symbolic_state(loop)
+    for n in range(len(loop) + 1):
+        assert lone.checksum(n) == loop.checksum(n)
+    assert lone.checksum() == loop.checksum()
+
+    stray = speech(frame)
+    before = _symbolic_state(lone)
+    with pytest.raises(ValueError, match="SpeechSpan"):
+        lone.append_items([stray])
+    assert _symbolic_state(lone) == before
+    at = data.draw(st.integers(0, len(items)))
+    with pytest.raises(ValueError, match="SpeechSpan"):
+        loop.append_items(items[:at] + [stray] + items[at:])
+    assert _symbolic_state(loop) == before
+
+
 def test_symbolic_cache_footprint_per_position(sp):
     """6,000 mixed positions, appended a chunk at a time as the engine
     does, cost at most 16 bytes each: one byte of kind, eight of value,
@@ -1285,6 +1341,33 @@ def test_one_hot_windows_are_read_only_one_hot_rows():
         for t in (-v, -1, v, v + 3):
             with pytest.raises(IndexError):
                 _one_hot_logits(rows, t)
+
+
+def test_replay_oracles_share_one_reply_table(edge_example, running_example,
+                                             monkeypatch):
+    """Two binds of one suite and a teacher of the same vocabulary hold one
+    table, built with the suite. Every ``forward`` replies with a
+    read-only window of it equal to ``_one_hot_logits``, and a reply
+    outside the vocabulary raises ``IndexError``, a negative one too."""
+    suite = make_boundary_oracle([edge_example, running_example], 1)
+    oracles = [suite.bind(edge_example, "cs"), suite.bind(running_example, "ss"),
+               TeacherOracle(build_ss(running_example, ChunkingConfig(4)))]
+    rows = oracles[0]._rows
+    assert all(o._rows is rows and o._windows is oracles[0]._windows
+               for o in oracles)
+    assert np.array_equal(rows, _one_hot_rows(32))
+    small = TeacherOracle(build_ns(running_example), vocab_size=16)
+    assert small._rows is not rows and len(small._windows) == 16
+    for oracle in oracles:
+        for t in range(32):
+            monkeypatch.setattr(oracle, "_reply", lambda cache, t=t: t)
+            got = oracle.forward(oracle.new_cache(), [text(4)])
+            assert got.base is rows and not got.flags.writeable
+            assert np.array_equal(got, _one_hot_logits(rows, t))
+        for t in (-1, 32):
+            monkeypatch.setattr(oracle, "_reply", lambda cache, t=t: t)
+            with pytest.raises(IndexError, match="outside a vocabulary"):
+                oracle.forward(oracle.new_cache(), [text(4)])
 
 
 def test_confusable_map_never_identity(sp):
