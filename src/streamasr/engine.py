@@ -410,10 +410,12 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
     width = session.strategy.beam_width
     children: list[_Hyp] = []
     grown: list[_Hyp] = []
-    for hyp in frontier:
-        lps = _log_softmax(hyp.logits)
-        for t in (int(x) for x in np.argsort(-lps, kind="stable")[:width]):
-            lp = hyp.lp + float(lps[t])
+    # the whole frontier at once: each row reduces and sorts alone
+    lps = _log_softmax(np.array([hyp.logits for hyp in frontier]))
+    best = np.argsort(-lps, axis=-1, kind="stable")[:, :width].tolist()
+    for hyp, row, tokens in zip(frontier, lps.tolist(), best):
+        for t in tokens:
+            lp = hyp.lp + row[t]
             if t == PAD or t == EOS:
                 pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.cache,
                                  stopped_via=t))
@@ -587,12 +589,15 @@ def _push_ns(session: StreamingSession, frames: np.ndarray,
              is_last: bool) -> list[EmissionRecord]:
     turns, st = session.turns, session.strategy
     turn, k = turns[-1], len(turns) - 1
+    spans = session.ns_items
     if len(frames):
-        session.ns_items.append(SpeechSpan(turn.frames[0], frames))
+        spans = spans + [SpeechSpan(turn.frames[0], frames)]
     cache = session.cache
     cache.rollback(0)  # a fresh decode, not a fallback: rolled_back stays None
-    logits = session._fwd(cache, session.ns_items + [text_pos(SOS)],
-                          "prefill")
+    logits = session._fwd(cache, spans + [text_pos(SOS)], "prefill")
+    # a chunk joins the history only once its forward has run, so one that
+    # raises does not fail every later turn
+    session.ns_items = spans
     hyp = _greedy(session, cache, logits, st.max_decode_per_turn)[0]
     turn.tokens = tuple(hyp)
 

@@ -19,8 +19,12 @@ and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
   position embeddings keep chunked and one-shot forwards equivalent. Depth 0
   degenerates to output-projected input embeddings. One layer body serves
   a span on one cache and one row on each of many: layer norm, one fused
-  Q/K/V projection and FFN over all rows, attention per cache. A one-row
-  span attends in one lean step, as 1-D vectors when alone, bit for bit.
+  Q/K/V projection and FFN over all rows. A span attends on its cache, and
+  a lone row in one lean step as 1-D vectors. One row on each of many
+  caches runs the score and value matmuls per cache and one softmax per
+  layer for each group of rows at one cache length; it appends each row
+  twice, as branches of one parent share the parent's spare row. Every
+  path is the lone step's arithmetic bit for bit.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -412,7 +416,9 @@ class KVCache(_MarkedCache):
         as 1-D vectors or a span as ``[s, d]``, and return the layer's key
         and value rows through the new ones; ``advance`` then counts them.
         Past ``max_context`` it raises ``ContextOverflow`` and changes
-        nothing."""
+        nothing. A second identical ``append`` before ``advance`` rewrites
+        the same rows, and leaves the cache, and every cache sharing its
+        arrays, as one ``append`` would."""
         start = self.length
         end = start + (1 if k.ndim == 1 else k.shape[0])
         if end > self.max_context:
@@ -702,16 +708,22 @@ class ToyDecoder:
 
         One cache takes every row, or each of several caches takes one row,
         row i on cache i. Layer norm, projections and FFN run over all rows
-        at once, attention per cache over the rows its ``append`` returns. A
-        lone row on a cache is its newest and sees every key, so it takes
-        ``_step``, as a 1-D vector when it is alone: the same arithmetic bit
-        for bit, with less numpy overhead.
+        at once, attention over the rows each cache's ``append`` returns. A
+        lone row is its cache's newest and sees every key, so it takes
+        ``_step`` as a 1-D vector. One row on each of several caches takes
+        ``_attend_rows``: one softmax per layer for each group of rows whose
+        caches have one length, the score and value matmuls per cache. Both
+        are ``_step``'s arithmetic bit for bit, with less numpy overhead.
         """
         n = x.shape[0]
         if n == 1:
             x = x[0]
         elif len(caches) == 1:  # True = hidden; every layer sees the same keys
             hidden = ~build_attention_mask(n, len(caches[0]) + n)
+        else:  # the rows of each cache length, which attend as one group
+            groups: dict[int, list[int]] = {}
+            for i, cache in enumerate(caches):
+                groups.setdefault(len(cache), []).append(i)
         for li, (g1, b1, wqkv, bqkv, wo, bo,
                  g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
             qkv = _layer_norm(x, g1, b1).dot(wqkv)
@@ -721,8 +733,7 @@ class ToyDecoder:
             elif len(caches) == 1:
                 ctx = self._attend(caches[0], li, qkv, hidden)
             else:
-                ctx = np.array([self._step(cache, li, row)
-                                for cache, row in zip(caches, qkv)])
+                ctx = self._attend_rows(caches, li, qkv, groups)
             x = x + ctx.dot(wo) + bo
             f = _layer_norm(x, g2, b2).dot(w1)
             f += fb1
@@ -742,7 +753,37 @@ class ToyDecoder:
         scores = qkv[:d].reshape(h_count, 1, dh) @ \
             keys.reshape(n, h_count, dh).transpose(1, 2, 0)
         vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
-        return self._softmax_times(scores, vh).reshape(d)
+        return (self._softmax(scores) @ vh).reshape(d)
+
+    def _attend_rows(self, caches: list[KVCache], li: int, qkv: np.ndarray,
+                     groups: dict[int, list[int]]) -> np.ndarray:
+        """``_step`` for row i of ``qkv`` on ``caches[i]``, every i, with
+        one softmax for each of ``groups``, the rows whose caches have one
+        length. Each row is appended twice, for its keys and again for its
+        values: the branches of one parent all write their row into the
+        parent's one spare row, so a sibling's append overwrites the rows
+        the first ``append`` returned, and the second writes this row back
+        before ``advance`` counts it."""
+        d, h_count, dh, _ = self._heads
+        ctx = np.empty((len(caches), d))
+        heads = ctx.reshape(len(caches), h_count, 1, dh)
+        q = qkv[:, :d].reshape(len(caches), h_count, 1, dh)
+        k, v = qkv[:, d:2 * d], qkv[:, 2 * d:]
+        for length, rows in groups.items():
+            n = length + 1
+            scores = np.empty((len(rows), h_count, 1, n))
+            for i, score in zip(rows, scores):
+                keys = caches[i].append(li, k[i], v[i])[0]
+                np.matmul(q[i],
+                          keys.reshape(n, h_count, dh).transpose(1, 2, 0),
+                          out=score)
+            self._softmax(scores)
+            for i, score in zip(rows, scores):
+                values = caches[i].append(li, k[i], v[i])[1]
+                np.matmul(score,
+                          values.reshape(n, h_count, dh).transpose(1, 0, 2),
+                          out=heads[i])
+        return ctx
 
     def _attend(self, cache: KVCache, li: int, qkv: np.ndarray,
                 hidden: np.ndarray) -> np.ndarray:
@@ -757,15 +798,17 @@ class ToyDecoder:
         vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
         scores = qkv[:, :d].reshape(s, h_count, dh).transpose(1, 0, 2) @ kt
         np.copyto(scores, -np.inf, where=hidden)
-        return self._softmax_times(scores, vh).transpose(1, 0, 2).reshape(s, d)
+        return (self._softmax(scores) @ vh).transpose(1, 0, 2).reshape(s, d)
 
-    def _softmax_times(self, scores: np.ndarray, vh: np.ndarray) -> np.ndarray:
-        # scale and softmax in place, through the loops ndarray.max and .sum run
+    def _softmax(self, scores: np.ndarray) -> np.ndarray:
+        # scale and softmax over the last axis in place, through the loops
+        # ndarray.max and .sum run: each row reduces alone, so a stack of
+        # rows reads as each row would
         scores /= self._heads[3]
         scores -= np.maximum.reduce(scores, -1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= np.add.reduce(scores, -1, keepdims=True)
-        return scores @ vh
+        return scores
 
     def forward_embedded(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Append the embedded span to the cache, return logits for each row."""

@@ -182,6 +182,28 @@ def test_a_non_finite_frame_raises_on_the_toy(name, bad):
         assert s.turns[-1].prefill == 0
 
 
+@pytest.mark.parametrize("name", ["ns_redecode_hold_n",
+                                  "ns_redecode_local_agreement",
+                                  "ns_redecode_wait_k", "cs_fallback_greedy"])
+def test_a_failed_chunk_does_not_fail_the_next_one(name):
+    """A chunk whose forward raises leaves nothing behind that the next
+    turn forwards: after a NaN in the first chunk, a clean chunk decodes,
+    and a re-decoding turn prefills only the clean chunk and ``SOS``."""
+    s = session_new(ToyDecoder(ModelConfig()), ChunkingConfig(4),
+                    StrategyConfig(name))
+    bad = _frames(4)
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="frames must be finite"):
+        push_chunk(s, bad)
+    push_chunk(s, _frames(4))
+    assert s.turns[-1].frames == (4, 8)
+    if PARADIGM_OF[name] == "ns":
+        assert s.turns[-1].prefill == 4 + 1
+        assert [(sp_.start, len(sp_)) for sp_ in s.ns_items] == [(4, 4)]
+    else:
+        assert s.turns[-1].prefill > 0
+
+
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 6])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_final_turn_stops_at_the_cap(name, cap):
@@ -699,6 +721,41 @@ def test_a_pruned_beam_child_allocates_no_rows(sp):
         tracemalloc.stop()
     assert peak < len(s.cache) * cfg.embed_dim * 8
     assert s.cache.checksum() == sealed
+
+
+def test_stacked_frontier_scoring_matches_per_hypothesis(sp):
+    """A beam step scores its whole frontier with one log-softmax and one
+    stable argsort over the stacked logits; every expansion gets the token
+    and the log probability, bit for bit, that each hypothesis's own
+    ``_log_softmax`` and stable argsort give it, exact ties included."""
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        width = int(rng.integers(1, 6))
+        s = session_new(Scripted({}), ChunkingConfig(4), StrategyConfig(
+            "cs_fallback_beam", beam_width=width), sp)
+        s.turns.append(engine.TurnRecord((0, 4), False, 2))
+        frontier = []
+        for i in range(int(rng.integers(1, 5))):
+            # the first trials tie everywhere, small integers tie often
+            if trial < 10:
+                logits = np.zeros(Scripted.vocab_size)
+            elif trial % 2:
+                logits = rng.integers(-2, 3, Scripted.vocab_size) * 1.0
+            else:
+                logits = rng.standard_normal(Scripted.vocab_size)
+            frontier.append(engine._Hyp([10 + i], float(rng.normal()),
+                                        logits, s.cache.branch()))
+        want = {}
+        for hyp in frontier:
+            lps = _log_softmax(hyp.logits)
+            for t in np.argsort(-lps, kind="stable")[:width]:
+                want[(hyp.tokens[0], int(t))] = hyp.lp + float(lps[t])
+        pool = []
+        children = engine._beam_step(s, frontier, pool, limit=100)
+        got = {(h.tokens[0], h.tokens[-1] if h.stopped_via is None
+                else h.stopped_via): h.lp for h in children + pool}
+        assert len(children) + len(pool) == len(want)
+        assert got == want
 
 
 def test_beam_runs_wider(edge_example, chunk4, sp):

@@ -601,7 +601,8 @@ def _eager_copy(cache):
     """A cache with ``cache``'s rows, mark and seal in arrays of its own,
     copied row by row through the public API rather than by ``branch``."""
     n = len(cache)
-    copy = KVCache(len(cache.k), GROW_CFG.embed_dim, cache.max_context)
+    width = cache.k[0].shape[1] if cache.k else 0
+    copy = KVCache(len(cache.k), width, cache.max_context)
     for li, (k, v) in enumerate(zip(cache.k, cache.v)):
         copy.append(li, k[:n], v[:n])
     copy.advance(n)
@@ -898,6 +899,54 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
     assert all(_same_rows(c, r) for c, r in zip(caches, refs))
 
 
+@settings(max_examples=80, deadline=None, database=None)
+@given(depth=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
+       d=st.sampled_from([8, 12, 16, 32, 64]),
+       groups=st.lists(st.tuples(_EDGE_LENGTHS, st.integers(1, 3),
+                                 st.booleans()), min_size=1, max_size=4),
+       seed=st.integers(0, 2**16))
+def test_grouped_attention_is_bit_identical_to_the_reference(
+        depth, heads, d, groups, seed):
+    """One ``forward_batch`` over a shuffled mix of sibling groups (two or
+    more branches of one parent, whose rows all go into the parent's one
+    spare row), unrelated caches of one length, and caches of other
+    lengths either side of 16 and 32 rows, gives the logits and appends
+    the K/V rows the all-2-D reference does on eager copies, bit for
+    bit. The reference projects Q, K and V apart, and OpenBLAS rounds
+    that as the fused projection only up to 6 rows at d 64 and 12 at
+    d 32, so a batch stays within that."""
+    m = _exact_model(depth, heads, d)
+    room = 6 if d == 64 else 12
+    caches, refs = [], []
+    for j, (n, count, siblings) in enumerate(groups):
+        room -= count + siblings
+        if room < 0:
+            break
+        if siblings:
+            parent = m.new_cache()
+            if n:
+                m.forward(parent, _random_span(m, n, seed + j))
+            refs += [_eager_copy(parent) for _ in range(count + 1)]
+            caches += [parent.branch() for _ in range(count + 1)]
+            continue
+        for c in range(count):
+            cache = m.new_cache()
+            if n:
+                m.forward(cache, _random_span(m, n, seed + 8 * j + c))
+            refs.append(_eager_copy(cache))
+            caches.append(cache)
+    order = np.random.default_rng(seed).permutation(len(caches))
+    caches = [caches[i] for i in order]
+    refs = [refs[i] for i in order]
+    items = _random_text(m, len(caches), seed)
+    x = m._embed(items, [len(r) for r in refs])
+    got = m.forward_batch(caches, items)
+    want = _reference_layers(
+        m, x, [(r, slice(i, i + 1)) for i, r in enumerate(refs)])
+    assert np.array_equal(got, want)
+    assert all(_same_rows(c, r) for c, r in zip(caches, refs))
+
+
 def test_branch_reserves_one_more_row_and_little_else():
     """A branch holds room for the next row, so a beam child's one-row
     forward does not regrow it, and reserves under 16 rows past that."""
@@ -1006,6 +1055,38 @@ def test_append_past_max_context_changes_nothing(kind):
     assert [a.shape for a in cache.k + cache.v] == [
         a.shape for a in twin.k + twin.v]
     assert cache.checksum() == twin.checksum()
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(["owned", "borrower", "lender"]),
+       n=st.sampled_from([0, 1, 14, 15, 16, 17, 31, 32, 33, 36]),
+       seed=st.integers(0, 2**16))
+def test_a_repeated_append_rewrites_the_same_row(kind, n, seed):
+    """Two identical one-row ``append``s before ``advance`` leave a cache
+    as one leaves its twin, which grouped attention relies on: the same
+    returned rows and kept row, and after ``advance`` the same rows and
+    checksums, in it and in every cache sharing its arrays."""
+    cache, others = _cache_of_kind(kind, n, seed)
+    twin, twin_others = _cache_of_kind(kind, n, seed)
+    rng = np.random.default_rng(seed + 1)
+    d = GROW_CFG.embed_dim
+    for li in range(GROW_CFG.num_layers):
+        k, v = rng.standard_normal(d), rng.standard_normal(d)
+        first = [a.copy() for a in cache.append(li, k, v)]
+        again = cache.append(li, k, v)
+        once = twin.append(li, k, v)
+        for a, b, c in zip(first, again, once):
+            assert np.array_equal(a, b) and np.array_equal(b, c)
+    kept = [{li: np.concatenate(row) for li, row in c._kept.items()}
+            for c in (cache, twin)]
+    assert kept[0].keys() == kept[1].keys()
+    assert all(np.array_equal(kept[0][li], kept[1][li]) for li in kept[0])
+    cache.advance(1)
+    twin.advance(1)
+    assert _checksums(others) == _checksums(twin_others)
+    assert cache.checksum() == twin.checksum()
+    assert _same_rows(cache, twin)
+    assert all(_same_rows(a, b) for a, b in zip(others, twin_others))
 
 
 @settings(max_examples=200, deadline=None, database=None)
