@@ -22,9 +22,9 @@ and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
   Q/K/V projection and FFN over all rows. A span attends on its cache, and
   a lone row in one lean step as 1-D vectors. One row on each of many
   caches runs the score and value matmuls per cache and one softmax per
-  layer for each group of rows at one cache length; it appends each row
-  twice, as branches of one parent share the parent's spare row. Every
-  path is the lone step's arithmetic bit for bit.
+  layer for each group of rows at one cache length, and reads each
+  cache's rows again for the value pass, as the caches of one beam share
+  a row store. Every path is the lone step's arithmetic bit for bit.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -43,11 +43,11 @@ Caches are append-only below their newest chunk mark. ``mark_chunk``
 seals the checksum of the prefix there, rollback below the mark raises,
 and ``rewind`` proves the prefix unchanged before it truncates to the
 mark. A ``KVCache`` grows its per-layer arrays on demand rather than
-reserving ``max_context`` rows up front. A branch borrows its parent's
-arrays: its first one-row append goes into the parent's spare row and is
-kept, and it copies the live rows, into a reserve rounded up to 16, only
-when it is used again. So a beam child pruned after its one forward
-copies nothing, and beam search pays for the hypotheses that go on.
+reserving ``max_context`` rows up front. A branch copies nothing: every
+cache branched from one lender reads the lender's arrays as one row
+store, and keeps only the rows it appended itself, which it writes back
+into the store's spare rows before it reads. So beam search copies no
+prefix per hypothesis.
 """
 
 from __future__ import annotations
@@ -351,14 +351,17 @@ class _MarkedCache:
 
 
 class _Loan:
-    """The length a ``KVCache`` lent its arrays at. Its borrowers hold it
-    and the lender only a weak reference, so the lender can tell whether a
-    borrower still reads its rows."""
+    """A row store's bookkeeping: the length it was lent at, which no
+    reader writes below, the readers still alive, and per layer the suffix
+    whose rows stand past that length. The store itself is the lender's
+    per-layer arrays, held by every reader as the same two lists."""
 
-    __slots__ = ("length", "__weakref__")
+    __slots__ = ("length", "readers", "held")
 
-    def __init__(self, length: int) -> None:
-        self.length = length
+    def __init__(self, cache: "KVCache") -> None:
+        self.length = cache.length
+        self.readers = weakref.WeakSet([cache])
+        self.held: list[tuple | None] = [None] * len(cache._k)
 
 
 class KVCache(_MarkedCache):
@@ -373,16 +376,16 @@ class KVCache(_MarkedCache):
     to ``max_context``, so a cache costs memory in proportion to what it
     holds.
 
-    ``branch`` copies nothing: the branch borrows this cache's arrays. A
-    borrower's first one-row append writes into its lender's spare row
-    ``length``, which holds no lender data, and keeps that row, so a beam
-    child that is pruned after its one forward never has arrays of its own.
-    Anything else (a second append, ``checksum``, ``rewind``, ``rollback``,
-    ``branch`` or reading ``k`` or ``v``) first copies the borrowed rows and
-    the kept one into arrays the borrower owns, with room for one more row
-    rounded up to 16. A lender copies its own arrays before it writes, or
-    lends at another length, while a borrower still reads them; ``k`` and
-    ``v`` are always the cache's own.
+    ``branch`` copies nothing. The first branch lends this cache's arrays
+    as a row store that this cache, its branches and theirs all read, and
+    grow once for all. Each reader keeps the rows it appends past the lent
+    length as a suffix of copies, which its branches inherit, and ``rows``
+    writes them back into the store before a read. ``checksum`` reads in
+    place, and so do a ``rewind`` or ``rollback`` to the lent length or
+    below. A reader copies its rows into arrays of its own, with room for
+    one more row rounded up to 16, only to write below the lent length, to
+    cut above it, or to hand out ``k`` or ``v``, which are always the
+    cache's own; a reader that outlives all others takes the store over.
     """
 
     def __init__(self, num_layers: int, embed_dim: int, max_context: int) -> None:
@@ -392,10 +395,10 @@ class KVCache(_MarkedCache):
         rows = min(_KV_INITIAL_ROWS, max_context)
         self._k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
         self._v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
-        # None while no other cache reads these arrays; a borrower's _Loan,
-        # or a weak reference to the last _Loan this cache lent
-        self._shared: _Loan | weakref.ref | None = None
-        self._kept: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # the store this cache reads, None while its arrays are its own; and
+        # per layer the newest node (prev, start, end, k, v) of its suffix
+        self._shared: _Loan | None = None
+        self._tail: list[tuple | None] = []
 
     def __len__(self) -> int:
         return self.length
@@ -420,57 +423,74 @@ class KVCache(_MarkedCache):
         the same rows, and leaves the cache, and every cache sharing its
         arrays, as one ``append`` would."""
         start = self.length
-        end = start + (1 if k.ndim == 1 else k.shape[0])
+        end = start + 1 if k.ndim == 1 else start + k.shape[0]
+        if self._shared is None and end <= self._k[layer].shape[0]:
+            # bound here alone, so that a growth below frees each old array
+            # as it replaces it
+            keys, values = self._k[layer], self._v[layer]
+            if k.ndim == 1:  # an index writes a lone row for less than a slice
+                keys[start], values[start] = k, v
+            else:
+                keys[start:end], values[start:end] = k, v
+            return keys[:end], values[:end]
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
+        if self._shared is not None and start < self._shared.length:
+            self._own()
         loan = self._shared
-        if loan is not None:
-            if (k.ndim == 1 and type(loan) is _Loan
-                    and start == loan.length < self._k[layer].shape[0]):
-                self._kept[layer] = (k, v)
-            else:
-                self._own()
+        self.rows(layer, 0)
         if end > self._k[layer].shape[0]:
+            # a reader's arrays are the store's, so every reader sees these
             cap = _KV_INITIAL_ROWS
             while cap < end:
                 cap *= 2
             cap = min(cap, self.max_context)
-            self._k[layer] = self._grown(self._k[layer], cap)
-            self._v[layer] = self._grown(self._v[layer], cap)
+            self._k[layer] = _grown(self._k[layer], cap, start)
+            self._v[layer] = _grown(self._v[layer], cap, start)
         keys, values = self._k[layer][:end], self._v[layer][:end]
         keys[start:], values[start:] = k, v
+        if loan is not None:
+            self._tail[layer] = loan.held[layer] = (
+                self._tail[layer], start, end, k.copy(), v.copy())
         return keys, values
 
-    def _grown(self, rows: np.ndarray, cap: int,
-               n: int | None = None) -> np.ndarray:
-        """A copy of the first ``n`` rows (the live ones by default) in an
-        array of ``cap`` rows."""
-        n = self.length if n is None else n
-        out = np.empty((cap, rows.shape[1]))
-        out[:n] = rows[:n]
-        return out
+    def rows(self, layer: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``n`` key and value rows of layer ``layer`` as
+        ``append`` last returned them: a reader of a shared store first
+        writes back the part of its suffix that the store does not hold."""
+        keys, values = self._k[layer], self._v[layer]
+        loan = self._shared
+        if loan is not None and self._tail[layer] is not loan.held[layer]:
+            node, held, todo = self._tail[layer], loan.held[layer], []
+            while node is not held:
+                if held is None or node is not None and node[2] > held[2]:
+                    todo.append(node)
+                    node = node[0]
+                else:
+                    held = held[0]
+            for _, start, end, k, v in reversed(todo):
+                keys[start:end], values[start:end] = k, v
+            loan.held[layer] = self._tail[layer]
+        return keys[:n], values[:n]
 
     def _own(self) -> None:
-        """Make the arrays this cache's alone. A borrower copies the rows
-        it borrowed and the ones it kept; a lender copies its own arrays
-        while a borrower still reads them."""
-        shared = self._shared
-        if shared is None:
+        """Make the arrays this cache's alone: take the store over if no
+        other cache reads it, or else copy this cache's rows out of it."""
+        loan = self._shared
+        if loan is None:
             return
-        self._shared = None
-        if type(shared) is _Loan:
+        for layer in range(len(self._k)):
+            self.rows(layer, 0)
+        if len(loan.readers) > 1:
+            ends = [self.length if t is None else t[2] for t in self._tail]
             # room for one more row, rounded up to 16: a doubled reserve
             # costs more to allocate than it saves
-            cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
-            self._k = [self._grown(a, cap, shared.length) for a in self._k]
-            self._v = [self._grown(a, cap, shared.length) for a in self._v]
-            for layer, (k_row, v_row) in self._kept.items():
-                self._k[layer][shared.length] = k_row
-                self._v[layer][shared.length] = v_row
-            self._kept = {}
-        elif shared() is not None:
-            self._k = [self._grown(a, a.shape[0]) for a in self._k]
-            self._v = [self._grown(a, a.shape[0]) for a in self._v]
+            cap = min(-(-(max(ends, default=0) + 1) // 16) * 16,
+                      self.max_context)
+            self._k = [_grown(a, cap, n) for a, n in zip(self._k, ends)]
+            self._v = [_grown(a, cap, n) for a, n in zip(self._v, ends)]
+            loan.readers.discard(self)
+        self._shared, self._tail = None, []
 
     def advance(self, n: int) -> None:
         if self.length + n > self.max_context:
@@ -480,39 +500,53 @@ class KVCache(_MarkedCache):
         self.length += n
 
     def _truncate(self, n: int) -> None:
-        if type(self._shared) is _Loan:
+        loan = self._shared
+        if loan is not None and (n > loan.length or len(loan.readers) == 1):
             self._own()
+        elif loan is not None:
+            self._tail = [None] * len(self._tail)
         self.length = n
 
     def branch(self) -> "KVCache":
-        """A cache with this one's rows, mark and seal that borrows this
-        cache's arrays. Branches taken at one length share one ``_Loan``."""
-        if type(self._shared) is _Loan:
+        """A cache with this one's rows, mark and seal that reads them from
+        the row store this cache reads, lending its arrays as that store if
+        it reads none or is the store's last reader."""
+        loan = self._shared
+        if loan is None or len(loan.readers) == 1:
             self._own()
-        loan = self._shared() if self._shared is not None else None
-        if loan is None or loan.length != self.length:
-            # a live loan at another length reads the row a new one would write
-            self._own()
-            loan = _Loan(self.length)
-            self._shared = weakref.ref(loan)
-        other = KVCache(0, 0, self.max_context)
-        other.length = self.length
-        other._k, other._v = list(self._k), list(self._v)
-        other._shared = loan
+            loan = self._shared = _Loan(self)
+            self._tail = [None] * len(self._k)
+        other = object.__new__(KVCache)
+        other.max_context, other.length = self.max_context, self.length
+        other._k, other._v, other._shared = self._k, self._v, loan
+        other._tail = list(self._tail)
         other.mark, other.sealed = self.mark, self.sealed
+        loan.readers.add(other)
+        return other
+
+    def __deepcopy__(self, memo: dict) -> "KVCache":
+        # a copy owns its rows: a copied store would name the originals
+        # as its readers
+        other = self.branch()
+        other._own()
         return other
 
     def checksum(self, upto: int | None = None) -> int:
         n = self.length if upto is None else upto
         self._check_target(n, "checksum upto")
-        if type(self._shared) is _Loan:
-            self._own()
         # the live prefix of a C-contiguous row block is read in place
         c = 0
         for i in range(len(self._k)):
-            c = zlib.crc32(self._k[i][:n], c)
-            c = zlib.crc32(self._v[i][:n], c)
+            keys, values = self.rows(i, n)
+            c = zlib.crc32(values, zlib.crc32(keys, c))
         return c
+
+
+def _grown(rows: np.ndarray, cap: int, n: int) -> np.ndarray:
+    """A copy of the first ``n`` rows in an array of ``cap`` rows."""
+    out = np.empty((cap, rows.shape[1]))
+    out[:n] = rows[:n]
+    return out
 
 
 class SymbolicCache(_MarkedCache):
@@ -759,11 +793,10 @@ class ToyDecoder:
                      groups: dict[int, list[int]]) -> np.ndarray:
         """``_step`` for row i of ``qkv`` on ``caches[i]``, every i, with
         one softmax for each of ``groups``, the rows whose caches have one
-        length. Each row is appended twice, for its keys and again for its
-        values: the branches of one parent all write their row into the
-        parent's one spare row, so a sibling's append overwrites the rows
-        the first ``append`` returned, and the second writes this row back
-        before ``advance`` counts it."""
+        length. The caches of one beam may share a row store, so the value
+        pass reads each cache's rows again through ``rows``, which puts
+        back the ones a later row's ``append`` overwrote; it runs backwards,
+        so the last row appended has nothing to put back."""
         d, h_count, dh, _ = self._heads
         ctx = np.empty((len(caches), d))
         heads = ctx.reshape(len(caches), h_count, 1, dh)
@@ -778,8 +811,8 @@ class ToyDecoder:
                           keys.reshape(n, h_count, dh).transpose(1, 2, 0),
                           out=score)
             self._softmax(scores)
-            for i, score in zip(rows, scores):
-                values = caches[i].append(li, k[i], v[i])[1]
+            for i, score in zip(rows[::-1], scores[::-1]):
+                values = caches[i].rows(li, n)[1]
                 np.matmul(score,
                           values.reshape(n, h_count, dh).transpose(1, 0, 2),
                           out=heads[i])

@@ -51,6 +51,7 @@ from streamasr.layout import (
 )
 from streamasr.model import (
     ContextOverflow,
+    ImmutabilityViolation,
     ModelConfig,
     SpeechSpan,
     SymbolicCache,
@@ -721,6 +722,75 @@ def test_a_pruned_beam_child_allocates_no_rows(sp):
         tracemalloc.stop()
     assert peak < len(s.cache) * cfg.embed_dim * 8
     assert s.cache.checksum() == sealed
+
+
+def _beam_turn_over_100_rows(sp):
+    """A cs_fallback_beam session on beam_toy's model shape whose cache
+    holds 100 sealed speech rows, with the logits of the last one, in
+    which pad and eos cannot win, so the beam's winner is a branch."""
+    cfg = ModelConfig(vocab_size=32, embed_dim=64, num_layers=4, num_heads=4,
+                      ffn_dim=128, max_context=2048, seed=0)
+    toy = ToyDecoder(cfg)
+    s = session_new(toy, ChunkingConfig(8, speech_text_ratio=2),
+                    StrategyConfig("cs_fallback_beam", beam_width=3), sp)
+    s.turns.append(engine.TurnRecord((0, 100), False, 4))
+    frames = np.random.default_rng(1).normal(size=(100, cfg.frame_dim))
+    logits = toy.forward(s.cache, [SpeechSpan(0, frames)])
+    logits[[PAD, EOS]] = -np.inf
+    s.cache.mark_chunk()
+    return s, logits, 100 * cfg.embed_dim * 8 * 2 * cfg.num_layers
+
+
+def test_a_beam_turn_allocates_less_than_one_prefix_copy(sp):
+    """A width-3 ``beam_turn_decode`` over 100 cached rows, its steps and
+    its greedy rollout, allocates less at its peak than one copy of those
+    rows: every hypothesis reads the session cache's arrays as one shared
+    store. With the session's old cache and the losers gone, the winner's
+    rewind at the next turn takes that store over and allocates under one
+    layer's keys."""
+    s, logits, prefix = _beam_turn_over_100_rows(sp)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        winner = engine.beam_turn_decode(s, logits, budget=4)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        removed = s.cache.rewind()
+        rewind_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert s.turns[-1].decode > 3 and 0 < removed <= len(winner.tokens)
+    assert peak < prefix
+    assert rewind_peak < prefix / 8
+    assert len(s.cache) == s.cache.mark == 100
+
+
+@pytest.mark.parametrize("lender_alive", [False, True])
+@pytest.mark.parametrize("array", ["k", "v"])
+def test_an_edit_below_a_beam_winners_mark_fails_its_rewind(sp, array,
+                                                           lender_alive):
+    """verify's fault injection on a beam winner, which reads a store it
+    shares: a value below the mark changed through ``k`` or ``v`` makes
+    its ``rewind`` raise ``ImmutabilityViolation``, whether the winner
+    outlived the cache it branched from and took the store over, or
+    still shares it and edits its own copy; restoring the value lets the
+    rewind pass. The old session cache's rows never change."""
+    s, logits, _ = _beam_turn_over_100_rows(sp)
+    lender = s.cache
+    sealed = lender.checksum()
+    if not lender_alive:
+        del lender
+    engine.beam_turn_decode(s, logits, budget=4)
+    rows = getattr(s.cache, array)[2]
+    saved = rows[37, 5]
+    rows[37, 5] += 1.0
+    with pytest.raises(ImmutabilityViolation):
+        s.cache.rewind()
+    rows[37, 5] = saved
+    assert s.cache.rewind() > 0
+    if lender_alive:
+        assert lender.checksum() == sealed
 
 
 def test_stacked_frontier_scoring_matches_per_hypothesis(sp):
