@@ -43,7 +43,7 @@ from .engine import (
     run_stream,
     session_new,
 )
-from .layout import ChunkingConfig, build_cs, build_ns, build_ss
+from .layout import PARADIGMS, ChunkingConfig, build_cs, build_ns, build_ss
 from .metrics import (
     LatencyReport,
     edit_distance,
@@ -167,8 +167,10 @@ def _config_args(subcommands: dict[str, argparse.ArgumentParser],
 
 
 def _cmd_gen_corpus(ns: argparse.Namespace) -> int:
+    # a corpus stores no frame rate, so gen-corpus takes none
     cfg = CorpusConfig(**{f.name: getattr(ns, f.name)
-                          for f in fields(CorpusConfig)})
+                          for f in fields(CorpusConfig)
+                          if f.name != "frames_per_second"})
     utts = gen_synthetic_corpus(cfg)
     write_corpus(ns.out, utts, cfg, inline_frames=ns.inline_frames)
     _write_manifest(ns.out, "gen-corpus", ns, [])
@@ -444,7 +446,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     g.add_argument("--out", required=True)
     g.add_argument("--num-utterances", default=200, type=int)
     g.add_argument("--vocab-size", default=32, type=int)
-    _add_fps_arg(g)
     g.add_argument("--min-tokens", default=5, type=int)
     g.add_argument("--max-tokens", default=20, type=int)
     g.add_argument("--frames-per-token-mean", default=4.0, type=float)
@@ -458,7 +459,7 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     b = add("build-sequences", help="lay a corpus out for training")
     b.add_argument("--corpus", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--paradigm", choices=("ns", "ss", "cs"), required=True)
+    b.add_argument("--paradigm", choices=PARADIGMS, required=True)
     b.add_argument("--chunk-ms", default=640.0, type=_positive)
     _add_fps_arg(b)
     b.add_argument("--speech-text-ratio", default=2, type=int)

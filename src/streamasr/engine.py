@@ -537,20 +537,20 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
     turns, records = session.turns, session.records
     turn, k = turns[-1], len(turns) - 1
     cs = session.paradigm == "cs"
-    cache = session.cache
     items: list[Position | SpeechSpan] = []
     if cs and k > 0:
         fallback_rewind(session)
         prev = turns[-2]
         items = [text_pos(t) for t in prev.tokens[:-1]]
         items += [text_pos(PAD)] * (prev.slots - len(items))
-    turn.reused = len(cache)
+    # no local holds session.cache: a beam winner replaces it as last reader
+    turn.reused = len(session.cache)
     if len(frames):
         items.append(SpeechSpan(turn.frames[0], frames))
-    logits = (session._fwd(cache, items, "prefill") if items
+    logits = (session._fwd(session.cache, items, "prefill") if items
               else session.last_logits)
     if cs:
-        cache.mark_chunk()
+        session.cache.mark_chunk()
     res = _slot_phase(session, logits, turn.slots, is_last)
 
     touched: list[EmissionRecord] = []

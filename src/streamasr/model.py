@@ -64,7 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import EOS, FIRST_TEXT_ID, PAD, Utterance
-from .layout import MixedSequence, Position
+from .layout import PARADIGMS, MixedSequence, Position
 
 __all__ = [
     "ContextOverflow",
@@ -435,9 +435,10 @@ class KVCache(_MarkedCache):
             return keys[:end], values[:end]
         if end > self.max_context:
             raise ContextOverflow(f"{end} > max_context {self.max_context}")
-        if self._shared is not None and start < self._shared.length:
-            self._own()
         loan = self._shared
+        if loan is not None and (start < loan.length or len(loan.readers) == 1):
+            self._own()  # a copy, or the last reader takes the store over
+            loan = self._shared
         self.rows(layer, 0)
         if end > self._k[layer].shape[0]:
             # a reader's arrays are the store's, so every reader sees these
@@ -1018,7 +1019,7 @@ class BoundaryOracle(_ReplayOracle):
 
     def __init__(self, utt: Utterance, paradigm: str, vocab_size: int,
                  confusion_window: int):
-        if paradigm not in ("ns", "ss", "cs"):
+        if paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {paradigm!r}")
         super().__init__(vocab_size)
         self.utt = utt

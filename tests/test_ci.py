@@ -1,14 +1,18 @@
 """The CI workflow against the repository's own documents, without a
 network or a YAML parser: its tier-1 step runs ROADMAP's tier-1 command,
-every Python file parses as the oldest Python the package accepts, and
-none uses a standard-library name that Python lacks."""
+each ``streamasr`` command it runs parses, every Python file parses as
+the oldest Python the package accepts, and none uses a standard-library
+name that Python lacks."""
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from streamasr import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
@@ -85,6 +89,36 @@ def test_the_workflow_runs_the_roadmap_tier1_command():
                         re.MULTILINE).group(1)
     workflow = WORKFLOW.read_text(encoding="utf-8")
     assert _step_run(workflow, "Tier-1 tests") == command
+
+
+def workflow_commands(workflow: str) -> list[list[str]]:
+    """The arguments of every ``streamasr`` command in ``workflow``, run
+    through the entry point or ``python -m``, with continuations joined;
+    comment lines are skipped."""
+    commands = []
+    for line in re.sub(r"\\\n\s*", " ", workflow).splitlines():
+        if line.strip().startswith("#") or "streamasr" not in line:
+            continue
+        words = shlex.split(line)
+        at = words.index("streamasr")
+        assert at == 0 or words[at - 1] == "-m", line
+        commands.append(words[at + 1:])
+    return commands
+
+
+def test_every_streamasr_command_of_the_workflow_parses():
+    """A flag removed or renamed fails here, not first in the workflow."""
+    commands = workflow_commands(WORKFLOW.read_text(encoding="utf-8"))
+    assert [argv[0] for argv in commands] == [
+        "gen-corpus", "ablate", "decode", "build-sequences", "verify"]
+    # a continued command keeps the flags of its last line
+    assert commands[2][-2:] == ["--out", "decoded.jsonl"]
+    parser, subcommands = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(cli._config_args(subcommands, argv))
+        except SystemExit:
+            pytest.fail(f"the workflow runs streamasr {shlex.join(argv)}")
 
 
 def test_every_python_file_parses_as_the_oldest_python_accepted():

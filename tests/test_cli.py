@@ -90,6 +90,27 @@ def test_gen_corpus_zero_frame_dim_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x.jsonl").exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--fps", "25"], "--fps"),
+    (["--frames-per-second=50"], "--frames-per-second"),
+    (["--config", "{cfg}"], "fps"),
+], ids=["fps", "frames-per-second", "config"])
+def test_gen_corpus_takes_no_frame_rate(tmp_path, capsys, argv, named):
+    """A corpus stores frame indices and no frame rate, so ``--fps``
+    changed no byte of it: gen-corpus no longer takes the flag."""
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("fps = 25\n")
+    out = tmp_path / "x.jsonl"
+    try:
+        rc = main(["gen-corpus", "--out", str(out),
+                   *(a.format(cfg=cfg) for a in argv)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert named in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
+
+
 # -----------------------------
 # build-sequences
 # -----------------------------

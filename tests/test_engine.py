@@ -766,6 +766,26 @@ def test_a_beam_turn_allocates_less_than_one_prefix_copy(sp):
     assert len(s.cache) == s.cache.mark == 100
 
 
+@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
+def test_a_beam_winner_owns_its_rows_once_the_stream_ends(name, sp):
+    """Nothing but the session holds the cache a turn began with, so once
+    a beam turn makes its winner the session cache, the winner is its row
+    store's last reader and its next ``append`` takes the store over: the
+    final flush and the pad fills write rows of its own, and the cache a
+    stream ends with reads no shared store."""
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=6, seed=7))
+    model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=16, num_layers=2,
+                                   num_heads=2, ffn_dim=32, max_context=2048,
+                                   seed=0))
+    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
+    for u in utts:
+        s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
+                        strategy, sp)
+        run_stream(s, u.frames)
+        assert s.stats.decode_positions > len(s.turns)
+        assert s.cache._shared is None, u.id
+
+
 @pytest.mark.parametrize("lender_alive", [False, True])
 @pytest.mark.parametrize("array", ["k", "v"])
 def test_an_edit_below_a_beam_winners_mark_fails_its_rewind(sp, array,
