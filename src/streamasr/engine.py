@@ -37,7 +37,8 @@ token that reached the limit. A streaming turn's slot phase limits it to
 the chunk's slot budget or ``max_decode_per_turn``, whichever is smaller;
 the standard layout then forwards that last token into its slot and the
 context-aware one withholds it. Beam search has its own frontier loop
-with the same limit and always pools the greedy rollout; it scores each
+with the same limit and always pools the greedy rollout; it grows its
+hypotheses as a token tree in the session cache and scores each
 expansion with ``model._log_softmax``, the one log-softmax, which
 ``masked_ce_loss`` uses too. On the final chunk a turn that filled its slot
 budget flushes on, still capped at ``max_decode_per_turn`` tokens for the
@@ -207,12 +208,14 @@ class _Hyp:
     the decode ran into its token limit (``budget_full``) or never started.
     ``first_values`` is None unless the final flush re-decoded the
     context-aware masked slot; then it holds the tokens as first decoded.
+    ``rows`` are the session cache's rows of the tokens forwarded, the
+    hypothesis's path in a beam turn's token tree.
     """
 
     tokens: list[int]
     lp: float
     logits: np.ndarray | None
-    cache: object = None
+    rows: tuple[int, ...] = ()
     budget_full: bool = False
     stopped_via: int | None = None
     first_values: list[int] | None = None
@@ -285,17 +288,6 @@ class StreamingSession:
             self.turns[-1].decode += len(items)
         return logits
 
-    def _fwd_batch(self, caches: list,
-                   items: list[Position]) -> Sequence[np.ndarray]:
-        """Decode one item onto each cache in a single model call, looping
-        over ``forward`` for a model without ``forward_batch``; returns one
-        row of logits per cache."""
-        batch = getattr(self.model, "forward_batch", None)
-        logits = (batch(caches, items) if batch is not None else
-                  [self.model.forward(c, [it]) for c, it in zip(caches, items)])
-        self.turns[-1].decode += len(items)
-        return logits
-
     def fork(self, strategy: StrategyConfig | None = None) -> "StreamingSession":
         """Copy every piece of decoding state, sharing the model, so the
         copy can continue the stream independently; ``strategy`` swaps in
@@ -304,6 +296,7 @@ class StreamingSession:
         if PARADIGM_OF[strategy.name] != self.paradigm:
             raise ConfigMismatch(
                 f"cannot fork a {self.paradigm} session as {strategy.name}")
+        _check_beam_model(self.model, strategy)
         dup = copy.deepcopy(self, {id(self.model): self.model})
         dup.strategy = strategy
         return dup
@@ -325,10 +318,16 @@ def session_new(model, chunking: ChunkingConfig, strategy: StrategyConfig,
                 sp=None) -> StreamingSession:
     if not hasattr(model, "forward") or not hasattr(model, "new_cache"):
         raise ConfigMismatch("model must provide new_cache() and forward()")
+    _check_beam_model(model, strategy)
     vocab = getattr(model, "vocab_size", None)
     if vocab is not None and vocab <= max(PAD, SOS, EOS):
         raise ConfigMismatch("model vocabulary too small for special tokens")
     return StreamingSession(model, chunking, strategy)
+
+
+def _check_beam_model(model, strategy: StrategyConfig) -> None:
+    if strategy.name.endswith("_beam") and not hasattr(model, "forward_tree"):
+        raise ConfigMismatch(f"{strategy.name} needs a model with forward_tree()")
 
 
 # --------------------------------------------------------------------------
@@ -381,31 +380,32 @@ def _greedy(session: StreamingSession, cache, logits: np.ndarray,
     return tokens, lp, None, logits
 
 
-def _turn_rollout(session: StreamingSession, cache, logits: np.ndarray,
+def _turn_rollout(session: StreamingSession, logits: np.ndarray,
                   budget: int) -> _Hyp:
-    """Greedy slot-phase decode. The budget token is appended for the
-    standard streaming layout (it legitimately fills the last slot) but
-    withheld for the context-aware one, whose last slot is pad in every
-    training picture."""
+    """Greedy slot-phase decode on the session cache. The budget token is
+    appended for the standard streaming layout (it legitimately fills the
+    last slot) but withheld for the context-aware one, whose last slot is
+    pad in every training picture."""
+    cache = session.cache
+    start = len(cache)
     limit = min(budget, session.strategy.max_decode_per_turn)
     tokens, lp, stop, logits = _greedy(session, cache, logits, limit)
     if stop is None:
         logits = (session._fwd(cache, [text_pos(tokens[-1])], "decode")
                   if session.paradigm == "ss" else None)
-    return _Hyp(tokens, lp, logits, cache, budget_full=stop is None,
-                stopped_via=stop)
+    return _Hyp(tokens, lp, logits, tuple(range(start, len(cache))),
+                budget_full=stop is None, stopped_via=stop)
 
 
-def _beam_step(session: StreamingSession, frontier: list[_Hyp],
+def _beam_step(session: StreamingSession, root: int, frontier: list[_Hyp],
                pool: list[_Hyp], limit: int) -> list[_Hyp]:
     """Expand each frontier hypothesis by its ``beam_width`` best tokens.
 
     Stops, and expansions that reach ``limit``, go to ``pool``; the other
     expansions are returned as children. Every expansion that needs a
     forward (each child, and a standard streaming one that fills the last
-    slot) gets a branched cache, and all of them are forwarded in one
-    batch. Nothing bound here outlives the step, so pruned children free
-    their caches before the next step branches.
+    slot) becomes a row of the token tree above ``root``, all of them
+    forwarded as one span whose rows each see their own path.
     """
     width = session.strategy.beam_width
     children: list[_Hyp] = []
@@ -417,45 +417,51 @@ def _beam_step(session: StreamingSession, frontier: list[_Hyp],
         for t in tokens:
             lp = hyp.lp + row[t]
             if t == PAD or t == EOS:
-                pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.cache,
+                pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.rows,
                                  stopped_via=t))
                 continue
-            child = _Hyp(hyp.tokens + [t], lp, None, hyp.cache,
+            child = _Hyp(hyp.tokens + [t], lp, None, hyp.rows,
                          budget_full=len(hyp.tokens) + 1 >= limit)
             (pool if child.budget_full else children).append(child)
             if not child.budget_full or session.paradigm == "ss":
-                child.cache = hyp.cache.branch()
                 grown.append(child)
     if grown:
-        logits = session._fwd_batch([h.cache for h in grown],
-                                    [text_pos(h.tokens[-1]) for h in grown])
-        for h, row in zip(grown, logits):
-            h.logits = row
+        start = len(session.cache)
+        logits = session.model.forward_tree(
+            session.cache, root, [text_pos(h.tokens[-1]) for h in grown],
+            [h.rows for h in grown])
+        session.turns[-1].decode += len(grown)
+        for i, (h, row) in enumerate(zip(grown, logits)):
+            h.logits, h.rows = row, h.rows + (start + i,)
     return children
 
 
 def beam_turn_decode(session: StreamingSession, first_logits: np.ndarray,
                      budget: int) -> _Hyp:
-    """Per-turn beam search over the slot phase, one batched forward per
-    step.
+    """Per-turn beam search over the slot phase, as a token tree in the
+    session cache.
 
-    Candidates score by length-normalized log probability, counting a stop
-    emission toward the length. The greedy rollout always enters the pool,
-    last, so the winner never scores below it and an exact tie goes to the
-    beam; other ties break toward the smaller token tuple. The winner's
-    branched cache replaces the session cache.
+    The greedy rollout runs first, as lone rows above the turn's root;
+    each beam step then forwards its expansions as one span of tree rows
+    above those. Candidates score by length-normalized log probability,
+    counting a stop emission toward the length. The greedy rollout always
+    enters the pool, last, so the winner never scores below it and an
+    exact tie goes to the beam; other ties break toward the smaller token
+    tuple. The winner's rows then move down to the root and the rest of
+    the tree is cut.
     """
+    root = len(session.cache)
+    rollout = _turn_rollout(session, first_logits, budget)
     width = session.strategy.beam_width
     limit = min(budget, session.strategy.max_decode_per_turn)
-    frontier = [_Hyp([], 0.0, first_logits, session.cache)]
+    frontier = [_Hyp([], 0.0, first_logits)]
     pool: list[_Hyp] = []
     while frontier:
-        frontier = sorted(_beam_step(session, frontier, pool, limit),
+        frontier = sorted(_beam_step(session, root, frontier, pool, limit),
                           key=_rank)[:width]
-    pool.append(_turn_rollout(session, session.cache.branch(), first_logits,
-                              budget))
+    pool.append(rollout)
     winner = min(pool, key=_rank)
-    session.cache = winner.cache
+    session.cache.compact(root, winner.rows)
     return winner
 
 
@@ -501,7 +507,7 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
     with its own).
     """
     if budget == 0:
-        res = _Hyp([], 0.0, logits, session.cache)
+        res = _Hyp([], 0.0, logits)
         if is_last and logits is not None:
             res.tokens, res.lp, res.stopped_via, res.logits = _greedy(
                 session, session.cache, logits,
@@ -509,7 +515,7 @@ def _slot_phase(session: StreamingSession, logits: np.ndarray | None,
     elif session.strategy.name.endswith("_beam"):
         res = beam_turn_decode(session, logits, budget)
     else:
-        res = _turn_rollout(session, session.cache, logits, budget)
+        res = _turn_rollout(session, logits, budget)
     turn = session.turns[-1]
     turn.score = _hyp_score(res)
     cap = session.strategy.max_decode_per_turn
@@ -543,7 +549,6 @@ def _push_streaming(session: StreamingSession, frames: np.ndarray,
         prev = turns[-2]
         items = [text_pos(t) for t in prev.tokens[:-1]]
         items += [text_pos(PAD)] * (prev.slots - len(items))
-    # no local holds session.cache: a beam winner replaces it as last reader
     turn.reused = len(session.cache)
     if len(frames):
         items.append(SpeechSpan(turn.frames[0], frames))

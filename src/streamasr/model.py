@@ -7,24 +7,22 @@ one position each, with ``SpeechSpan``s, which stand for a run of
 consecutive speech frames; ``len(item)`` is the number of positions an
 item appends. Speech comes only as a span: a model raises ``ValueError``
 on a speech ``Position``, before any cache changes.
-``forward_batch(caches, items)`` is optional: it appends the text position
-``items[i]`` to ``caches[i]`` and returns one row of logits per cache. Beam
-search uses it to forward a whole step at once and falls back to one
-``forward`` per item for a model without it (the oracles). Beam search
-and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
+``forward_tree(cache, root, items, paths)`` grows a token tree above
+``root`` for beam search: it appends each text position ``items[i]`` as a
+row that sees the rows below ``root``, the rows ``paths[i]`` names (its
+ancestors) and itself, at position ``root + len(paths[i])``, and returns
+one logits row per item. ``compact(root, rows)`` then keeps one path.
+Beam search and ``masked_ce_loss`` share the one log-softmax here,
+``_log_softmax``.
 
 * ``ToyDecoder``: a small deterministic pre-norm transformer over mixed
   speech/text positions. A span's frames enter through a two-linear-layer
   ReLU adapter as one matrix, text through an embedding table; absolute
   position embeddings keep chunked and one-shot forwards equivalent. Depth 0
   degenerates to output-projected input embeddings. One layer body serves
-  a span on one cache and one row on each of many: layer norm, one fused
-  Q/K/V projection and FFN over all rows. A span attends on its cache, and
-  a lone row in one lean step as 1-D vectors. One row on each of many
-  caches runs the score and value matmuls per cache and one softmax per
-  layer for each group of rows at one cache length, and reads each
-  cache's rows again for the value pass, as the caches of one beam share
-  a row store. Every path is the lone step's arithmetic bit for bit.
+  every call: layer norm, one fused Q/K/V projection and FFN over all
+  rows. A span or a tree step attends on its cache under a mask, a lone
+  row in one lean step as 1-D vectors.
 * ``TeacherOracle``: replays a built layout, emitting the layout target of
   whatever position was appended last. Round-trip tests use it to show the
   engine regenerates builder layouts exactly.
@@ -33,29 +31,25 @@ and ``masked_ce_loss`` share the one log-softmax here, ``_log_softmax``.
   deterministically. It models the chunk-boundary ambiguity that the
   fallback decoding strategies exist to repair.
 
-Both oracles share one ``forward`` and reply with a window of one
-read-only logits vector rather than a fresh row, so callers must never
-write into the logits they get. The vector and its V reply windows are
-built once per vocabulary (by a ``BoundaryOracleSuite`` as it is built)
-and shared by every oracle of that vocabulary.
+Both oracles share one ``forward`` and ``forward_tree`` and reply with a
+window of one read-only logits vector rather than a fresh row, so callers
+must never write into the logits they get. The vector and its V reply
+windows are built once per vocabulary (by a ``BoundaryOracleSuite`` as it
+is built) and shared by every oracle of that vocabulary.
 
 Caches are append-only below their newest chunk mark. ``mark_chunk``
-seals the checksum of the prefix there, rollback below the mark raises,
-and ``rewind`` proves the prefix unchanged before it truncates to the
-mark. A ``KVCache`` grows its per-layer arrays on demand rather than
-reserving ``max_context`` rows up front. A branch copies nothing: every
-cache branched from one lender reads the lender's arrays as one row
-store, and keeps only the rows it appended itself, which it writes back
-into the store's spare rows before it reads. So beam search copies no
-prefix per hypothesis.
+seals the checksum of the prefix there, a rollback or compaction below
+the mark raises, and ``rewind`` proves the prefix unchanged before it
+truncates to the mark. A ``KVCache`` grows its per-layer arrays on demand
+rather than reserving ``max_context`` rows up front.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import struct
-import weakref
 import zlib
 from array import array
 from dataclasses import astuple, dataclass, fields
@@ -125,6 +119,16 @@ class SpeechSpan:
 
 def _not_speech(pos: Position) -> ValueError:
     return ValueError(f"speech position {pos} must come as a SpeechSpan")
+
+
+def _check_tree(root: int, length: int, items: Sequence,
+                paths: Sequence[Sequence[int]]) -> None:
+    """One path per item, each of cache rows from ``root`` to ``length``."""
+    if len(paths) != len(items):
+        raise ValueError("forward_tree needs one path per item")
+    if not 0 <= root <= length or any(
+            not root <= r < length for path in paths for r in path):
+        raise ValueError(f"a tree path leaves the rows {root}..{length}")
 
 
 # --------------------------------------------------------------------------
@@ -349,19 +353,22 @@ class _MarkedCache:
         self.rollback(self.mark)
         return removed
 
+    def compact(self, root: int, rows: Sequence[int]) -> None:
+        """Roll back to ``root`` but keep ``rows``, indices at or above it,
+        moved down in order to ``root``, ``root + 1``, ...: how a beam turn
+        keeps its winner's path of a token tree and cuts the rest. Rows
+        below the mark or past the end raise ``ValueError``, and a ``root``
+        below the mark raises as a rollback there does."""
+        end = root + len(rows)
+        if end > len(self) or any(
+                not self.mark <= root <= r < len(self) for r in rows):
+            raise ValueError(f"rows {list(rows)} outside {root}..{len(self)}")
+        if list(rows) != list(range(root, end)):
+            self._move(root, rows)
+        self.rollback(end)
 
-class _Loan:
-    """A row store's bookkeeping: the length it was lent at, which no
-    reader writes below, the readers still alive, and per layer the suffix
-    whose rows stand past that length. The store itself is the lender's
-    per-layer arrays, held by every reader as the same two lists."""
-
-    __slots__ = ("length", "readers", "held")
-
-    def __init__(self, cache: "KVCache") -> None:
-        self.length = cache.length
-        self.readers = weakref.WeakSet([cache])
-        self.held: list[tuple | None] = [None] * len(cache._k)
+    def __deepcopy__(self, memo: dict) -> "_MarkedCache":
+        return self.branch()
 
 
 class KVCache(_MarkedCache):
@@ -369,23 +376,12 @@ class KVCache(_MarkedCache):
 
     Rows are written once when a position is first forwarded and never
     rewritten; ``checksum`` hashes the live prefix so tests can prove it.
-    ``append`` alone writes rows: it decides where a row goes, when arrays
-    are shared and when they grow, and returns the rows attention reads.
-    Each layer's ``k`` and ``v`` array holds at least ``length`` rows (rows
-    past ``length`` hold no data): it starts small and doubles on demand up
-    to ``max_context``, so a cache costs memory in proportion to what it
-    holds.
-
-    ``branch`` copies nothing. The first branch lends this cache's arrays
-    as a row store that this cache, its branches and theirs all read, and
-    grow once for all. Each reader keeps the rows it appends past the lent
-    length as a suffix of copies, which its branches inherit, and ``rows``
-    writes them back into the store before a read. ``checksum`` reads in
-    place, and so do a ``rewind`` or ``rollback`` to the lent length or
-    below. A reader copies its rows into arrays of its own, with room for
-    one more row rounded up to 16, only to write below the lent length, to
-    cut above it, or to hand out ``k`` or ``v``, which are always the
-    cache's own; a reader that outlives all others takes the store over.
+    ``append`` alone writes rows: it grows the arrays when they are full
+    and returns the rows attention reads. Each layer's array in ``k`` and
+    ``v`` holds at least ``length`` rows (rows past ``length`` hold no
+    data): it starts small and doubles on demand up to ``max_context``, so
+    a cache costs memory in proportion to what it holds. ``branch`` is a
+    plain copy with room for one more row.
     """
 
     def __init__(self, num_layers: int, embed_dim: int, max_context: int) -> None:
@@ -393,25 +389,11 @@ class KVCache(_MarkedCache):
         self.max_context = max_context
         self.length = 0
         rows = min(_KV_INITIAL_ROWS, max_context)
-        self._k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
-        self._v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
-        # the store this cache reads, None while its arrays are its own; and
-        # per layer the newest node (prev, start, end, k, v) of its suffix
-        self._shared: _Loan | None = None
-        self._tail: list[tuple | None] = []
+        self.k = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
+        self.v = [np.empty((rows, embed_dim)) for _ in range(num_layers)]
 
     def __len__(self) -> int:
         return self.length
-
-    @property
-    def k(self) -> list[np.ndarray]:
-        self._own()
-        return self._k
-
-    @property
-    def v(self) -> list[np.ndarray]:
-        self._own()
-        return self._v
 
     def append(self, layer: int, k: np.ndarray,
                v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,79 +401,24 @@ class KVCache(_MarkedCache):
         as 1-D vectors or a span as ``[s, d]``, and return the layer's key
         and value rows through the new ones; ``advance`` then counts them.
         Past ``max_context`` it raises ``ContextOverflow`` and changes
-        nothing. A second identical ``append`` before ``advance`` rewrites
-        the same rows, and leaves the cache, and every cache sharing its
-        arrays, as one ``append`` would."""
+        nothing."""
         start = self.length
         end = start + 1 if k.ndim == 1 else start + k.shape[0]
-        if self._shared is None and end <= self._k[layer].shape[0]:
-            # bound here alone, so that a growth below frees each old array
-            # as it replaces it
-            keys, values = self._k[layer], self._v[layer]
-            if k.ndim == 1:  # an index writes a lone row for less than a slice
-                keys[start], values[start] = k, v
-            else:
-                keys[start:end], values[start:end] = k, v
-            return keys[:end], values[:end]
-        if end > self.max_context:
-            raise ContextOverflow(f"{end} > max_context {self.max_context}")
-        loan = self._shared
-        if loan is not None and (start < loan.length or len(loan.readers) == 1):
-            self._own()  # a copy, or the last reader takes the store over
-            loan = self._shared
-        self.rows(layer, 0)
-        if end > self._k[layer].shape[0]:
-            # a reader's arrays are the store's, so every reader sees these
+        keys, values = self.k[layer], self.v[layer]
+        if end > keys.shape[0]:
+            if end > self.max_context:
+                raise ContextOverflow(f"{end} > max_context {self.max_context}")
             cap = _KV_INITIAL_ROWS
             while cap < end:
                 cap *= 2
             cap = min(cap, self.max_context)
-            self._k[layer] = _grown(self._k[layer], cap, start)
-            self._v[layer] = _grown(self._v[layer], cap, start)
-        keys, values = self._k[layer][:end], self._v[layer][:end]
-        keys[start:], values[start:] = k, v
-        if loan is not None:
-            self._tail[layer] = loan.held[layer] = (
-                self._tail[layer], start, end, k.copy(), v.copy())
-        return keys, values
-
-    def rows(self, layer: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``n`` key and value rows of layer ``layer`` as
-        ``append`` last returned them: a reader of a shared store first
-        writes back the part of its suffix that the store does not hold."""
-        keys, values = self._k[layer], self._v[layer]
-        loan = self._shared
-        if loan is not None and self._tail[layer] is not loan.held[layer]:
-            node, held, todo = self._tail[layer], loan.held[layer], []
-            while node is not held:
-                if held is None or node is not None and node[2] > held[2]:
-                    todo.append(node)
-                    node = node[0]
-                else:
-                    held = held[0]
-            for _, start, end, k, v in reversed(todo):
-                keys[start:end], values[start:end] = k, v
-            loan.held[layer] = self._tail[layer]
-        return keys[:n], values[:n]
-
-    def _own(self) -> None:
-        """Make the arrays this cache's alone: take the store over if no
-        other cache reads it, or else copy this cache's rows out of it."""
-        loan = self._shared
-        if loan is None:
-            return
-        for layer in range(len(self._k)):
-            self.rows(layer, 0)
-        if len(loan.readers) > 1:
-            ends = [self.length if t is None else t[2] for t in self._tail]
-            # room for one more row, rounded up to 16: a doubled reserve
-            # costs more to allocate than it saves
-            cap = min(-(-(max(ends, default=0) + 1) // 16) * 16,
-                      self.max_context)
-            self._k = [_grown(a, cap, n) for a, n in zip(self._k, ends)]
-            self._v = [_grown(a, cap, n) for a, n in zip(self._v, ends)]
-            loan.readers.discard(self)
-        self._shared, self._tail = None, []
+            keys = self.k[layer] = _grown(keys, cap, start)
+            values = self.v[layer] = _grown(values, cap, start)
+        if k.ndim == 1:  # an index writes a lone row for less than a slice
+            keys[start], values[start] = k, v
+        else:
+            keys[start:end], values[start:end] = k, v
+        return keys[:end], values[:end]
 
     def advance(self, n: int) -> None:
         if self.length + n > self.max_context:
@@ -501,35 +428,21 @@ class KVCache(_MarkedCache):
         self.length += n
 
     def _truncate(self, n: int) -> None:
-        loan = self._shared
-        if loan is not None and (n > loan.length or len(loan.readers) == 1):
-            self._own()
-        elif loan is not None:
-            self._tail = [None] * len(self._tail)
         self.length = n
 
-    def branch(self) -> "KVCache":
-        """A cache with this one's rows, mark and seal that reads them from
-        the row store this cache reads, lending its arrays as that store if
-        it reads none or is the store's last reader."""
-        loan = self._shared
-        if loan is None or len(loan.readers) == 1:
-            self._own()
-            loan = self._shared = _Loan(self)
-            self._tail = [None] * len(self._k)
-        other = object.__new__(KVCache)
-        other.max_context, other.length = self.max_context, self.length
-        other._k, other._v, other._shared = self._k, self._v, loan
-        other._tail = list(self._tail)
-        other.mark, other.sealed = self.mark, self.sealed
-        loan.readers.add(other)
-        return other
+    def _move(self, root: int, rows: Sequence[int]) -> None:
+        end, rows = root + len(rows), list(rows)
+        for keys, values in zip(self.k, self.v):
+            keys[root:end], values[root:end] = keys[rows], values[rows]
 
-    def __deepcopy__(self, memo: dict) -> "KVCache":
-        # a copy owns its rows: a copied store would name the originals
-        # as its readers
-        other = self.branch()
-        other._own()
+    def branch(self) -> "KVCache":
+        """A cache with this one's rows, mark and seal in arrays of its
+        own, with room for one more row rounded up to 16: a doubled
+        reserve costs more to allocate than it saves."""
+        other = copy.copy(self)
+        cap = min(-(-(self.length + 1) // 16) * 16, self.max_context)
+        other.k = [_grown(a, cap, self.length) for a in self.k]
+        other.v = [_grown(a, cap, self.length) for a in self.v]
         return other
 
     def checksum(self, upto: int | None = None) -> int:
@@ -537,9 +450,8 @@ class KVCache(_MarkedCache):
         self._check_target(n, "checksum upto")
         # the live prefix of a C-contiguous row block is read in place
         c = 0
-        for i in range(len(self._k)):
-            keys, values = self.rows(i, n)
-            c = zlib.crc32(values, zlib.crc32(keys, c))
+        for keys, values in zip(self.k, self.v):
+            c = zlib.crc32(values[:n], zlib.crc32(keys[:n], c))
         return c
 
 
@@ -623,6 +535,11 @@ class SymbolicCache(_MarkedCache):
                 elif value >= FIRST_TEXT_ID:
                     real += 1
         self.real_count, self.max_frame = real, edge
+
+    def _move(self, root: int, rows: Sequence[int]) -> None:
+        end = root + len(rows)
+        self.kinds[root:end] = bytes(self.kinds[r] for r in rows)
+        self.values[root:end] = array("q", [self.values[r] for r in rows])
 
     def branch(self) -> "SymbolicCache":
         other = SymbolicCache()
@@ -738,43 +655,34 @@ class ToyDecoder:
 
     # -- core forward
 
-    def _layers(self, x: np.ndarray, caches: list[KVCache]) -> np.ndarray:
-        """Run every layer over the rows of ``x`` and return their logits.
+    def _layers(self, x: np.ndarray, cache: KVCache,
+                hidden: np.ndarray | None = None) -> np.ndarray:
+        """Append the rows of ``x`` to ``cache`` through every layer and
+        return their logits.
 
-        One cache takes every row, or each of several caches takes one row,
-        row i on cache i. Layer norm, projections and FFN run over all rows
-        at once, attention over the rows each cache's ``append`` returns. A
-        lone row is its cache's newest and sees every key, so it takes
-        ``_step`` as a 1-D vector. One row on each of several caches takes
-        ``_attend_rows``: one softmax per layer for each group of rows whose
-        caches have one length, the score and value matmuls per cache. Both
-        are ``_step``'s arithmetic bit for bit, with less numpy overhead.
+        Layer norm, projections and FFN run over all rows at once,
+        attention over the rows ``append`` returns, except those ``hidden``
+        marks (True = hidden, one row of the mask per row of ``x``). Without
+        a mask the rows attend causally, and a lone row, its cache's newest,
+        sees every key, so it takes ``_step`` as a 1-D vector: the same
+        arithmetic bit for bit, with less numpy overhead.
         """
         n = x.shape[0]
-        if n == 1:
+        if hidden is None and n == 1:
             x = x[0]
-        elif len(caches) == 1:  # True = hidden; every layer sees the same keys
-            hidden = ~build_attention_mask(n, len(caches[0]) + n)
-        else:  # the rows of each cache length, which attend as one group
-            groups: dict[int, list[int]] = {}
-            for i, cache in enumerate(caches):
-                groups.setdefault(len(cache), []).append(i)
+        elif hidden is None:  # every layer sees the same keys
+            hidden = ~build_attention_mask(n, len(cache) + n)
         for li, (g1, b1, wqkv, bqkv, wo, bo,
                  g2, b2, w1, fb1, w2, fb2) in enumerate(self._weights):
             qkv = _layer_norm(x, g1, b1).dot(wqkv)
             qkv += bqkv
-            if n == 1:
-                ctx = self._step(caches[0], li, qkv)
-            elif len(caches) == 1:
-                ctx = self._attend(caches[0], li, qkv, hidden)
-            else:
-                ctx = self._attend_rows(caches, li, qkv, groups)
+            ctx = (self._step(cache, li, qkv) if hidden is None
+                   else self._attend(cache, li, qkv, hidden))
             x = x + ctx.dot(wo) + bo
             f = _layer_norm(x, g2, b2).dot(w1)
             f += fb1
             x = x + np.maximum(f, 0.0, out=f).dot(w2) + fb2
-        for cache in caches:  # n rows on one cache, or one row on each of n
-            cache.advance(n // len(caches))
+        cache.advance(n)
         out_w, out_b = self._out
         return (x.dot(out_w) + out_b).reshape(n, -1)
 
@@ -789,35 +697,6 @@ class ToyDecoder:
             keys.reshape(n, h_count, dh).transpose(1, 2, 0)
         vh = values.reshape(n, h_count, dh).transpose(1, 0, 2)
         return (self._softmax(scores) @ vh).reshape(d)
-
-    def _attend_rows(self, caches: list[KVCache], li: int, qkv: np.ndarray,
-                     groups: dict[int, list[int]]) -> np.ndarray:
-        """``_step`` for row i of ``qkv`` on ``caches[i]``, every i, with
-        one softmax for each of ``groups``, the rows whose caches have one
-        length. The caches of one beam may share a row store, so the value
-        pass reads each cache's rows again through ``rows``, which puts
-        back the ones a later row's ``append`` overwrote; it runs backwards,
-        so the last row appended has nothing to put back."""
-        d, h_count, dh, _ = self._heads
-        ctx = np.empty((len(caches), d))
-        heads = ctx.reshape(len(caches), h_count, 1, dh)
-        q = qkv[:, :d].reshape(len(caches), h_count, 1, dh)
-        k, v = qkv[:, d:2 * d], qkv[:, 2 * d:]
-        for length, rows in groups.items():
-            n = length + 1
-            scores = np.empty((len(rows), h_count, 1, n))
-            for i, score in zip(rows, scores):
-                keys = caches[i].append(li, k[i], v[i])[0]
-                np.matmul(q[i],
-                          keys.reshape(n, h_count, dh).transpose(1, 2, 0),
-                          out=score)
-            self._softmax(scores)
-            for i, score in zip(rows[::-1], scores[::-1]):
-                values = caches[i].rows(li, n)[1]
-                np.matmul(score,
-                          values.reshape(n, h_count, dh).transpose(1, 0, 2),
-                          out=heads[i])
-        return ctx
 
     def _attend(self, cache: KVCache, li: int, qkv: np.ndarray,
                 hidden: np.ndarray) -> np.ndarray:
@@ -846,7 +725,7 @@ class ToyDecoder:
 
     def forward_embedded(self, x: np.ndarray, cache: KVCache) -> np.ndarray:
         """Append the embedded span to the cache, return logits for each row."""
-        return self._layers(x, [cache])
+        return self._layers(x, cache)
 
     def forward(self, cache: KVCache,
                 items: Sequence[Position | SpeechSpan]) -> np.ndarray:
@@ -855,23 +734,27 @@ class ToyDecoder:
         logits = self.forward_embedded(x, cache)
         return logits[-1]
 
-    def forward_batch(self, caches: Sequence[KVCache],
-                      items: Sequence[Position]) -> np.ndarray:
-        """Append ``items[i]`` to ``caches[i]`` for every i in one pass and
-        return one row of logits per cache, as ``forward`` would for each.
-
-        Each item is one text ``Position``, so a ``SpeechSpan`` raises. All
-        rows are embedded first, so a ``ContextOverflow`` (or a bad item)
-        leaves every cache untouched. The caches must be distinct.
-        """
-        if len(caches) != len(items):
-            raise ValueError("forward_batch needs one item per cache")
-        if not caches:
+    def forward_tree(self, cache: KVCache, root: int,
+                     items: Sequence[Position],
+                     paths: Sequence[Sequence[int]]) -> np.ndarray:
+        """Append the text positions ``items`` as tree rows above ``root``
+        (see the module docstring) and return one row of logits per item,
+        each as the last row of a linear cache holding its path would read,
+        to float rounding. Even a lone row takes the mask, as the cache may
+        hold rows it must not see. A tree whose rows would take the cache
+        past ``max_context`` raises ``ContextOverflow``, as every path that
+        would does, and leaves the cache as it was."""
+        n, s = len(cache), len(items)
+        _check_tree(root, n, items, paths)
+        if not items:
             return np.empty((0, self.vocab_size))
-        if len({id(c) for c in caches}) != len(caches):
-            raise ValueError("forward_batch got the same cache twice")
-        x = self._embed(items, [len(c) for c in caches])
-        return self._layers(x, list(caches))
+        x = self._embed(items, [root + len(p) for p in paths])
+        hidden = np.ones((s, n + s), dtype=bool)
+        hidden[:, :root] = False
+        for i, path in enumerate(paths):
+            hidden[i, list(path)] = False
+            hidden[i, n + i] = False
+        return self._layers(x, cache, hidden)
 
     def forward_sequence(
             self, items: Sequence[Position | SpeechSpan]) -> np.ndarray:
@@ -949,6 +832,19 @@ def _reply_table(vocab_size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return rows, tuple(_one_hot_logits(rows, t) for t in range(vocab_size))
 
 
+@dataclass(slots=True)
+class _PathView:
+    """What a replay oracle reads off its cache, for one tree row: the
+    length, real-token count and speech edge of a cache holding its path."""
+
+    length: int
+    real_count: int
+    max_frame: int
+
+    def __len__(self) -> int:
+        return self.length
+
+
 class _ReplayOracle:
     """The replay oracles' shared contract: a symbolic cache, and after the
     items land, the one-hot logits of the token ``_reply`` reads off it."""
@@ -960,14 +856,39 @@ class _ReplayOracle:
     def new_cache(self) -> SymbolicCache:
         return SymbolicCache()
 
-    def forward(self, cache: SymbolicCache,
-                items: Sequence[Position | SpeechSpan]) -> np.ndarray:
-        cache.append_items(items)
-        t = self._reply(cache)
+    def _window(self, t: int) -> np.ndarray:
         if not 0 <= t < self.vocab_size:  # a negative id must not wrap
             raise IndexError(
                 f"token id {t} outside a vocabulary of {self.vocab_size}")
         return self._windows[t]
+
+    def forward(self, cache: SymbolicCache,
+                items: Sequence[Position | SpeechSpan]) -> np.ndarray:
+        cache.append_items(items)
+        return self._window(self._reply(cache))
+
+    def forward_tree(self, cache: SymbolicCache, root: int,
+                     items: Sequence[Position],
+                     paths: Sequence[Sequence[int]]) -> list[np.ndarray]:
+        """``ToyDecoder.forward_tree``'s contract: each row replies as the
+        last row of a cache holding the rows below ``root``, its path and
+        itself. Every row from ``root`` up must be text, as tree rows are,
+        so the speech edge is the cache's and the real-token count at
+        ``root`` is the cache's less the real tokens above it."""
+        kinds, values = cache.kinds, cache.values
+        _check_tree(root, len(values), items, paths)
+        if any(type(it) is not Position or it.kind != "t" for it in items):
+            raise ValueError("a tree row is one text Position")
+        if _SPEECH in kinds[root:]:
+            raise ValueError("a tree grows over text rows alone")
+        real = cache.real_count - sum(
+            v >= FIRST_TEXT_ID for v in values[root:])
+        cache.append_items(items)
+        return [self._window(self._reply(_PathView(
+            root + len(path) + 1,
+            real + sum(values[r] >= FIRST_TEXT_ID for r in path)
+            + (it.value >= FIRST_TEXT_ID), cache.max_frame)))
+            for it, path in zip(items, paths)]
 
 
 class TeacherOracle(_ReplayOracle):

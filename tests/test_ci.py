@@ -1,8 +1,8 @@
 """The CI workflow against the repository's own documents, without a
 network or a YAML parser: its tier-1 step runs ROADMAP's tier-1 command,
-each ``streamasr`` command it runs parses, every Python file parses as
-the oldest Python the package accepts, and none uses a standard-library
-name that Python lacks."""
+each ``streamasr`` and ``perfbench/run.py`` command it runs parses, every
+Python file parses as the oldest Python the package accepts, and none
+uses a standard-library name that Python lacks."""
 
 import ast
 import re
@@ -119,6 +119,31 @@ def test_every_streamasr_command_of_the_workflow_parses():
             parser.parse_args(cli._config_args(subcommands, argv))
         except SystemExit:
             pytest.fail(f"the workflow runs streamasr {shlex.join(argv)}")
+
+
+def test_every_perfbench_command_of_the_workflow_parses(monkeypatch):
+    """Each ``perfbench/run.py`` line of the workflow goes through
+    ``run.main`` with the runs themselves replaced, so a flag or workload
+    that ``run.py`` no longer takes fails here, not first in CI."""
+    workflow = re.sub(r"\\\n\s*", " ", WORKFLOW.read_text(encoding="utf-8"))
+    commands = []
+    for line in workflow.splitlines():
+        if not line.strip().startswith("#") and "perfbench/run.py" in line:
+            words = shlex.split(line)
+            commands.append(words[words.index("perfbench/run.py") + 1:])
+    assert commands and all(argv[:1] == ["--workload"] for argv in commands)
+    from test_perfbench import perfbench_modules
+
+    (run,) = perfbench_modules("run")
+    ran = []
+    monkeypatch.setattr(run, "run_all", lambda args: ran.append(args) or 0)
+    monkeypatch.setattr(run, "run_one", lambda args: ran.append(args) or 0)
+    for argv in commands:
+        try:
+            assert run.main(argv) == 0
+        except SystemExit:
+            pytest.fail(f"the workflow runs perfbench/run.py {shlex.join(argv)}")
+    assert len(ran) == len(commands)
 
 
 def test_every_python_file_parses_as_the_oldest_python_accepted():

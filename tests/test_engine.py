@@ -1,5 +1,6 @@
 """Streaming sessions: turn traces, record lifecycle, accounting, guards."""
 
+import copy
 import dataclasses
 import struct
 import tracemalloc
@@ -52,14 +53,15 @@ from streamasr.layout import (
 from streamasr.model import (
     ContextOverflow,
     ImmutabilityViolation,
+    KVCache,
     ModelConfig,
     SpeechSpan,
-    SymbolicCache,
     TeacherOracle,
     ToyDecoder,
     _log_softmax,
     _one_hot_logits,
     _one_hot_rows,
+    _ReplayOracle,
     default_confusable_map,
     make_boundary_oracle,
 )
@@ -74,8 +76,9 @@ def _positions(items):
         if isinstance(it, SpeechSpan) else [it])]
 
 
-class Scripted:
-    """One-hot model keyed on (real token count, newest frame index).
+class Scripted(_ReplayOracle):
+    """One-hot model keyed on (real token count, newest frame index), a
+    replay oracle, so it grows beam trees too.
 
     Lets a test pin down stop behavior the corpus oracles never produce,
     like mid-stream eos or a retracting re-decode.
@@ -84,18 +87,12 @@ class Scripted:
     vocab_size = 16
 
     def __init__(self, table, default=SP.pad):
+        super().__init__(self.vocab_size)
         self.table = dict(table)
         self.default = default
 
-    def new_cache(self):
-        return SymbolicCache()
-
-    def forward(self, cache, items):
-        cache.append_items(items)
-        t = self.table.get((cache.real_count, cache.max_frame), self.default)
-        logits = np.full(self.vocab_size, -40.0)
-        logits[t] = 0.0
-        return logits
+    def _reply(self, cache):
+        return self.table.get((cache.real_count, cache.max_frame), self.default)
 
 
 def _frames(n, dim=8):
@@ -256,12 +253,13 @@ def test_fork_replays_the_rest_of_the_stream(name, kind, sp):
 
 
 class _Counting:
-    """A model seen through the bare contract, counting forwarded positions
-    and logging each call's items."""
+    """A model seen through the bare contract and the beam's tree step,
+    counting forwarded positions and logging each call's items; ``trees``
+    indexes the calls that were tree steps."""
 
     def __init__(self, model):
         self.model, self.vocab_size, self.positions = model, model.vocab_size, 0
-        self.calls = []
+        self.calls, self.trees = [], set()
 
     def new_cache(self):
         return self.model.new_cache()
@@ -270,6 +268,12 @@ class _Counting:
         self.positions += sum(map(len, items))
         self.calls.append(list(items))
         return self.model.forward(cache, items)
+
+    def forward_tree(self, cache, root, items, paths):
+        self.trees.add(len(self.calls))
+        self.positions += len(items)
+        self.calls.append(list(items))
+        return self.model.forward_tree(cache, root, items, paths)
 
 
 _SMALL_TOY = ToyDecoder(ModelConfig(embed_dim=16, num_layers=1, num_heads=2,
@@ -696,10 +700,11 @@ def test_beam_width_one_equals_greedy(chunk4, sp):
 
 
 def test_a_pruned_beam_child_allocates_no_rows(sp):
-    """A beam step's children borrow their parent's KV arrays: forwarding
-    three of them over a 200-row cache and dropping them allocates less, at
-    the peak, than one layer's keys of that cache, where copying each
-    child's rows would take four such arrays per child."""
+    """A beam step's children are rows of a token tree in the session
+    cache: forwarding three of them over a 200-row cache, whose arrays have
+    room for them, allocates less, at the peak, than one layer's keys of
+    that cache, where a copy per child would take four such arrays. The
+    rows below the tree never change."""
     cfg = ModelConfig(vocab_size=32, embed_dim=64, num_layers=2, num_heads=4,
                       ffn_dim=128, max_context=512, seed=0)
     toy = ToyDecoder(cfg)
@@ -710,24 +715,25 @@ def test_a_pruned_beam_child_allocates_no_rows(sp):
     logits = toy.forward(s.cache, [SpeechSpan(0, frames)])
     logits[[PAD, EOS]] = -np.inf  # every expansion is a child
     sealed = s.cache.checksum()
-    frontier = [engine._Hyp([], 0.0, logits, s.cache)]
+    frontier = [engine._Hyp([], 0.0, logits)]
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        children = engine._beam_step(s, frontier, [], limit=4)
+        children = engine._beam_step(s, 200, frontier, [], limit=4)
         assert len(children) == 3 and s.turns[-1].decode == 3
+        assert [h.rows for h in children] == [(200,), (201,), (202,)]
         del children
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < len(s.cache) * cfg.embed_dim * 8
-    assert s.cache.checksum() == sealed
+    assert peak < 200 * cfg.embed_dim * 8
+    assert s.cache.checksum(200) == sealed
 
 
 def _beam_turn_over_100_rows(sp):
     """A cs_fallback_beam session on beam_toy's model shape whose cache
     holds 100 sealed speech rows, with the logits of the last one, in
-    which pad and eos cannot win, so the beam's winner is a branch."""
+    which pad and eos cannot win, so the beam's winner decodes tokens."""
     cfg = ModelConfig(vocab_size=32, embed_dim=64, num_layers=4, num_heads=4,
                       ffn_dim=128, max_context=2048, seed=0)
     toy = ToyDecoder(cfg)
@@ -741,14 +747,19 @@ def _beam_turn_over_100_rows(sp):
     return s, logits, 100 * cfg.embed_dim * 8 * 2 * cfg.num_layers
 
 
-def test_a_beam_turn_allocates_less_than_one_prefix_copy(sp):
-    """A width-3 ``beam_turn_decode`` over 100 cached rows, its steps and
-    its greedy rollout, allocates less at its peak than one copy of those
-    rows: every hypothesis reads the session cache's arrays as one shared
-    store. With the session's old cache and the losers gone, the winner's
-    rewind at the next turn takes that store over and allocates under one
-    layer's keys."""
+def test_a_beam_turn_allocates_less_than_one_prefix_copy(sp, monkeypatch):
+    """A width-3 ``beam_turn_decode`` over 100 cached rows, its greedy
+    rollout and its tree steps, makes no ``branch`` call and allocates less
+    at its peak than one copy of those rows: every hypothesis is a path of
+    rows in the session cache. The turn leaves the winner's rows alone
+    above the mark, and the next turn's rewind cuts them and allocates
+    under one layer's keys."""
     s, logits, prefix = _beam_turn_over_100_rows(sp)
+
+    def no_branch(cache):
+        raise AssertionError("a beam turn branched a cache")
+
+    monkeypatch.setattr(KVCache, "branch", no_branch)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -761,47 +772,24 @@ def test_a_beam_turn_allocates_less_than_one_prefix_copy(sp):
     finally:
         tracemalloc.stop()
     assert s.turns[-1].decode > 3 and 0 < removed <= len(winner.tokens)
+    assert len(winner.rows) == removed
     assert peak < prefix
     assert rewind_peak < prefix / 8
     assert len(s.cache) == s.cache.mark == 100
 
 
-@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
-def test_a_beam_winner_owns_its_rows_once_the_stream_ends(name, sp):
-    """Nothing but the session holds the cache a turn began with, so once
-    a beam turn makes its winner the session cache, the winner is its row
-    store's last reader and its next ``append`` takes the store over: the
-    final flush and the pad fills write rows of its own, and the cache a
-    stream ends with reads no shared store."""
-    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=6, seed=7))
-    model = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=16, num_layers=2,
-                                   num_heads=2, ffn_dim=32, max_context=2048,
-                                   seed=0))
-    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
-    for u in utts:
-        s = session_new(model, ChunkingConfig(8, speech_text_ratio=2),
-                        strategy, sp)
-        run_stream(s, u.frames)
-        assert s.stats.decode_positions > len(s.turns)
-        assert s.cache._shared is None, u.id
-
-
-@pytest.mark.parametrize("lender_alive", [False, True])
+@pytest.mark.parametrize("forked", [False, True])
 @pytest.mark.parametrize("array", ["k", "v"])
 def test_an_edit_below_a_beam_winners_mark_fails_its_rewind(sp, array,
-                                                           lender_alive):
-    """verify's fault injection on a beam winner, which reads a store it
-    shares: a value below the mark changed through ``k`` or ``v`` makes
-    its ``rewind`` raise ``ImmutabilityViolation``, whether the winner
-    outlived the cache it branched from and took the store over, or
-    still shares it and edits its own copy; restoring the value lets the
-    rewind pass. The old session cache's rows never change."""
+                                                           forked):
+    """verify's fault injection on a compacted beam winner: a value below
+    the mark changed through ``k`` or ``v`` makes its ``rewind`` raise
+    ``ImmutabilityViolation``, and restoring the value lets the rewind
+    pass. A fork taken before the turn keeps its own rows through it all."""
     s, logits, _ = _beam_turn_over_100_rows(sp)
-    lender = s.cache
-    sealed = lender.checksum()
-    if not lender_alive:
-        del lender
+    fork = s.fork() if forked else None
     engine.beam_turn_decode(s, logits, budget=4)
+    assert len(s.cache) > s.cache.mark
     rows = getattr(s.cache, array)[2]
     saved = rows[37, 5]
     rows[37, 5] += 1.0
@@ -809,8 +797,8 @@ def test_an_edit_below_a_beam_winners_mark_fails_its_rewind(sp, array,
         s.cache.rewind()
     rows[37, 5] = saved
     assert s.cache.rewind() > 0
-    if lender_alive:
-        assert lender.checksum() == sealed
+    if forked:
+        assert fork.cache.checksum() == fork.cache.sealed == s.cache.sealed
 
 
 def test_stacked_frontier_scoring_matches_per_hypothesis(sp):
@@ -833,15 +821,14 @@ def test_stacked_frontier_scoring_matches_per_hypothesis(sp):
                 logits = rng.integers(-2, 3, Scripted.vocab_size) * 1.0
             else:
                 logits = rng.standard_normal(Scripted.vocab_size)
-            frontier.append(engine._Hyp([10 + i], float(rng.normal()),
-                                        logits, s.cache.branch()))
+            frontier.append(engine._Hyp([10 + i], float(rng.normal()), logits))
         want = {}
         for hyp in frontier:
             lps = _log_softmax(hyp.logits)
             for t in np.argsort(-lps, kind="stable")[:width]:
                 want[(hyp.tokens[0], int(t))] = hyp.lp + float(lps[t])
         pool = []
-        children = engine._beam_step(s, frontier, pool, limit=100)
+        children = engine._beam_step(s, 0, frontier, pool, limit=100)
         got = {(h.tokens[0], h.tokens[-1] if h.stopped_via is None
                 else h.stopped_via): h.lp for h in children + pool}
         assert len(children) + len(pool) == len(want)
@@ -1081,58 +1068,113 @@ def test_boundary_strategies_are_pinned(name):
         assert asdict(s.stats) == dict(zip(TOY_STAT_FIELDS, want))
 
 
-class _Unbatched:
-    """A model seen through the bare ``new_cache``/``forward`` contract."""
+def _reference_beam(session, first_logits, budget):
+    """``beam_turn_decode`` as documented, written from scratch: each
+    hypothesis holds a deep copy of the cache and extends it with
+    ``forward``. Each step expands every frontier hypothesis by its
+    ``beam_width`` best tokens (a stable sort of its log-softmax); a stop
+    or an expansion that reaches the limit is pooled, unforwarded unless a
+    standard streaming one fills the last slot, and the children's
+    ``beam_width`` best by rank form the next frontier. The greedy rollout
+    is pooled last, and the pool's best by rank wins, the earliest pooled
+    on an exact tie; its cache becomes the session's."""
+    limit = min(budget, session.strategy.max_decode_per_turn)
+    width, ss = session.strategy.beam_width, session.paradigm == "ss"
 
-    def __init__(self, model):
-        self.model = model
-        self.vocab_size = model.vocab_size
+    def forward(cache, t):
+        session.turns[-1].decode += 1
+        return session.model.forward(cache, [text(t)])
 
-    def new_cache(self):
-        return self.model.new_cache()
+    def rank(pair):
+        h = pair[0]
+        return (-h.lp / max(1, len(h.tokens) + (h.stopped_via is not None)),
+                tuple(h.tokens))
 
-    def forward(self, cache, items):
-        return self.model.forward(cache, items)
+    cache, logits, tokens, lp, stop = (copy.deepcopy(session.cache),
+                                       first_logits, [], 0.0, None)
+    while len(tokens) < limit:
+        lps = _log_softmax(logits)
+        t = int(lps.argmax())
+        lp += float(lps[t])
+        if t in (PAD, EOS):
+            stop = t
+            break
+        tokens.append(t)
+        logits = forward(cache, t) if len(tokens) < limit or ss else None
+    rollout = (engine._Hyp(tokens, lp, logits, budget_full=stop is None,
+                           stopped_via=stop), cache)
+    pool, frontier = [], [(engine._Hyp([], 0.0, first_logits), session.cache)]
+    while frontier:
+        children = []
+        for hyp, cache in frontier:
+            lps = _log_softmax(hyp.logits)
+            for t in map(int, np.argsort(-lps, kind="stable")[:width]):
+                lp = hyp.lp + float(lps[t])
+                if t in (PAD, EOS):
+                    pool.append((engine._Hyp(list(hyp.tokens), lp, hyp.logits,
+                                             stopped_via=t), cache))
+                    continue
+                child = (engine._Hyp(hyp.tokens + [t], lp, None,
+                                     budget_full=len(hyp.tokens) + 1 >= limit),
+                         cache)
+                if not child[0].budget_full or ss:
+                    child = (child[0], copy.deepcopy(cache))
+                    child[0].logits = forward(child[1], t)
+                (pool if child[0].budget_full else children).append(child)
+        frontier = sorted(children, key=rank)[:width]
+    winner, session.cache = min(pool + [rollout], key=rank)
+    return winner
 
 
-class _CountingToy(ToyDecoder):
-    batches = 0
-
-    def forward_batch(self, caches, items):
-        self.batches += 1
-        return super().forward_batch(caches, items)
-
-
-@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
-def test_batched_beam_matches_unbatched(name, sp):
-    """One forward_batch per beam step decodes exactly what one forward per
-    expansion does: same hypotheses, records and position counts, and
-    per-turn scores within 1e-9, through an audio-less final chunk."""
-    utts = gen_synthetic_corpus(CorpusConfig(
-        num_utterances=5, vocab_size=32, frames_per_second=25.0,
-        min_tokens=5, max_tokens=20, seed=0))
-    model = _CountingToy(ModelConfig(vocab_size=32, embed_dim=64,
-                                     num_layers=4, num_heads=4, ffn_dim=128,
-                                     max_context=2048, seed=0))
-    chunking = ChunkingConfig(8, speech_text_ratio=2)
-    strategy = StrategyConfig(name, beam_width=3, max_decode_per_turn=24)
-    for u in utts:
-        runs = []
-        for m in (model, _Unbatched(model)):
-            s = session_new(m, chunking, strategy, sp)
+def _beam_runs(model_of, utts, strategy, reference=False):
+    """Each utterance streamed through a session, closed by an audio-less
+    final chunk, with the engine's beam or the reference beam."""
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(engine, "beam_turn_decode", _reference_beam)
+        for u in utts:
+            s = session_new(model_of(u), ChunkingConfig(8, speech_text_ratio=2),
+                            strategy)
             for lo, hi in chunk_bounds(len(u.frames), 8):
                 push_chunk(s, u.frames[lo:hi])
             push_chunk(s, u.frames[:0], is_last=True)
             runs.append(s)
-        a, b = runs
-        assert final_hypothesis(a) == final_hypothesis(b)
-        assert a.records == b.records
-        assert asdict(a.stats) == asdict(b.stats)
-        turns = [[asdict(t) for t in s.turns] for s in runs]
-        scores = [[t.pop("score") for t in ts] for ts in turns]
-        assert np.allclose(*scores, rtol=1e-9, atol=0)
-        assert turns[0] == turns[1]
-    assert model.batches > 0
+    return runs
+
+
+@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
+def test_batched_beam_matches_unbatched(name):
+    """A beam turn grown as one token tree in the session cache, a span of
+    rows per step, decodes what the from-scratch reference beam decodes
+    with a deep copy of the cache per hypothesis: the same hypotheses,
+    records, stats and turns, and per-turn scores within 1e-9, at widths
+    1-3, on the benchmark's toy decoder and on ``boundary:1``, through an
+    audio-less final chunk."""
+    toy = ToyDecoder(ModelConfig(vocab_size=32, embed_dim=64, num_layers=4,
+                                 num_heads=4, ffn_dim=128, max_context=2048,
+                                 seed=0))
+    short = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=3, vocab_size=32, min_tokens=5, max_tokens=20, seed=0))
+    long = gen_synthetic_corpus(CorpusConfig(
+        num_utterances=2, vocab_size=32, min_tokens=40, max_tokens=80, seed=1))
+    suite = make_boundary_oracle(long, confusion_window=1)
+    for model_of, utts in ((lambda u: toy, short),
+                           (lambda u: suite.bind(u, PARADIGM_OF[name]), long)):
+        for width in (1, 2, 3):
+            strategy = StrategyConfig(name, beam_width=width,
+                                      max_decode_per_turn=24)
+            tree = _beam_runs(model_of, utts, strategy)
+            ref = _beam_runs(model_of, utts, strategy, reference=True)
+            for a, b in zip(tree, ref):
+                assert final_hypothesis(a) == final_hypothesis(b)
+                assert a.records == b.records
+                assert asdict(a.stats) == asdict(b.stats)
+                turns = [[asdict(t) for t in s.turns] for s in (a, b)]
+                scores = [[t.pop("score") for t in ts] for ts in turns]
+                assert np.allclose(*scores, rtol=1e-9, atol=0)
+                assert turns[0] == turns[1]
+                assert a.stats.decode_positions > len(a.turns)
 
 
 class _SplitPrefill:
@@ -1205,7 +1247,8 @@ def test_one_prefill_call_matches_two(name, kind, sp):
 def test_context_aware_turn_prefills_in_one_call(name, sp):
     """Every context-aware turn after the first that carries audio makes one
     prefill forward, the previous turn's slot span then the chunk's speech,
-    and every other forward of the turn decodes one position."""
+    and every other forward of the turn decodes one position, or one per
+    row of a beam step's tree."""
     utts = gen_synthetic_corpus(CorpusConfig(
         num_utterances=3, vocab_size=32, frames_per_second=25.0,
         min_tokens=5, max_tokens=20, seed=0))
@@ -1230,7 +1273,10 @@ def test_context_aware_turn_prefills_in_one_call(name, sp):
             assert _positions(calls[0]) == span + [
                 speech(f) for f in range(*turn.frames)]
             assert turn.prefill == len(_positions(calls[0]))
-            assert [len(c) for c in calls[1:]] == [1] * turn.decode
+            lone = [len(c) for i, c in enumerate(calls[1:], start + 1)
+                    if i not in model.trees]
+            assert lone == [1] * len(lone)
+            assert sum(map(len, calls[1:])) == turn.decode
             checked += 1
     assert checked > 0
 
@@ -1263,7 +1309,7 @@ def test_a_chunk_reaches_the_model_as_one_span(name):
 
 class _LoggedToy(ToyDecoder):
     """A toy decoder that logs every item it is given, through ``forward``
-    and ``forward_batch`` alike."""
+    and ``forward_tree`` alike."""
 
     def __init__(self, cfg):
         super().__init__(cfg)
@@ -1273,15 +1319,15 @@ class _LoggedToy(ToyDecoder):
         self.items += items
         return super().forward(cache, items)
 
-    def forward_batch(self, caches, items):
+    def forward_tree(self, cache, root, items, paths):
         self.items += items
-        return super().forward_batch(caches, items)
+        return super().forward_tree(cache, root, items, paths)
 
 
 @pytest.mark.parametrize("kind", ["toy", "boundary"])
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_every_text_item_is_the_layouts_own_position(name, kind):
-    """Every text item a session forwards, batched or not, is the very
+    """Every text item a session forwards, as a tree row or not, is the very
     object ``layout.text`` returns for its token, and the items account for
     every forwarded position, through an audio-less final chunk."""
     u = gen_synthetic_corpus(CorpusConfig(num_utterances=1, seed=4))[0]
@@ -1464,8 +1510,9 @@ def test_sessions_match_the_lps_greedy_reference(name, kind):
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_strategies_decode_from_shared_read_only_logits(name):
     """The teacher and the boundary oracle reply with windows of one
-    read-only vector; every strategy decodes from them without writing into
-    logits (a write would raise), and the vector is unchanged after."""
+    read-only vector, to a forward and to each row of a beam's tree step;
+    every strategy decodes from them without writing into logits (a write
+    would raise), and the vector is unchanged after."""
     utts = gen_synthetic_corpus(CorpusConfig(num_utterances=3, seed=5))
     ck = ChunkingConfig(4)
     paradigm = PARADIGM_OF[name]
@@ -1482,7 +1529,13 @@ def test_strategies_decode_from_shared_read_only_logits(name):
                 replies.append(inner(cache, items))
                 return replies[-1]
 
-            model.forward = forward
+            def forward_tree(cache, root, items, paths,
+                             inner=model.forward_tree):
+                rows = inner(cache, root, items, paths)
+                replies.extend(rows)
+                return rows
+
+            model.forward, model.forward_tree = forward, forward_tree
             run_stream(session_new(model, ck, strategy, SP), u.frames)
             assert replies
             assert all(r.base is model._rows and not r.flags.writeable

@@ -378,6 +378,47 @@ def test_a_branch_carries_the_seal(sealed_cache):
     assert fork.rewind() == cache.rewind() == 2
 
 
+@pytest.mark.parametrize("sealed_cache", [_sealed_kv, _sealed_symbolic],
+                         ids=["kv", "symbolic"])
+def test_compact_keeps_a_path_and_cuts_the_rest(sealed_cache):
+    """``compact(root, rows)`` moves the listed rows down to ``root`` in
+    order and cuts the rest: the cache then holds, hashes and counts what
+    one holding those rows in that order would. Below the mark it raises
+    as a rollback does, and a row outside ``root`` up to the end raises
+    ``ValueError``; neither changes the cache."""
+    cache = sealed_cache()
+    mark = cache.mark
+    if isinstance(cache, KVCache):
+        m = ToyDecoder(CFG)
+        m.forward(cache, _items(m, 2, [9, 10]))
+    else:
+        cache.append_items([text(12), _speech(3), text(13)])
+    end, kept = len(cache), [mark + 1, mark + 3, len(cache) - 1]
+    order = [*range(mark), *kept]
+    if isinstance(cache, KVCache):
+        want = [a[order] for a in cache.k + cache.v]
+    else:
+        want = SymbolicCache()
+        want.append_items([_speech(cache.values[i]) if cache.kinds[i] == ord("s")
+                           else text(cache.values[i]) for i in order])
+    for root, rows, error in ((mark - 1, [], RollbackPastChunkBoundary),
+                              (mark, [mark - 1], ValueError),
+                              (mark, [end], ValueError)):
+        before = _state(cache)
+        with pytest.raises(error):
+            cache.compact(root, rows)
+        assert _state(cache) == before
+    cache.compact(mark, kept)
+    assert len(cache) == len(order) and cache.mark == mark
+    if isinstance(cache, KVCache):
+        assert all(np.array_equal(a[:len(order)], w)
+                   for a, w in zip(cache.k + cache.v, want))
+    else:
+        assert _state(cache) == _state(want)
+        assert cache.checksum() == want.checksum()
+    assert cache.rewind() == 3
+
+
 def test_an_unsealed_cache_rewinds_to_empty():
     cache = SymbolicCache()
     cache.append_items([_speech(0), text(10)])
@@ -490,7 +531,7 @@ def _random_span(model, n, seed):
 
 
 def _random_text(model, n, seed):
-    """``n`` random text items: ``forward_batch`` takes one per cache."""
+    """``n`` random text items, the rows of a tree step."""
     rng = np.random.default_rng(seed)
     return [text(int(t))
             for t in rng.integers(0, model.cfg.vocab_size, size=n)]
@@ -553,49 +594,57 @@ def test_growing_cache_matches_one_shot_and_replay(ops):
         assert other.checksum() == checksum
 
 
-# (span length, parent): parent 0 starts a fresh cache, parent p > 0
-# branches the (p - 1)-th cache built so far (mod their count) and extends it
-_BATCH_CACHES = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)),
-                         min_size=1, max_size=6)
+# a token tree: per step, each row's parent among the previous step's rows
+# (drawn modulo their count; the first step's parent is the root)
+_TREES = st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4),
+                  min_size=1, max_size=4)
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(_BATCH_CACHES, st.integers(0, 2**16), st.booleans())
-def test_forward_batch_matches_per_cache_forward(plan, seed, full):
-    """Caches of different lengths, some branched from one parent: one
-    batched step gives each cache the logits and K/V rows a forward of its
-    own would, and grows it by exactly one. With one cache at max_context
-    the batch raises before touching any cache."""
+@given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 3), _TREES,
+       st.integers(0, 2**16))
+def test_forward_tree_matches_a_linear_forward_of_each_path(
+        marked, root_len, hidden_len, tree, seed):
+    """A token tree grown above a sealed prefix, a span of rows per step,
+    over rows it must not see: every row's logits are those a linear cache
+    holding its path gives its last row, to float rounding. Compacting a
+    leaf's path leaves the rows and checksum a linear forward of that path
+    leaves, and the sealed prefix never changes."""
     m = ToyDecoder(GROW_CFG)
-    limit = GROW_CFG.max_context
-    caches = []
-    for i, (n, parent) in enumerate(plan):
-        cache = caches[(parent - 1) % len(caches)].branch() \
-            if parent and caches else m.new_cache()
-        n = min(n, limit - 1 - len(cache))
-        if n:
-            m.forward(cache, _random_span(m, n, seed + i))
-        caches.append(cache)
-    items = _random_text(m, len(caches), seed)
-    if full:
-        victim = caches[seed % len(caches)]
-        m.forward(victim, _random_span(m, limit - len(victim), seed + 1))
-        before = [(len(c), c.checksum()) for c in caches]
-        with pytest.raises(ContextOverflow):
-            m.forward_batch(caches, items)
-        assert [(len(c), c.checksum()) for c in caches] == before
-        return
-    solo = [c.branch() for c in caches]
-    lengths = [len(c) for c in caches]
-    logits = m.forward_batch(caches, items)
-    assert logits.shape == (len(caches), GROW_CFG.vocab_size)
-    for cache, ref, item, row, n in zip(caches, solo, items, logits, lengths):
-        want = m.forward(ref, [item])
-        assert np.allclose(row, want, rtol=1e-9, atol=1e-12)
-        assert len(cache) == n + 1
-        for a, b in zip(cache.k + cache.v, ref.k + ref.v):
-            assert np.array_equal(a[:n], b[:n])
-            assert np.allclose(a[n], b[n], rtol=1e-9, atol=1e-12)
+    cache = m.new_cache()
+    for i, n in enumerate((marked, root_len, hidden_len)):
+        if n:  # the rows below the mark, the rest below the root, then rows
+            m.forward(cache, _random_span(m, n, seed + i))  # the tree hides
+        if i == 0:
+            cache.mark_chunk()
+        if i == 1:
+            root, sealed, linear = len(cache), cache.sealed, cache.branch()
+    paths = {(): []}  # tree rows above root -> their tokens
+    last = [()]
+    for step, parents in enumerate(tree):
+        rows = [last[p % len(last)] for p in parents]
+        items = _random_text(m, len(rows), seed + 3 + step)
+        start = len(cache)
+        logits = m.forward_tree(cache, root, items, rows)
+        assert logits.shape == (len(rows), GROW_CFG.vocab_size)
+        last = []
+        for i, (path, item, row) in enumerate(zip(rows, items, logits)):
+            ref = linear.branch()
+            for t in paths[path]:
+                m.forward(ref, [t])
+            assert np.allclose(row, m.forward(ref, [item]),
+                               rtol=1e-9, atol=1e-12)
+            last.append(path + (start + i,))
+            paths[last[-1]] = paths[path] + [item]
+    ref = linear.branch()
+    for t in paths[last[-1]]:
+        m.forward(ref, [t])
+    cache.compact(root, last[-1])
+    assert len(cache) == len(ref) and cache.mark == ref.mark
+    assert cache.checksum(root) == ref.checksum(root)
+    assert cache.checksum(cache.mark) == sealed
+    for a, b in zip(cache.k + cache.v, ref.k + ref.v):
+        assert np.allclose(a[:len(ref)], b[:len(ref)], rtol=1e-9, atol=1e-12)
 
 
 def _eager_copy(cache):
@@ -611,110 +660,12 @@ def _eager_copy(cache):
     return copy
 
 
-_BORROW_OPS = st.lists(st.tuples(
-    st.sampled_from(["extend", "batch", "checksum", "rewind", "branch",
-                     "orphan", "parent_append", "parent_rollback",
-                     "parent_branch"]),
-    st.integers(0, 7), st.integers(1, 4), st.integers(0, 2**16)),
-    max_size=20)
-
-
-def _batch_alike(m, pairs, seed):
-    """``forward_batch`` one random text item onto each cache of ``pairs``
-    that has room and onto its eager copy: the logits agree bit for bit.
-    No cache outlives the call here, so a later drop frees it."""
-    pairs = [p for p in pairs if len(p[0]) < m.cfg.max_context]
-    items = _random_text(m, len(pairs), seed)
-    assert np.array_equal(m.forward_batch([b for b, _ in pairs], items),
-                          m.forward_batch([r for _, r in pairs], items))
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.one_of(st.integers(1, 24), st.sampled_from([15, 16, 31, 32])),
-       st.integers(1, 24), st.integers(1, 4),
-       st.lists(st.booleans(), min_size=4, max_size=4),
-       st.sampled_from(["parent_rollback", "parent_branch"]), _BORROW_OPS,
-       st.integers(0, 2**16))
-def test_borrowing_branches_match_eager_copies(lent, marked, width, keep,
-                                               first, ops, seed):
-    """One parent branched ``width`` times at ``lent`` rows (its capacity
-    or one short of it among them); the branches forwarded in one
-    ``forward_batch`` and some dropped; the rest extended by 1-4 rows,
-    forwarded in batches of siblings and cousins with or without the
-    parent, checksummed, rewound and re-branched, so branches of branches
-    share the store, which grows while they read it; the parent appends,
-    rolls back and branches again, or goes with all but one branch, which
-    then takes the store over. Every logits row, checksum, rewind and K/V
-    row equals that of caches copied eagerly from a reference parent, bit
-    for bit, and the parent's sealed prefix never changes. The first ops
-    roll the parent back below the length it lent at and then write
-    there, or lend again there, while every surviving branch still
-    borrows."""
-    m = ToyDecoder(GROW_CFG)
-    limit = GROW_CFG.max_context
-    n = min(marked, lent)
-    parent, ref_parent = m.new_cache(), m.new_cache()
-    for cache in (parent, ref_parent):
-        m.forward(cache, _random_span(m, n, seed))
-        cache.mark_chunk()
-        if lent > n:
-            m.forward(cache, _random_span(m, lent - n, seed + 1))
-    sealed = parent.checksum(parent.mark)
-    pairs = [(parent.branch(), _eager_copy(ref_parent)) for _ in range(width)]
-    _batch_alike(m, pairs, seed)
-    pairs = [p for p, k in zip(pairs, keep) if k] or pairs[:1]
-    assert parent.checksum() == ref_parent.checksum()
-    ops = [("parent_rollback", 0, 1, 0), (first, 0, 1, 0),
-           ("parent_append", 0, 1 + seed % 3, seed)
-           if first == "parent_rollback" else ("extend", -1, 1, seed)] + ops
-    for op, which, rows, op_seed in ops:
-        branch, ref = pairs[which % len(pairs)]
-        if op == "extend" and len(branch) + rows <= limit:
-            span = _random_span(m, rows, op_seed)
-            assert np.array_equal(m.forward(branch, span),
-                                  m.forward(ref, span))
-        elif op == "batch":
-            _batch_alike(m, [pairs[(which + i) % len(pairs)]
-                             for i in range(min(rows, len(pairs)))]
-                         + [(parent, ref_parent)] * (parent is not None
-                                                     and op_seed % 2),
-                         op_seed)
-        elif op == "checksum":
-            assert branch.checksum() == ref.checksum()
-        elif op == "rewind":
-            assert branch.rewind() == ref.rewind()
-        elif op == "branch":
-            pairs.append((branch.branch(), _eager_copy(ref)))
-        elif op == "orphan":
-            pairs, parent, ref_parent = [(branch, ref)], None, None
-        elif parent is None:
-            continue
-        elif op == "parent_append" and len(parent) + rows <= limit:
-            span = _random_span(m, rows, op_seed)
-            assert np.array_equal(m.forward(parent, span),
-                                  m.forward(ref_parent, span))
-        elif op == "parent_rollback":
-            parent.rollback(parent.mark)
-            ref_parent.rollback(ref_parent.mark)
-        elif op == "parent_branch":
-            pairs.append((parent.branch(), _eager_copy(ref_parent)))
-        if parent is not None:
-            assert parent.checksum(parent.mark) == sealed
-            assert parent.checksum() == ref_parent.checksum()
-    for branch, ref in pairs:
-        assert len(branch) == len(ref)
-        assert branch.checksum() == ref.checksum()
-        assert _same_rows(branch, ref)
-    assert parent is None or _same_rows(parent, ref_parent)
-
-
 def test_a_deep_copy_of_a_reader_owns_its_rows():
-    """``copy.deepcopy`` of a cache that reads a shared row store, as
-    ``StreamingSession.fork`` makes of a beam winner, owns its rows and
-    shares nothing with the caches it was copied from. Once they are gone
-    it rolls back below the lent length and writes there without copying
-    its rows again, and both it and a branch of it match eager copies bit
-    for bit."""
+    """``copy.deepcopy`` of a branch, as ``StreamingSession.fork`` makes of
+    a session cache, owns its rows and shares nothing with the caches it
+    was copied from. Once they are gone it rolls back and writes there
+    without copying its rows again, and both it and a branch of it match
+    eager copies bit for bit."""
     m = ToyDecoder(GROW_CFG)
     parent = m.new_cache()
     m.forward(parent, _random_span(m, 36, 0))
@@ -744,28 +695,73 @@ def test_a_deep_copy_of_a_reader_owns_its_rows():
         assert _same_rows(cache, ref)
 
 
-def test_forward_batch_rejects_a_repeated_cache():
-    m = ToyDecoder(CFG)
-    cache = m.new_cache()
-    with pytest.raises(ValueError):
-        m.forward_batch([cache, cache], _items(m, 0, [4, 5]))
-    assert len(cache) == 0
+def test_forward_tree_rejects_a_path_outside_the_tree(edge_example):
+    """A path naming a row below the root, past the cache's end or one of
+    the rows being added, a root past the end, and a path count that is
+    not the item count all raise ``ValueError`` on both model kinds, and
+    the cache stays as it was."""
+    toy = ToyDecoder(CFG)
+    oracle = make_boundary_oracle([edge_example], 1).bind("edge", "ss")
+    for m in (toy, oracle):
+        cache = m.new_cache()
+        m.forward(cache, _items(m, 0, [4, 5, 6, 7]))
+        before = _state(cache)
+        for root, paths in ((2, [(1,)]), (2, [(4,)]), (2, [(-1,)]),
+                            (5, [()]), (2, [(), ()])):
+            with pytest.raises(ValueError):
+                m.forward_tree(cache, root, [text(8)], paths)
+            assert _state(cache) == before
 
 
-def test_forward_batch_of_no_caches_is_an_empty_array():
-    """An empty batch gives ``(0, vocab_size)`` logits and leaves a
-    cache it was not given untouched; a length mismatch still raises."""
+def test_forward_tree_of_no_rows_is_an_empty_array():
+    """A tree step of no rows gives ``(0, vocab_size)`` logits and leaves
+    the cache untouched; a path count that is not the item count still
+    raises."""
     m = ToyDecoder(CFG)
     cache = m.new_cache()
     m.forward(cache, _items(m, 0, [4, 5]))
     before = (len(cache), cache.checksum())
-    logits = m.forward_batch([], [])
+    logits = m.forward_tree(cache, 2, [], [])
     assert logits.shape == (0, CFG.vocab_size)
     assert logits.dtype == np.float64
     assert (len(cache), cache.checksum()) == before
-    with pytest.raises(ValueError, match="one item per cache"):
-        m.forward_batch([cache], [])
+    with pytest.raises(ValueError, match="one path per item"):
+        m.forward_tree(cache, 2, [text(4)], [])
     assert (len(cache), cache.checksum()) == before
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_a_tree_overflows_where_a_path_or_its_rows_would(depth):
+    """A tree step raises ``ContextOverflow`` once its rows would take the
+    cache past ``max_context``. A row's path lies in the cache, so that
+    covers every row whose position reaches ``max_context``, where a
+    linear hypothesis overflows; it also covers rows whose paths all fit.
+    Each overflow leaves the cache as it was; a tree that fits decodes."""
+    m = _exact_model(depth, 2, 8)
+    limit = m.cfg.max_context
+    root = limit - 4
+
+    def grown(*steps):
+        cache = m.new_cache()
+        m.forward(cache, _random_span(m, root, depth))
+        for paths in steps:
+            m.forward_tree(cache, root, _random_text(m, len(paths), 1), paths)
+        return cache
+
+    chain = grown([()], [(root,)], [(root, root + 1)],
+                  [(root, root + 1, root + 2)])
+    siblings = grown([(), (), (), ()])
+    cases = ((chain, [tuple(range(root, limit))]),  # at position limit
+             (siblings, [(root,)]))                  # at position root + 1
+    for cache, paths in cases:
+        assert len(cache) == limit
+        before = (len(cache), cache.checksum())
+        with pytest.raises(ContextOverflow):
+            m.forward_tree(cache, root, [text(3)], paths)
+        assert (len(cache), cache.checksum()) == before
+    fits = grown([(), (), ()])
+    m.forward_tree(fits, root, [text(3)], [(root,)])
+    assert len(fits) == limit
 
 
 def _state(cache):
@@ -779,7 +775,7 @@ def _state(cache):
 def test_speech_reaches_a_model_only_as_a_span(kind, edge_example):
     """A speech ``Position`` raises ``ValueError`` before the cache
     changes, wherever it sits in the items; so does a ``SpeechSpan`` given
-    to ``forward_batch``, which appends one text position per cache."""
+    to ``forward_tree``, whose rows are text positions."""
     if kind == "toy":
         m = ToyDecoder(CFG)
         frames = np.ones((3, CFG.frame_dim))
@@ -795,9 +791,9 @@ def test_speech_reaches_a_model_only_as_a_span(kind, edge_example):
         with pytest.raises(ValueError, match="SpeechSpan"):
             m.forward(cache, items)
         assert _state(cache) == before
-    if kind == "toy":
-        with pytest.raises(ValueError, match="SpeechSpan"):
-            m.forward_batch([cache], [SpeechSpan(4, frames[:1])])
+    for item in (speech(3), SpeechSpan(4, frames[:1])):
+        with pytest.raises(ValueError):
+            m.forward_tree(cache, len(cache), [item], [()])
         assert _state(cache) == before
 
 
@@ -864,7 +860,7 @@ def _reference_layer_norm(x, g, b):
     return d / np.sqrt((d * d).sum(axis=-1, keepdims=True) / n + 1e-5) * g + b
 
 
-def _reference_attend(model, cache, li, q, k, v):
+def _reference_attend(model, cache, li, q, k, v, hidden=None):
     s = q.shape[0]
     h_count = model.cfg.num_heads
     dh = model.cfg.embed_dim // h_count
@@ -874,7 +870,9 @@ def _reference_attend(model, cache, li, q, k, v):
     vh = cache.v[li][:new_len].reshape(new_len, h_count, dh).transpose(1, 0, 2)
     qh = q.reshape(s, h_count, dh).transpose(1, 0, 2)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    if s > 1:
+    if hidden is not None:
+        scores = np.where(~hidden[None, :, :], scores, -np.inf)
+    elif s > 1:
         mask = build_attention_mask(s, new_len)
         scores = np.where(mask[None, :, :], scores, -np.inf)
     probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -882,9 +880,10 @@ def _reference_attend(model, cache, li, q, k, v):
     return (probs @ vh).transpose(1, 0, 2).reshape(s, model.cfg.embed_dim)
 
 
-def _reference_layers(model, x, spans):
+def _reference_layers(model, x, spans, hidden=None):
     """The former layer body, kept as the oracle: every row, a lone one
-    too, runs as a 2-D array through a ``ctx`` buffer. Q, K and V come
+    too, runs as a 2-D array through a ``ctx`` buffer, under the causal
+    mask or ``hidden``. Q, K and V come
     from one product with ``wq, wk, wv`` stacked into a ``[3d, d]`` block,
     as the decoder projects: BLAS rounds three ``[d, d]`` products apart
     differently from some row count on (7 rows at d 64)."""
@@ -897,7 +896,7 @@ def _reference_layers(model, x, spans):
         ctx = np.empty_like(x)
         for cache, rows in spans:
             ctx[rows] = _reference_attend(model, cache, li, q[rows], k[rows],
-                                          v[rows])
+                                          v[rows], hidden)
         x = x + ctx @ lp.wo.T + lp.bo
         h2 = _reference_layer_norm(x, lp.ln2_g, lp.ln2_b)
         ff = np.maximum(h2 @ lp.ffn_w1.T + lp.ffn_b1, 0.0) @ lp.ffn_w2.T
@@ -910,7 +909,7 @@ def _reference_layers(model, x, spans):
 def _exact_model(depth, heads, d):
     return ToyDecoder(ModelConfig(vocab_size=16, embed_dim=d, num_layers=depth,
                                   num_heads=heads, ffn_dim=2 * d, frame_dim=4,
-                                  adapter_hidden=8, max_context=40, seed=depth))
+                                  adapter_hidden=8, max_context=48, seed=depth))
 
 
 def _same_rows(a, b):
@@ -926,102 +925,55 @@ _EDGE_LENGTHS = st.sampled_from([0, 15, 16, 17, 31, 32, 33])
 @settings(max_examples=80, deadline=None, database=None)
 @given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
        d=st.sampled_from([8, 12, 16, 32, 64]), how=st.sampled_from(
-           ["text", "speech", "span", "batch"]),
+           ["text", "speech", "span", "tree"]),
        lengths=st.lists(_EDGE_LENGTHS, min_size=1, max_size=4),
        seed=st.integers(0, 2**16))
+@example(depth=4, heads=4, d=64, how="tree", lengths=[33, 15, 16, 31],
+         seed=7)
+@example(depth=2, heads=4, d=64, how="tree", lengths=[15, 0, 16], seed=8)
 def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
                                                    lengths, seed):
     """Lone text and speech rows (1-D inside the layer body), masked spans
-    and batches of any size give the logits and append the K/V rows the
-    all-2-D reference body does, bit for bit."""
+    and tree steps give the logits and append the K/V rows the all-2-D
+    reference body does under the same mask, bit for bit. A tree step
+    grows 3 rows per drawn length over a prefix of the first length and a
+    step of 3 hidden rows, each new row's path one of those or none; the
+    first example has beam_toy's model shape and a width-3 beam step's 9
+    rows."""
     m = _exact_model(depth, heads, d)
-    if how != "batch":
-        lengths = lengths[:1]
-    caches = []
-    for i, n in enumerate(lengths):
-        cache = m.new_cache()
-        if n:
-            m.forward(cache, _random_span(m, n, seed + i))
-        caches.append(cache)
-    refs = [c.branch() for c in caches]
+    cache = m.new_cache()
+    if lengths[0]:
+        m.forward(cache, _random_span(m, lengths[0], seed))
     rng = np.random.default_rng(seed)
-    if how == "batch":
-        items = _random_text(m, len(caches), seed)
-        got = m.forward_batch(caches, items)
-        x = m._embed(items, np.array(lengths))
-        want = _reference_layers(
-            m, x, [(c, slice(i, i + 1)) for i, c in enumerate(refs)])
+    hidden = None
+    if how == "tree":
+        root = lengths[0]
+        m.forward_tree(cache, root, _random_text(m, 3, seed + 1), [()] * 3)
+        items = _random_text(m, 3 * (len(lengths) - 1) or 1, seed + 2)
+        paths = [() if p == 3 else (root + p,)
+                 for p in rng.integers(0, 4, len(items))]
+        n = len(cache)
+        hidden = np.ones((len(items), n + len(items)), dtype=bool)
+        hidden[:, :root] = False
+        for i, path in enumerate(paths):
+            hidden[i, list(path) + [n + i]] = False
+        x = m._embed(items, [root + len(path) for path in paths])
+    elif how == "text":
+        items = [text(int(rng.integers(0, m.cfg.vocab_size)))]
+    elif how == "speech":
+        items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
     else:
-        if how == "text":
-            items = [text(int(rng.integers(0, m.cfg.vocab_size)))]
-        elif how == "speech":
-            items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
-        else:
-            items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
-        x = m.embed_items(items, start=lengths[0])
-        got = m.forward_embedded(x, caches[0])
-        want = _reference_layers(m, x, [(refs[0], slice(0, len(items)))])
+        items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
+    ref = cache.branch()
+    if how == "tree":
+        got = m.forward_tree(cache, root, items, paths)
+    else:
+        x = m.embed_items(items, start=len(cache))
+        got = m.forward_embedded(x, cache)
+    want = _reference_layers(m, x, [(ref, slice(0, len(items)))], hidden)
     assert got.shape == want.shape == (len(x), m.cfg.vocab_size)
     assert np.array_equal(got, want)
-    assert all(_same_rows(c, r) for c, r in zip(caches, refs))
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(depth=st.integers(1, 3), heads=st.sampled_from([1, 2, 4]),
-       d=st.sampled_from([8, 12, 16, 32, 64]),
-       groups=st.lists(st.tuples(_EDGE_LENGTHS, st.integers(1, 3),
-                                 st.integers(0, 2)), min_size=1, max_size=4),
-       seed=st.integers(0, 2**16))
-@example(depth=4, heads=4, d=64, groups=[(33, 3, 2)], seed=7)
-@example(depth=2, heads=4, d=64, groups=[(15, 2, 2), (16, 2, 1)], seed=8)
-def test_grouped_attention_is_bit_identical_to_the_reference(
-        depth, heads, d, groups, seed):
-    """One ``forward_batch`` over a shuffled mix of sibling groups (two or
-    more branches of one parent, which write their rows into one row
-    store), beam steps (three branches of each of ``count`` branches of
-    one parent, each a row past it, so cousins share one store too),
-    unrelated caches of one length, and caches of other lengths either
-    side of 16 and 32 rows, gives the logits and appends the K/V rows the
-    all-2-D reference does on eager copies, bit for bit. A batch holds up
-    to 12 rows at every width, so a width-3 beam step's 9 rows at d 64
-    are checked (the first example has beam_toy's model shape)."""
-    m = _exact_model(depth, heads, d)
-    room = 12
-    caches, refs = [], []
-    for j, (n, count, kin) in enumerate(groups):
-        room -= (count, count + 1, 3 * count)[kin]
-        if room < 0:
-            break
-        if kin:
-            root = m.new_cache()
-            if n:
-                m.forward(root, _random_span(m, n, seed + j))
-            parents = [root]
-            if kin == 2:
-                parents = [root.branch() for _ in range(count)]
-                for i, parent in enumerate(parents):
-                    m.forward(parent, _random_text(m, 1, seed + 8 * j + i))
-            per = count + 1 if kin == 1 else 3
-            for parent in parents:
-                refs += [_eager_copy(parent) for _ in range(per)]
-                caches += [parent.branch() for _ in range(per)]
-            continue
-        for c in range(count):
-            cache = m.new_cache()
-            if n:
-                m.forward(cache, _random_span(m, n, seed + 8 * j + c))
-            refs.append(_eager_copy(cache))
-            caches.append(cache)
-    order = np.random.default_rng(seed).permutation(len(caches))
-    caches = [caches[i] for i in order]
-    refs = [refs[i] for i in order]
-    items = _random_text(m, len(caches), seed)
-    x = m._embed(items, [len(r) for r in refs])
-    got = m.forward_batch(caches, items)
-    want = _reference_layers(
-        m, x, [(r, slice(i, i + 1)) for i, r in enumerate(refs)])
-    assert np.array_equal(got, want)
-    assert all(_same_rows(c, r) for c, r in zip(caches, refs))
+    assert _same_rows(cache, ref)
 
 
 def test_branch_reserves_one_more_row_and_little_else():
@@ -1049,21 +1001,20 @@ def test_lone_row_at_max_context_overflows_untouched(depth):
         with pytest.raises(ContextOverflow):
             m.forward(cache, [item])
         with pytest.raises(ContextOverflow):
-            m.forward_batch([cache], [item])
+            m.forward_tree(cache, len(cache), [item], [()])
     assert (len(cache), cache.checksum()) == before
 
 
-# the kinds of cache ``KVCache.append`` serves: one that owns its arrays, a
-# branch before and after its first lone row (a one-row suffix in the
-# shared store), and a lender whose borrower is still alive
+# the kinds of cache ``KVCache.append`` serves: a new one, a branch before
+# and after its first lone row, and a cache whose branch is still alive
 _APPEND_KINDS = ["owned", "borrower", "borrower_kept", "lender"]
 
 
 def _cache_of_kind(kind, n, seed):
     """A GROW_CFG-shaped cache of ``kind`` over ``n`` random rows, and the
-    other caches that share its arrays: the lender of a borrower, or the
-    borrower of a lender, which has appended one row of its own where
-    there is room. The same arguments build a bit-identical twin."""
+    other caches made with it: the cache a branch was made from, or the
+    branch of a cache, which has appended one row of its own where there
+    is room. The same arguments build a bit-identical twin."""
     rng = np.random.default_rng(seed)
     layers, d = GROW_CFG.num_layers, GROW_CFG.embed_dim
     base = KVCache(layers, d, GROW_CFG.max_context)
@@ -1092,8 +1043,8 @@ def test_append_returns_the_rows_it_wrote(kind, n, s, seed):
     """``append`` of a lone 1-D row (``s`` None) or an ``[s, d]`` span
     writes at ``length`` and returns the layer's rows through the new ones,
     bit for bit the cache's ``k`` and ``v`` there, for every kind of cache.
-    The rows below ``length``, and every row of the caches sharing its
-    arrays, stay as the untouched twin's."""
+    The rows below ``length``, and every row of the caches made with it,
+    stay as the untouched twin's."""
     cache, others = _cache_of_kind(kind, n, seed)
     twin, twin_others = _cache_of_kind(kind, n, seed)
     start, d = len(cache), GROW_CFG.embed_dim
@@ -1118,7 +1069,7 @@ def test_append_returns_the_rows_it_wrote(kind, n, s, seed):
 def test_append_past_max_context_changes_nothing(kind):
     """A lone row at ``max_context`` raises ``ContextOverflow`` and leaves
     the cache as its untouched twin is, in length, array shapes and
-    checksum, and so the caches sharing its arrays."""
+    checksum, and so the caches made with it."""
     n = GROW_CFG.max_context - (kind == "borrower_kept")
     cache, others = _cache_of_kind(kind, n, 0)
     twin, twin_others = _cache_of_kind(kind, n, 0)
@@ -1132,34 +1083,6 @@ def test_append_past_max_context_changes_nothing(kind):
     assert [a.shape for a in cache.k + cache.v] == [
         a.shape for a in twin.k + twin.v]
     assert cache.checksum() == twin.checksum()
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(kind=st.sampled_from(["owned", "borrower", "lender"]),
-       n=st.sampled_from([0, 1, 14, 15, 16, 17, 31, 32, 33, 36]),
-       seed=st.integers(0, 2**16))
-def test_a_repeated_append_rewrites_the_same_row(kind, n, seed):
-    """Two identical one-row ``append``s before ``advance`` leave a cache
-    as one leaves its twin: the same returned rows, and after ``advance``
-    the same rows and checksums, in it and in every cache sharing its
-    row store."""
-    cache, others = _cache_of_kind(kind, n, seed)
-    twin, twin_others = _cache_of_kind(kind, n, seed)
-    rng = np.random.default_rng(seed + 1)
-    d = GROW_CFG.embed_dim
-    for li in range(GROW_CFG.num_layers):
-        k, v = rng.standard_normal(d), rng.standard_normal(d)
-        first = [a.copy() for a in cache.append(li, k, v)]
-        again = cache.append(li, k, v)
-        once = twin.append(li, k, v)
-        for a, b, c in zip(first, again, once):
-            assert np.array_equal(a, b) and np.array_equal(b, c)
-    cache.advance(1)
-    twin.advance(1)
-    assert _checksums(others) == _checksums(twin_others)
-    assert cache.checksum() == twin.checksum()
-    assert _same_rows(cache, twin)
-    assert all(_same_rows(a, b) for a, b in zip(others, twin_others))
 
 
 @settings(max_examples=200, deadline=None, database=None)
