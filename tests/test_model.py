@@ -925,51 +925,68 @@ _EDGE_LENGTHS = st.sampled_from([0, 15, 16, 17, 31, 32, 33])
 @settings(max_examples=80, deadline=None, database=None)
 @given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
        d=st.sampled_from([8, 12, 16, 32, 64]), how=st.sampled_from(
-           ["text", "speech", "span", "tree"]),
-       lengths=st.lists(_EDGE_LENGTHS, min_size=1, max_size=4),
-       seed=st.integers(0, 2**16))
-@example(depth=4, heads=4, d=64, how="tree", lengths=[33, 15, 16, 31],
-         seed=7)
-@example(depth=2, heads=4, d=64, how="tree", lengths=[15, 0, 16], seed=8)
+           ["text", "speech", "span"]),
+       length=_EDGE_LENGTHS, seed=st.integers(0, 2**16))
 def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
-                                                   lengths, seed):
-    """Lone text and speech rows (1-D inside the layer body), masked spans
-    and tree steps give the logits and append the K/V rows the all-2-D
-    reference body does under the same mask, bit for bit. A tree step
-    grows 3 rows per drawn length over a prefix of the first length and a
-    step of 3 hidden rows, each new row's path one of those or none; the
-    first example has beam_toy's model shape and a width-3 beam step's 9
-    rows."""
+                                                   length, seed):
+    """Lone text and speech rows (1-D inside the layer body) and masked
+    spans give the logits and append the K/V rows the all-2-D reference
+    body does, bit for bit."""
     m = _exact_model(depth, heads, d)
     cache = m.new_cache()
-    if lengths[0]:
-        m.forward(cache, _random_span(m, lengths[0], seed))
+    if length:
+        m.forward(cache, _random_span(m, length, seed))
     rng = np.random.default_rng(seed)
-    hidden = None
-    if how == "tree":
-        root = lengths[0]
-        m.forward_tree(cache, root, _random_text(m, 3, seed + 1), [()] * 3)
-        items = _random_text(m, 3 * (len(lengths) - 1) or 1, seed + 2)
-        paths = [() if p == 3 else (root + p,)
-                 for p in rng.integers(0, 4, len(items))]
-        n = len(cache)
-        hidden = np.ones((len(items), n + len(items)), dtype=bool)
-        hidden[:, :root] = False
-        for i, path in enumerate(paths):
-            hidden[i, list(path) + [n + i]] = False
-        x = m._embed(items, [root + len(path) for path in paths])
-    elif how == "text":
+    if how == "text":
         items = [text(int(rng.integers(0, m.cfg.vocab_size)))]
     elif how == "speech":
         items = [SpeechSpan(0, rng.standard_normal((1, m.cfg.frame_dim)))]
     else:
         items = _random_span(m, int(rng.integers(2, 6)), seed + 7)
     ref = cache.branch()
-    if how == "tree":
-        got = m.forward_tree(cache, root, items, paths)
-    else:
-        x = m.embed_items(items, start=len(cache))
-        got = m.forward_embedded(x, cache)
+    x = m.embed_items(items, start=len(cache))
+    got = m.forward_embedded(x, cache)
+    want = _reference_layers(m, x, [(ref, slice(0, len(items)))])
+    assert got.shape == want.shape == (len(x), m.cfg.vocab_size)
+    assert np.array_equal(got, want)
+    assert _same_rows(cache, ref)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(depth=st.integers(0, 3), heads=st.sampled_from([1, 2, 4]),
+       d=st.sampled_from([8, 12, 16, 32, 64]), root=_EDGE_LENGTHS,
+       count=st.integers(1, 4), per=st.integers(1, 3), lone=st.integers(0, 2),
+       seed=st.integers(0, 2**16))
+@example(depth=4, heads=4, d=64, root=33, count=3, per=3, lone=0, seed=7)
+@example(depth=2, heads=4, d=64, root=15, count=2, per=2, lone=1, seed=8)
+def test_grouped_attention_is_bit_identical_to_the_reference(
+        depth, heads, d, root, count, per, lone, seed):
+    """One ``forward_tree`` step over a shuffled mix of sibling groups
+    (``per`` children of each of ``count`` rows one step past the root,
+    as a beam step expands its hypotheses) and ``lone`` rows on the root
+    alone gives the logits and appends the K/V rows the all-2-D reference
+    body does under the same mask, bit for bit. Roots sit either side of
+    16 and 32 rows; the first example has beam_toy's model shape and a
+    width-3 beam step's 9 rows."""
+    m = _exact_model(depth, heads, d)
+    cache = m.new_cache()
+    if root:
+        m.forward(cache, _random_span(m, root, seed))
+    m.forward_tree(cache, root, _random_text(m, count, seed + 1),
+                   [()] * count)
+    paths = [(root + p,) for p in range(count) for _ in range(per)]
+    paths += [()] * lone
+    order = np.random.default_rng(seed).permutation(len(paths))
+    paths = [paths[i] for i in order]
+    items = _random_text(m, len(paths), seed + 2)
+    n = len(cache)
+    hidden = np.ones((len(items), n + len(items)), dtype=bool)
+    hidden[:, :root] = False
+    for i, path in enumerate(paths):
+        hidden[i, list(path) + [n + i]] = False
+    x = m._embed(items, [root + len(path) for path in paths])
+    ref = cache.branch()
+    got = m.forward_tree(cache, root, items, paths)
     want = _reference_layers(m, x, [(ref, slice(0, len(items)))], hidden)
     assert got.shape == want.shape == (len(x), m.cfg.vocab_size)
     assert np.array_equal(got, want)
