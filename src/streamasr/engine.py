@@ -31,20 +31,19 @@ Cache discipline, which the accounting tests pin down exactly:
 * rollbacks never cross the most recent chunk mark, and a checksum taken
   at the mark is re-verified before every rewind.
 
-Every greedy decode runs through one argmax loop, ``_greedy``: it stops on
+Every greedy decode steps by one argmax, ``_greedy_step``: it stops on
 pad or eos, or once it has emitted its token limit, and never forwards the
 token that reached the limit. A streaming turn's slot phase limits it to
 the chunk's slot budget or ``max_decode_per_turn``, whichever is smaller;
 the standard layout then forwards that last token into its slot and the
-context-aware one withholds it. Beam search has its own frontier loop
-with the same limit and always pools the greedy rollout; it grows its
-hypotheses as a token tree in the session cache and scores each
-expansion with ``model._log_softmax``, the one log-softmax, which
-``masked_ce_loss`` uses too. On the final chunk a turn that filled its slot
-budget flushes on, still capped at ``max_decode_per_turn`` tokens for the
-whole turn; a turn the cap stopped first emits its tokens as decoded. The
-same cap bounds an audio-less final turn's drain and every non-streaming
-re-decode.
+context-aware one withholds it. A beam turn grows its frontier and its
+greedy rollout, which it always pools, as one token tree in the session
+cache, a span of rows per step, and scores each expansion with
+``model._log_softmax``, the one log-softmax, which ``masked_ce_loss``
+uses too. On the final chunk a turn that filled its slot budget flushes
+on, still capped at ``max_decode_per_turn`` tokens for the whole turn; a
+turn the cap stopped first emits its tokens as decoded. The same cap
+bounds an audio-less final turn's drain and every non-streaming re-decode.
 """
 
 from __future__ import annotations
@@ -353,25 +352,29 @@ def fallback_rewind(session: StreamingSession) -> int:
 # turn decoding: one greedy loop, beam search, the shared slot phase
 
 
+def _greedy_step(logits: np.ndarray, lp: float) -> tuple[int, float]:
+    """One greedy step: the first maximum logit ``t`` and ``lp`` plus its
+    log probability, which equals ``_log_softmax(logits)[t]`` bit for bit:
+    the shifted logit at the maximum is exactly 0, so the same sum is
+    reduced, and only that one entry is computed."""
+    t = int(logits.argmax())
+    return t, lp - float(np.log(np.add.reduce(np.exp(logits - logits[t]))))
+
+
 def _greedy(session: StreamingSession, cache, logits: np.ndarray,
             limit: int) -> tuple[list[int], float, int | None, np.ndarray]:
-    """Argmax decode from ``logits`` until pad or eos, or until ``limit``
-    tokens are out.
+    """Argmax decode from ``logits`` by ``_greedy_step`` until pad or eos,
+    or until ``limit`` tokens are out.
 
     Returns ``(tokens, lp, stop, logits)``: ``lp`` includes the stop
     symbol's log probability, ``stop`` is None at the limit, and the token
     that reached the limit is not forwarded, so ``logits`` are then the ones
     that produced it.
-
-    A step picks the first maximum logit and computes only its log
-    probability. That equals ``_log_softmax(logits)[t]`` bit for bit: the shifted
-    logit at the maximum is exactly 0, so the same sum is reduced.
     """
     tokens: list[int] = []
     lp = 0.0
     while len(tokens) < limit:
-        t = int(logits.argmax())
-        lp -= float(np.log(np.add.reduce(np.exp(logits - logits[t]))))
+        t, lp = _greedy_step(logits, lp)
         if t == PAD or t == EOS:
             return tokens, lp, t, logits
         tokens.append(t)
@@ -397,34 +400,53 @@ def _turn_rollout(session: StreamingSession, logits: np.ndarray,
                 budget_full=stop is None, stopped_via=stop)
 
 
+def _running(h: _Hyp) -> bool:
+    return h.stopped_via is None and not h.budget_full
+
+
 def _beam_step(session: StreamingSession, root: int, frontier: list[_Hyp],
-               pool: list[_Hyp], limit: int) -> list[_Hyp]:
-    """Expand each frontier hypothesis by its ``beam_width`` best tokens.
+               pool: list[_Hyp], limit: int, rollout: _Hyp) -> list[_Hyp]:
+    """Expand each frontier hypothesis by its ``beam_width`` best tokens,
+    and a running greedy ``rollout`` by its ``_greedy_step`` token.
 
     Stops, and expansions that reach ``limit``, go to ``pool``; the other
-    expansions are returned as children. Every expansion that needs a
-    forward (each child, and a standard streaming one that fills the last
-    slot) becomes a row of the token tree above ``root``, all of them
-    forwarded as one span whose rows each see their own path.
+    expansions are returned as children. The rollout stops on pad or eos
+    or at ``limit`` as ``_greedy`` does. Every expansion that needs a
+    forward (each child, the rollout's token short of the limit, and a
+    standard streaming one that fills the last slot) becomes a row of the
+    token tree above ``root``, all of them forwarded as one span whose
+    rows each see their own path.
     """
-    width = session.strategy.beam_width
+    ss = session.paradigm == "ss"
     children: list[_Hyp] = []
     grown: list[_Hyp] = []
-    # the whole frontier at once: each row reduces and sorts alone
-    lps = _log_softmax(np.array([hyp.logits for hyp in frontier]))
-    best = np.argsort(-lps, axis=-1, kind="stable")[:, :width].tolist()
-    for hyp, row, tokens in zip(frontier, lps.tolist(), best):
-        for t in tokens:
-            lp = hyp.lp + row[t]
-            if t == PAD or t == EOS:
-                pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits, hyp.rows,
-                                 stopped_via=t))
-                continue
-            child = _Hyp(hyp.tokens + [t], lp, None, hyp.rows,
-                         budget_full=len(hyp.tokens) + 1 >= limit)
-            (pool if child.budget_full else children).append(child)
-            if not child.budget_full or session.paradigm == "ss":
-                grown.append(child)
+    if frontier:
+        width = session.strategy.beam_width
+        # the whole frontier at once: each row reduces and sorts alone
+        lps = _log_softmax(np.array([hyp.logits for hyp in frontier]))
+        best = np.argsort(-lps, axis=-1, kind="stable")[:, :width].tolist()
+        for hyp, row, tokens in zip(frontier, lps.tolist(), best):
+            for t in tokens:
+                lp = hyp.lp + row[t]
+                if t == PAD or t == EOS:
+                    pool.append(_Hyp(list(hyp.tokens), lp, hyp.logits,
+                                     hyp.rows, stopped_via=t))
+                    continue
+                child = _Hyp(hyp.tokens + [t], lp, None, hyp.rows,
+                             budget_full=len(hyp.tokens) + 1 >= limit)
+                (pool if child.budget_full else children).append(child)
+                if not child.budget_full or ss:
+                    grown.append(child)
+    if _running(rollout):
+        t, rollout.lp = _greedy_step(rollout.logits, rollout.lp)
+        if t == PAD or t == EOS:
+            rollout.stopped_via = t
+        else:
+            rollout.tokens.append(t)
+            rollout.budget_full = len(rollout.tokens) >= limit
+            rollout.logits = None
+            if not rollout.budget_full or ss:
+                grown.append(rollout)
     if grown:
         start = len(session.cache)
         logits = session.model.forward_tree(
@@ -441,24 +463,27 @@ def beam_turn_decode(session: StreamingSession, first_logits: np.ndarray,
     """Per-turn beam search over the slot phase, as a token tree in the
     session cache.
 
-    The greedy rollout runs first, as lone rows above the turn's root;
-    each beam step then forwards its expansions as one span of tree rows
-    above those. Candidates score by length-normalized log probability,
-    counting a stop emission toward the length. The greedy rollout always
-    enters the pool, last, so the winner never scores below it and an
-    exact tie goes to the beam; other ties break toward the smaller token
-    tuple. The winner's rows then move down to the root and the rest of
-    the tree is cut.
+    The greedy rollout and the beam grow together: rollout row *i* and
+    beam step *i*'s expansions sit at the same depth of the tree above
+    the turn's root, so each ``_beam_step`` forwards them as one span of
+    tree rows, until both the frontier and the rollout have stopped.
+    Candidates score by length-normalized log probability, counting a
+    stop emission toward the length. The greedy rollout always enters the
+    pool, last, so the winner never scores below it and an exact tie goes
+    to the beam; other ties break toward the smaller token tuple. The
+    winner's rows then move down to the root and the rest of the tree is
+    cut.
     """
     root = len(session.cache)
-    rollout = _turn_rollout(session, first_logits, budget)
     width = session.strategy.beam_width
     limit = min(budget, session.strategy.max_decode_per_turn)
+    rollout = _Hyp([], 0.0, first_logits)
     frontier = [_Hyp([], 0.0, first_logits)]
     pool: list[_Hyp] = []
-    while frontier:
-        frontier = sorted(_beam_step(session, root, frontier, pool, limit),
-                          key=_rank)[:width]
+    while frontier or _running(rollout):
+        frontier = sorted(
+            _beam_step(session, root, frontier, pool, limit, rollout),
+            key=_rank)[:width]
     pool.append(rollout)
     winner = min(pool, key=_rank)
     session.cache.compact(root, winner.rows)

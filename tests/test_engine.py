@@ -42,6 +42,7 @@ from streamasr.engine import (
 )
 from streamasr.layout import (
     ChunkingConfig,
+    Position,
     SpecialTokens,
     build_cs,
     build_ns,
@@ -56,6 +57,7 @@ from streamasr.model import (
     KVCache,
     ModelConfig,
     SpeechSpan,
+    SymbolicCache,
     TeacherOracle,
     ToyDecoder,
     _log_softmax,
@@ -699,6 +701,11 @@ def test_beam_width_one_equals_greedy(chunk4, sp):
                 assert _turn_outcomes(a) == _turn_outcomes(b)
 
 
+# a greedy rollout that has stopped, for a beam step that expands the
+# frontier alone
+_STOPPED = engine._Hyp([], 0.0, None, stopped_via=PAD)
+
+
 def test_a_pruned_beam_child_allocates_no_rows(sp):
     """A beam step's children are rows of a token tree in the session
     cache: forwarding three of them over a 200-row cache, whose arrays have
@@ -719,7 +726,7 @@ def test_a_pruned_beam_child_allocates_no_rows(sp):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        children = engine._beam_step(s, 200, frontier, [], limit=4)
+        children = engine._beam_step(s, 200, frontier, [], 4, _STOPPED)
         assert len(children) == 3 and s.turns[-1].decode == 3
         assert [h.rows for h in children] == [(200,), (201,), (202,)]
         del children
@@ -730,15 +737,17 @@ def test_a_pruned_beam_child_allocates_no_rows(sp):
     assert s.cache.checksum(200) == sealed
 
 
-def _beam_turn_over_100_rows(sp):
-    """A cs_fallback_beam session on beam_toy's model shape whose cache
-    holds 100 sealed speech rows, with the logits of the last one, in
-    which pad and eos cannot win, so the beam's winner decodes tokens."""
+def _beam_turn_over_100_rows(sp, name="cs_fallback_beam", wrap=None):
+    """A width-3 ``name`` session on beam_toy's model shape, its model
+    passed through ``wrap`` if given, whose cache holds 100 sealed speech
+    rows, with the logits of the last one, in which pad and eos cannot
+    win, so the beam's winner decodes tokens."""
     cfg = ModelConfig(vocab_size=32, embed_dim=64, num_layers=4, num_heads=4,
                       ffn_dim=128, max_context=2048, seed=0)
     toy = ToyDecoder(cfg)
-    s = session_new(toy, ChunkingConfig(8, speech_text_ratio=2),
-                    StrategyConfig("cs_fallback_beam", beam_width=3), sp)
+    s = session_new(wrap(toy) if wrap else toy,
+                    ChunkingConfig(8, speech_text_ratio=2),
+                    StrategyConfig(name, beam_width=3), sp)
     s.turns.append(engine.TurnRecord((0, 100), False, 4))
     frames = np.random.default_rng(1).normal(size=(100, cfg.frame_dim))
     logits = toy.forward(s.cache, [SpeechSpan(0, frames)])
@@ -828,7 +837,7 @@ def test_stacked_frontier_scoring_matches_per_hypothesis(sp):
             for t in np.argsort(-lps, kind="stable")[:width]:
                 want[(hyp.tokens[0], int(t))] = hyp.lp + float(lps[t])
         pool = []
-        children = engine._beam_step(s, 0, frontier, pool, limit=100)
+        children = engine._beam_step(s, 0, frontier, pool, 100, _STOPPED)
         got = {(h.tokens[0], h.tokens[-1] if h.stopped_via is None
                 else h.stopped_via): h.lp for h in children + pool}
         assert len(children) + len(pool) == len(want)
@@ -1177,6 +1186,126 @@ def test_batched_beam_matches_unbatched(name):
                 assert a.stats.decode_positions > len(a.turns)
 
 
+@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
+def test_a_beam_turn_forwards_its_rollout_in_its_tree_steps(sp, name,
+                                                            monkeypatch):
+    """A beam turn after a speech prefill makes no lone ``forward`` call:
+    its greedy rollout's rows ride in the beam steps' spans, one
+    ``forward_tree`` call per step that forwards a row (every step of a
+    standard streaming turn, whose budget token fills the last slot; all
+    but the last of a context-aware one, which withholds it). It forwards
+    as many decode positions, and decodes the same winner, as the
+    from-scratch reference beam with its rollout of lone rows."""
+    s, logits, _ = _beam_turn_over_100_rows(sp, name, _Counting)
+    model, ref = s.model, s.fork()
+    steps = []
+    real_step = engine._beam_step
+
+    def step(session, *args):
+        calls, decode = len(model.trees), session.turns[-1].decode
+        children = real_step(session, *args)
+        steps.append((len(model.trees) - calls,
+                      session.turns[-1].decode - decode))
+        return children
+
+    monkeypatch.setattr(engine, "_beam_step", step)
+    winner = engine.beam_turn_decode(s, logits, budget=4)
+    # every call was a tree step: no lone forward
+    assert len(model.calls) == len(model.trees) and len(steps) == 4
+    monkeypatch.undo()
+    want = _reference_beam(ref, logits, budget=4)
+    assert [calls for calls, _ in steps] == [
+        1, 1, 1, int(name == "ss_beam")]
+    assert all(decode > 0 for _, decode in steps[:-1])
+    assert s.turns[-1].decode == ref.turns[-1].decode
+    assert sum(decode for _, decode in steps) == s.turns[-1].decode
+    assert (winner.tokens, winner.stopped_via) == (want.tokens,
+                                                   want.stopped_via)
+
+
+class _Bigram:
+    """A model on a symbolic cache whose logits depend on the last row
+    alone, ``rows[token]`` after a text row, ``rows[None]`` after speech,
+    ``rows[PAD]`` for a token without its own: unlike the replay oracles,
+    sibling paths can score apart, so a test can steer which of a beam's
+    frontier and its greedy rollout stops first."""
+
+    vocab_size = 12
+
+    def __init__(self, probs):
+        self.rows = {}
+        for key, row in probs.items():
+            logits = np.full(self.vocab_size, np.log(1e-6))
+            for t, p in row.items():
+                logits[t] = np.log(p)
+            self.rows[key] = logits
+
+    def new_cache(self):
+        return SymbolicCache()
+
+    def _row(self, item):
+        key = item.value if isinstance(item, Position) else None
+        return self.rows.get(key, self.rows[PAD])
+
+    def forward(self, cache, items):
+        cache.append_items(items)
+        return self._row(items[-1])
+
+    def forward_tree(self, cache, root, items, paths):
+        cache.append_items(items)
+        return [self._row(it) for it in items]
+
+
+# Two width-2 bigram tables, 4 slots a chunk. In the first the beam keeps
+# 4 -> 7 and 4 -> 8 over the greedy 3 -> 5, then both stop on their next
+# step, while the rollout 3, 5, 5, 5 runs on to the slot budget. In the
+# second the rollout 3 stops on pad at its second step and the frontier
+# runs on to the budget.
+_ROLLOUT_OUTLIVES = {None: {3: .45, 4: .40}, 3: {5: .2, 6: .2, 9: .2, 10: .2},
+                     4: {7: .65, 8: .3}, 7: {PAD: .5, EOS: .45},
+                     8: {PAD: .5, EOS: .45}, 5: {5: .99}, PAD: {PAD: .9}}
+_FRONTIER_OUTLIVES = {None: {3: .5, 4: .4}, 3: {PAD: .6, 5: .3},
+                      4: {6: .9}, 5: {6: .9}, 6: {6: .9}, PAD: {PAD: .9}}
+
+
+@pytest.mark.parametrize("case, width", [
+    ("rollout_outlives", 2), ("frontier_outlives", 2),
+    ("rollout_outlives", 1), ("scripted", 1)])
+@pytest.mark.parametrize("name", ["ss_beam", "cs_fallback_beam"])
+def test_a_tree_rollout_matches_the_reference_beam(name, case, width):
+    """A beam turn whose rollout outlives its frontier, one whose frontier
+    outlives a rollout that stopped on pad, and width-1 beams on a bigram
+    model and the ``Scripted`` oracle decode, over two chunks and an
+    audio-less final one, what the from-scratch reference beam decodes:
+    the same hypotheses, records, stats and turns, scores included."""
+    model = {"rollout_outlives": lambda: _Bigram(_ROLLOUT_OUTLIVES),
+             "frontier_outlives": lambda: _Bigram(_FRONTIER_OUTLIVES),
+             "scripted": lambda: Scripted({(0, 7): 5, (1, 7): 6, (2, 7): 7,
+                                           (2, 15): 8, (3, 15): EOS})}[case]
+    utt = Utterance("u", [], [], np.zeros((16, 4)))
+    seen = []
+    real_step = engine._beam_step
+
+    def step(session, root, frontier, pool, limit, rollout):
+        seen.append((bool(frontier), engine._running(rollout)))
+        return real_step(session, root, frontier, pool, limit, rollout)
+
+    strategy = StrategyConfig(name, beam_width=width, max_decode_per_turn=24)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_beam_step", step)
+        tree = _beam_runs(lambda u: model(), [utt], strategy)
+    ref = _beam_runs(lambda u: model(), [utt], strategy, reference=True)
+    if case == "rollout_outlives" and width == 2:
+        assert (False, True) in seen
+    if case == "frontier_outlives":
+        assert (True, False) in seen
+    for a, b in zip(tree, ref):
+        assert final_hypothesis(a) == final_hypothesis(b)
+        assert a.records == b.records
+        assert asdict(a.stats) == asdict(b.stats)
+        assert [asdict(t) for t in a.turns] == [asdict(t) for t in b.turns]
+
+
 class _SplitPrefill:
     """A model that forwards a text-then-speech item list as two calls,
     the text and then the speech span, as a context-aware turn prefilled
@@ -1443,34 +1572,28 @@ def _step_rows(draw):
 @given(row=_step_rows())
 def test_a_greedy_step_is_the_first_argmax_and_its_lps_entry(row):
     """One greedy step picks the first maximum logit and scores it with
-    ``_log_softmax(row)[t]``, bit for bit."""
-    tokens, lp, stop, logits = _greedy(None, None, row, 1)
-    t = tokens[0] if tokens else stop
+    ``_log_softmax(row)[t]``, bit for bit, alone and inside ``_greedy``."""
+    t, lp = engine._greedy_step(row, 0.0)
     assert t == int(row.argmax())
+    assert struct.pack("d", lp) == struct.pack("d", _log_softmax(row)[t])
+    tokens, lp, stop, logits = _greedy(None, None, row, 1)
+    assert (tokens[0] if tokens else stop) == t
     assert (stop is not None) == (t in (PAD, EOS))
     assert struct.pack("d", lp) == struct.pack("d", _log_softmax(row)[t])
     assert logits is row
 
 
-def _reference_greedy(session, cache, logits, limit):
-    """``_greedy`` as it read every step's token and score off
+def _reference_greedy_step(logits, lp):
+    """``_greedy_step`` as it read the token and its score off
     ``_log_softmax``."""
-    tokens, lp = [], 0.0
-    while len(tokens) < limit:
-        lps = _log_softmax(logits)
-        t = int(lps.argmax())
-        lp += float(lps[t])
-        if t == PAD or t == EOS:
-            return tokens, lp, t, logits
-        tokens.append(t)
-        if len(tokens) < limit:
-            logits = session._fwd(cache, [text(t)], "decode")
-    return tokens, lp, None, logits
+    lps = _log_softmax(logits)
+    t = int(lps.argmax())
+    return t, lp + float(lps[t])
 
 
-def _session_outcomes(name, model_of, utts, greedy):
+def _session_outcomes(name, model_of, utts, step):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_greedy", greedy)
+        mp.setattr(engine, "_greedy_step", step)
         out = []
         width = 3 if name.endswith("_beam") else 1
         for u in utts:
@@ -1487,8 +1610,8 @@ def _session_outcomes(name, model_of, utts, greedy):
 @pytest.mark.parametrize("name", STRATEGIES)
 def test_sessions_match_the_lps_greedy_reference(name, kind):
     """Every strategy decodes the same tokens, stops, records and turn
-    scores, bit for bit, as with a greedy loop that scores from
-    ``_log_softmax``:
+    scores, bit for bit, as with a greedy step that scores from
+    ``_log_softmax``, in ``_greedy`` and in a beam turn's rollout:
     on the benchmark's toy decoder and on ``boundary:1``."""
     if kind == "toy":
         utts = gen_synthetic_corpus(CorpusConfig(
@@ -1503,8 +1626,8 @@ def test_sessions_match_the_lps_greedy_reference(name, kind):
             min_tokens=40, max_tokens=120, seed=0))
         suite = make_boundary_oracle(utts, confusion_window=1)
         model_of = lambda u: suite.bind(u.id, PARADIGM_OF[name])
-    assert (_session_outcomes(name, model_of, utts, _greedy)
-            == _session_outcomes(name, model_of, utts, _reference_greedy))
+    assert (_session_outcomes(name, model_of, utts, engine._greedy_step)
+            == _session_outcomes(name, model_of, utts, _reference_greedy_step))
 
 
 @pytest.mark.parametrize("name", STRATEGIES)

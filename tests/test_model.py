@@ -906,10 +906,11 @@ def _reference_layers(model, x, spans, hidden=None):
     return x @ model.params.out_w.T + model.params.out_b
 
 
-def _exact_model(depth, heads, d):
+def _exact_model(depth, heads, d, max_context=48):
     return ToyDecoder(ModelConfig(vocab_size=16, embed_dim=d, num_layers=depth,
                                   num_heads=heads, ffn_dim=2 * d, frame_dim=4,
-                                  adapter_hidden=8, max_context=48, seed=depth))
+                                  adapter_hidden=8, max_context=max_context,
+                                  seed=depth))
 
 
 def _same_rows(a, b):
@@ -959,6 +960,7 @@ def test_forward_is_bit_identical_to_the_reference(depth, heads, d, how,
        seed=st.integers(0, 2**16))
 @example(depth=4, heads=4, d=64, root=33, count=3, per=3, lone=0, seed=7)
 @example(depth=2, heads=4, d=64, root=15, count=2, per=2, lone=1, seed=8)
+@example(depth=3, heads=4, d=64, root=33, count=4, per=3, lone=2, seed=9)
 def test_grouped_attention_is_bit_identical_to_the_reference(
         depth, heads, d, root, count, per, lone, seed):
     """One ``forward_tree`` step over a shuffled mix of sibling groups
@@ -967,8 +969,9 @@ def test_grouped_attention_is_bit_identical_to_the_reference(
     alone gives the logits and appends the K/V rows the all-2-D reference
     body does under the same mask, bit for bit. Roots sit either side of
     16 and 32 rows; the first example has beam_toy's model shape and a
-    width-3 beam step's 9 rows."""
-    m = _exact_model(depth, heads, d)
+    width-3 beam step's 9 rows, the last the largest draw: 51 rows, in a
+    model with room for 64."""
+    m = _exact_model(depth, heads, d, max_context=64)
     cache = m.new_cache()
     if root:
         m.forward(cache, _random_span(m, root, seed))
