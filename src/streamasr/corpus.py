@@ -207,7 +207,10 @@ def write_corpus(
             fh.write(json.dumps(rec) + "\n")
 
 
-def _utterance_of(rec: dict) -> Utterance:
+def _utterance_of(rec: dict, codebooks: dict) -> Utterance:
+    """One record's utterance; a lazily stored one regenerates its frames
+    from the codebook ``codebooks`` holds under its (seed, vocab_size,
+    frame_dim), made and kept there on first use."""
     # token ids and frame indices index arrays, so they must be integers
     tokens = [operator.index(t) for t in rec["tokens"]]
     alignments = [
@@ -225,17 +228,21 @@ def _utterance_of(rec: dict) -> Utterance:
         fs = rec["frames_seed"]
         cfg = CorpusConfig(num_utterances=1, **{
             k: fs[k] for k in ("vocab_size", "noise_std", "frame_dim", "seed")})
-        codebook = make_codebook(cfg.seed, cfg.vocab_size, cfg.frame_dim)
+        key = (cfg.seed, cfg.vocab_size, cfg.frame_dim)
+        if key not in codebooks:
+            codebooks[key] = make_codebook(*key)
         frames = _gen_frames(cfg, fs["index"], alignments, rec["num_frames"],
-                             codebook)
+                             codebooks[key])
     return Utterance(rec["id"], tokens, alignments, frames)
 
 
 def read_corpus(path: str | Path) -> list[Utterance]:
     """Read a JSON Lines corpus; every utterance is validated as it loads.
     A record that cannot be read is an AlignmentError naming its id, or its
-    line number when it has none."""
+    line number when it has none. Lazily stored frames regenerate from one
+    codebook per distinct (seed, vocab_size, frame_dim) in the file."""
     utts = []
+    codebooks: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -245,7 +252,7 @@ def read_corpus(path: str | Path) -> list[Utterance]:
             try:
                 rec = json.loads(line)
                 where = rec.get("id", where)
-                u = _utterance_of(rec)
+                u = _utterance_of(rec, codebooks)
             except KeyError as exc:
                 raise AlignmentError(f"{where}: no {exc} field") from None
             except (AttributeError, IndexError, TypeError, ValueError) as exc:

@@ -31,10 +31,12 @@ Cache discipline, which the accounting tests pin down exactly:
 * rollbacks never cross the most recent chunk mark, and a checksum taken
   at the mark is re-verified before every rewind.
 
-Every greedy decode steps by one argmax, ``_greedy_step``: it stops on
-pad or eos, or once it has emitted its token limit, and never forwards the
-token that reached the limit. A streaming turn's slot phase limits it to
-the chunk's slot budget or ``max_decode_per_turn``, whichever is smaller;
+Every greedy decode steps by one argmax, ``model._greedy_step``, which
+reads a replay oracle's reply window off the reply table, where its step
+was computed as the table was built: it stops on pad or eos, or once it
+has emitted its token limit, and never forwards the token that reached
+the limit. A streaming turn's slot phase limits it to the chunk's slot
+budget or ``max_decode_per_turn``, whichever is smaller;
 the standard layout then forwards that last token into its slot and the
 context-aware one withholds it. A beam turn grows its frontier and its
 greedy rollout, which it always pools, as one token tree in the session
@@ -57,7 +59,7 @@ import numpy as np
 from .corpus import EOS, PAD, SOS
 from .layout import ChunkingConfig, Position, chunk_bounds
 from .layout import text as text_pos
-from .model import SpeechSpan, _log_softmax
+from .model import SpeechSpan, _greedy_step, _log_softmax
 
 __all__ = [
     "STRATEGIES", "PARADIGM_OF", "ConfigMismatch", "PushAfterFinish",
@@ -350,15 +352,6 @@ def fallback_rewind(session: StreamingSession) -> int:
 
 # --------------------------------------------------------------------------
 # turn decoding: one greedy loop, beam search, the shared slot phase
-
-
-def _greedy_step(logits: np.ndarray, lp: float) -> tuple[int, float]:
-    """One greedy step: the first maximum logit ``t`` and ``lp`` plus its
-    log probability, which equals ``_log_softmax(logits)[t]`` bit for bit:
-    the shifted logit at the maximum is exactly 0, so the same sum is
-    reduced, and only that one entry is computed."""
-    t = int(logits.argmax())
-    return t, lp - float(np.log(np.add.reduce(np.exp(logits - logits[t]))))
 
 
 def _greedy(session: StreamingSession, cache, logits: np.ndarray,

@@ -13,7 +13,8 @@ row that sees the rows below ``root``, the rows ``paths[i]`` names (its
 ancestors) and itself, at position ``root + len(paths[i])``, and returns
 one logits row per item. ``compact(root, rows)`` then keeps one path.
 Beam search and ``masked_ce_loss`` share the one log-softmax here,
-``_log_softmax``.
+``_log_softmax``, and every greedy decode steps by ``_greedy_step``
+here, which scores the chosen token as ``_log_softmax`` does, bit for bit.
 
 * ``ToyDecoder``: a small deterministic pre-norm transformer over mixed
   speech/text positions. A span's frames enter through a two-linear-layer
@@ -35,7 +36,10 @@ Both oracles share one ``forward`` and ``forward_tree`` and reply with a
 window of one read-only logits vector rather than a fresh row, so callers
 must never write into the logits they get. The vector and its V reply
 windows are built once per vocabulary (by a ``BoundaryOracleSuite`` as it
-is built) and shared by every oracle of that vocabulary.
+is built) and shared by every oracle of that vocabulary. The reply table
+carries each window's greedy step, its first argmax and log-softmax
+shift, computed as the windows are built: ``_greedy_step`` reads it for
+a window the table holds and computes the step for any other array.
 
 Caches are append-only below their newest chunk mark. ``mark_chunk``
 seals the checksum of the prefix there, a rollback or compaction below
@@ -151,6 +155,32 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     ndarray.max and .sum run, minus their wrappers."""
     z = logits - np.maximum.reduce(logits, -1, keepdims=True)
     return z - np.log(np.add.reduce(np.exp(z), -1, keepdims=True))
+
+
+# id(window) -> (window, t, shift) for every reply window ``_reply_table``
+# builds: the entry holds its window alive, so no other array has its id
+_REPLY_STEPS: dict[int, tuple[np.ndarray, int, float]] = {}
+
+
+def _argmax_shift(logits: np.ndarray) -> tuple[int, float]:
+    """The first maximum logit ``t`` and ``log sum exp(logits - logits[t])``."""
+    t = int(logits.argmax())
+    return t, float(np.log(np.add.reduce(np.exp(logits - logits[t]))))
+
+
+def _greedy_step(logits: np.ndarray, lp: float) -> tuple[int, float]:
+    """One greedy step: the first maximum logit ``t`` and ``lp`` plus its
+    log probability, which equals ``_log_softmax(logits)[t]`` bit for bit:
+    the shifted logit at the maximum is exactly 0, so the same sum is
+    reduced, and only that one entry is computed. A reply window reads its
+    step off the table ``_reply_table`` filled; any other array, a copy of
+    a window too, computes it."""
+    step = _REPLY_STEPS.get(id(logits))
+    if step is None:
+        t, shift = _argmax_shift(logits)
+    else:
+        _, t, shift = step
+    return t, lp - shift
 
 
 def masked_ce_loss(logits: np.ndarray, targets: Sequence[int | None]) -> float:
@@ -827,9 +857,13 @@ def _one_hot_logits(rows: np.ndarray, token_id: int) -> np.ndarray:
 def _reply_table(vocab_size: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The ``_one_hot_rows`` vector of a vocabulary and its reply windows,
     token t's at index t: built once per vocabulary, shared by every
-    replay oracle of it."""
+    replay oracle of it. Each window's greedy step goes into
+    ``_REPLY_STEPS`` as it is built."""
     rows = _one_hot_rows(vocab_size)
-    return rows, tuple(_one_hot_logits(rows, t) for t in range(vocab_size))
+    windows = tuple(_one_hot_logits(rows, t) for t in range(vocab_size))
+    for w in windows:
+        _REPLY_STEPS[id(w)] = (w, *_argmax_shift(w))
+    return rows, windows
 
 
 @dataclass(slots=True)

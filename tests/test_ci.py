@@ -110,11 +110,14 @@ def test_every_streamasr_command_of_the_workflow_parses():
     """A flag removed or renamed fails here, not first in the workflow."""
     commands = workflow_commands(WORKFLOW.read_text(encoding="utf-8"))
     assert [argv[0] for argv in commands] == [
-        "gen-corpus", "ablate", "decode", "decode", "build-sequences",
-        "verify"]
+        "gen-corpus", "ablate", "decode", "decode", "decode",
+        "build-sequences", "verify"]
     # a continued command keeps the flags of its last line
     assert commands[2][-2:] == ["--out", "decoded.jsonl"]
     assert commands[3][commands[3].index("--strategy") + 1] == "ss_beam"
+    # oracle_long's strategy and model
+    assert commands[4][commands[4].index("--strategy") + 1] == "cs_fallback_greedy"
+    assert commands[4][commands[4].index("--model") + 1] == "boundary:1"
     parser, subcommands = cli.build_parser()
     for argv in commands:
         try:

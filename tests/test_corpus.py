@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from streamasr import corpus
 from streamasr.corpus import (
     FIRST_TEXT_ID,
     AlignmentError,
@@ -72,6 +73,35 @@ def test_round_trip_with_regenerated_frames(tmp_path, tiny_corpus):
         assert u.tokens == v.tokens
         assert u.alignments == v.alignments
         assert np.array_equal(u.frames, v.frames)
+
+
+def test_a_read_makes_one_codebook_per_frame_config(tmp_path, monkeypatch):
+    """Lazily stored frames regenerate from one codebook per distinct
+    (seed, vocab_size, frame_dim) in a read, made again by the next read,
+    and equal ``gen_synthetic_corpus``'s bit for bit."""
+    cfgs = [CorpusConfig(num_utterances=5, seed=3),
+            CorpusConfig(num_utterances=4, seed=3, frame_dim=5),
+            CorpusConfig(num_utterances=3, seed=4, vocab_size=20)]
+    want, lines = [], []
+    for i, cfg in enumerate(cfgs):
+        utts = gen_synthetic_corpus(cfg)
+        write_corpus(tmp_path / f"{i}.jsonl", utts, cfg)
+        want += utts
+        lines += (tmp_path / f"{i}.jsonl").read_text().splitlines(True)
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("".join(lines))
+    made = []
+    make = corpus.make_codebook
+    monkeypatch.setattr(corpus, "make_codebook",
+                        lambda *key: made.append(key) or make(*key))
+    for reads in (1, 2):
+        back = read_corpus(path)
+        assert made == [(3, 32, 8), (3, 32, 5), (4, 20, 8)] * reads
+        assert [u.tokens for u in back] == [u.tokens for u in want]
+        for u, v in zip(want, back):
+            assert u.frames.dtype == v.frames.dtype
+            assert u.frames.shape == v.frames.shape
+            assert u.frames.tobytes() == v.frames.tobytes()
 
 
 def test_round_trip_with_inline_frames(tmp_path, tiny_corpus):

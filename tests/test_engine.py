@@ -19,7 +19,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from streamasr import engine
+from streamasr import engine, model
 from streamasr.corpus import (
     EOS,
     PAD,
@@ -60,9 +60,11 @@ from streamasr.model import (
     SymbolicCache,
     TeacherOracle,
     ToyDecoder,
+    _greedy_step,
     _log_softmax,
     _one_hot_logits,
     _one_hot_rows,
+    _reply_table,
     _ReplayOracle,
     default_confusable_map,
     make_boundary_oracle,
@@ -1553,12 +1555,16 @@ def test_ns_redecodes_from_scratch_each_turn(edge_example, chunk4, sp):
 
 @st.composite
 def _step_rows(draw):
-    """Finite logit rows: scaled draws, some with a repeated maximum, and
-    the oracles' one-hot windows."""
-    kind = draw(st.sampled_from(["scaled", "repeated_max", "one_hot"]))
+    """Finite logit rows: scaled draws, some with a repeated maximum, the
+    oracles' one-hot windows freshly cut, and the windows of a vocabulary's
+    reply table, which carries their steps."""
+    kind = draw(st.sampled_from(
+        ["scaled", "repeated_max", "one_hot", "reply_table"]))
     n = draw(st.integers(2, 64))
     if kind == "one_hot":
         return _one_hot_logits(_one_hot_rows(n), draw(st.integers(0, n - 1)))
+    if kind == "reply_table":
+        return _reply_table(n)[1][draw(st.integers(0, n - 1))]
     row = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
     row = row * draw(st.floats(0.01, 50.0))
     if kind == "repeated_max":
@@ -1572,8 +1578,22 @@ def _step_rows(draw):
 @given(row=_step_rows())
 def test_a_greedy_step_is_the_first_argmax_and_its_lps_entry(row):
     """One greedy step picks the first maximum logit and scores it with
-    ``_log_softmax(row)[t]``, bit for bit, alone and inside ``_greedy``."""
-    t, lp = engine._greedy_step(row, 0.0)
+    ``_log_softmax(row)[t]``, bit for bit, alone and inside ``_greedy``. A
+    reply table's window reads its step off the table, and a writable
+    copy of it computes the same step."""
+    in_table = any(row is w for w in _reply_table(len(row))[1])
+    computed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_argmax_shift",
+                   lambda a, f=model._argmax_shift: computed.append(a) or f(a))
+        t, lp = _greedy_step(row, 0.0)
+        assert [a is row for a in computed] == ([] if in_table else [True])
+        if in_table:
+            dup = row.copy()
+            assert dup.flags.writeable
+            t2, lp2 = _greedy_step(dup, 0.0)
+            assert [a is dup for a in computed] == [True] and t2 == t
+            assert struct.pack("d", lp2) == struct.pack("d", lp)
     assert t == int(row.argmax())
     assert struct.pack("d", lp) == struct.pack("d", _log_softmax(row)[t])
     tokens, lp, stop, logits = _greedy(None, None, row, 1)
@@ -1628,6 +1648,40 @@ def test_sessions_match_the_lps_greedy_reference(name, kind):
         model_of = lambda u: suite.bind(u.id, PARADIGM_OF[name])
     assert (_session_outcomes(name, model_of, utts, engine._greedy_step)
             == _session_outcomes(name, model_of, utts, _reference_greedy_step))
+
+
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_oracle_greedy_steps_all_come_from_the_reply_table(name):
+    """Teacher and ``boundary:1`` sessions of every strategy take every
+    greedy step off the reply table: the computing path raises on any
+    array equal to a table window, the window itself or a copy, so an
+    oracle that replied with copies would fail here."""
+    utts = gen_synthetic_corpus(CorpusConfig(num_utterances=3, seed=5))
+    ck = ChunkingConfig(4)
+    paradigm = PARADIGM_OF[name]
+    layout_of = {"ns": lambda u: build_ns(u, SP),
+                 "ss": lambda u: build_ss(u, ck, SP),
+                 "cs": lambda u: build_cs(u, ck, SP)}[paradigm]
+    suite = make_boundary_oracle(utts, confusion_window=1)
+    strategy = StrategyConfig(name, beam_width=3 if name.endswith("_beam") else 1)
+    windows = _reply_table(32)[1]
+
+    def argmax_shift(logits, compute=model._argmax_shift):
+        if any(np.array_equal(logits, w) for w in windows):
+            raise AssertionError("a reply window's step was computed")
+        return compute(logits)
+
+    steps = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_argmax_shift", argmax_shift)
+        mp.setattr(engine, "_greedy_step",
+                   lambda logits, lp: steps.append(1) or _greedy_step(logits, lp))
+        with pytest.raises(AssertionError, match="was computed"):
+            _greedy_step(windows[5].copy(), 0.0)
+        for u in utts:
+            for oracle in (TeacherOracle(layout_of(u)), suite.bind(u, paradigm)):
+                run_stream(session_new(oracle, ck, strategy, SP), u.frames)
+    assert steps
 
 
 @pytest.mark.parametrize("name", STRATEGIES)
